@@ -14,16 +14,12 @@ from pathlib import Path
 from .domain import validate_cohort
 from .errors import AussError
 from .experiment import (
-    EvaluationConfig,
     ExperimentSpec,
-    MetricsReport,
-    evaluate_metrics,
     replay as replay_transcript,
     run_sweep,
     simulate,
+    write_plot_data,
 )
-from .policy import PolicyConfig
-from .runtime import SchedulerConfig, SimulationTranscript
 from .synthetic import GeneratorConfig, export_cohort, generate_cohort, import_cohort
 
 
@@ -62,7 +58,7 @@ def cmd_generate(args: argparse.Namespace) -> dict:
 
 def cmd_simulate(args: argparse.Namespace) -> dict:
     spec = _spec_from_sim_config(args.config, args.cohort, args.out)
-    if args.runs > 1:
+    if args.runs != 1:
         results = run_sweep(spec, args.runs)
         return {
             "command": "simulate",
@@ -97,23 +93,9 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
 
 def cmd_evaluate(args: argparse.Namespace) -> dict:
     run_dir = Path(args.run)
-    transcript_path = run_dir / "transcript.jsonl"
-    if not transcript_path.exists():
-        raise AussError(f"no transcript.jsonl under {run_dir}")
-    transcript = SimulationTranscript.from_jsonl(transcript_path)
-    spec_data = transcript.header.get("experiment")
-    if not spec_data:
-        raise AussError("transcript does not embed an experiment spec")
-    spec = ExperimentSpec.from_dict(spec_data)
-    if spec.generator is not None:
-        cohort, _truth = generate_cohort(spec.generator)
-    else:
-        cohort = import_cohort(spec.cohort_dir)
-    report = evaluate_metrics(cohort, transcript, spec)
+    report = replay_transcript(run_dir / "transcript.jsonl", verify_simulation=False)
     report.save(run_dir / "report.json")
-    from .experiment import _write_plot_data
-
-    _write_plot_data(report, run_dir / "plots")
+    write_plot_data(report, run_dir / "plots")
     return {"command": "evaluate", "run": args.run, "report": report.to_dict()}
 
 
@@ -138,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cohort", required=True, help="cohort directory (from generate)")
     p.add_argument("--config", help="JSON with scheduler/policy/evaluation sections")
     p.add_argument("--out", required=True, help="run directory for transcript output")
-    p.add_argument("--runs", type=int, default=1, help="run N seeds concurrently and merge reports")
+    p.add_argument("--runs", type=int, default=1, help="run N seeds in turn and merge reports")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("evaluate", help="compute the metrics report for a finished run")

@@ -23,10 +23,6 @@ class EventKind(str, Enum):
     ABSENCE = "absence"
 
 
-#: Kinds whose value field carries an engagement intensity signal.
-ENGAGEMENT_KINDS = frozenset(k for k in EventKind if k is not EventKind.ABSENCE)
-
-
 @dataclass(frozen=True)
 class StudentRecord:
     """Static, per-learner profile (e.g. prior_gpa in [0,4], credits_attempted)."""
@@ -111,15 +107,6 @@ class Cohort:
     @property
     def resource_ids(self) -> tuple[str, ...]:
         return tuple(r.resource_id for r in self.resources)
-
-    def student(self, student_id: str) -> StudentRecord:
-        for record in self.students:
-            if record.student_id == student_id:
-                return record
-        raise UnknownStudentError(f"student {student_id!r} not in cohort")
-
-    def events_for(self, student_id: str) -> tuple[EngagementEvent, ...]:
-        return tuple(e for e in self.events if e.student_id == student_id)
 
 
 @dataclass(frozen=True)
@@ -238,22 +225,46 @@ def validate_cohort(cohort: Cohort) -> list[Violation]:
     return violations
 
 
-def least_squares_slope(points: Sequence[tuple[float, float]]) -> float:
-    """Slope of the least-squares line through (x, y) points.
+class SeriesStats:
+    """Running sums for a series of (x, y) points: mean of y plus least-squares slope."""
 
-    Fewer than two distinct x values yield 0 (insufficient-points convention).
-    """
-    n = len(points)
-    if n < 2:
-        return 0.0
-    sx = sum(p[0] for p in points)
-    sy = sum(p[1] for p in points)
-    sxx = sum(p[0] * p[0] for p in points)
-    sxy = sum(p[0] * p[1] for p in points)
-    denom = n * sxx - sx * sx
-    if denom == 0.0:
-        return 0.0
-    return (n * sxy - sx * sy) / denom
+    __slots__ = ("n", "sum_y", "sum_x", "sum_xy", "sum_xx")
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.sum_y = 0.0
+        self.sum_x = 0.0
+        self.sum_xy = 0.0
+        self.sum_xx = 0.0
+
+    def add(self, x: float, y: float) -> None:
+        self.n += 1
+        self.sum_y += y
+        self.sum_x += x
+        self.sum_xy += x * y
+        self.sum_xx += x * x
+
+    @property
+    def mean(self) -> float:
+        return self.sum_y / self.n if self.n else 0.0
+
+    @property
+    def slope(self) -> float:
+        """Fewer than two distinct x values yield 0 (insufficient-points convention)."""
+        if self.n < 2:
+            return 0.0
+        denom = self.n * self.sum_xx - self.sum_x * self.sum_x
+        if denom == 0.0:
+            return 0.0
+        return (self.n * self.sum_xy - self.sum_x * self.sum_y) / denom
+
+
+def least_squares_slope(points: Sequence[tuple[float, float]]) -> float:
+    """Slope of the least-squares line through (x, y) points; see :attr:`SeriesStats.slope`."""
+    stats = SeriesStats()
+    for x, y in points:
+        stats.add(x, y)
+    return stats.slope
 
 
 #: Output layout of feature_window: one (count, mean, slope) triple per kind.

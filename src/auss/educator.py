@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import ast
 import csv
-import json
 import random
 import re
 import statistics
@@ -263,14 +262,6 @@ def generate_class_report(
     )
 
 
-def write_class_report(report: ClassReport, json_path: str | Path, text_path: str | Path | None = None) -> None:
-    Path(json_path).write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True), encoding="utf-8"
-    )
-    if text_path is not None:
-        Path(text_path).write_text(report.format_text() + "\n", encoding="utf-8")
-
-
 # -- quiz generation ---------------------------------------------------------------
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
@@ -442,10 +433,9 @@ class EducatorAgent(Agent):
             actions.append(Action(kind="publish_report", detail=payload))
         return actions
 
-    def evaluate(self, outcome: TickOutcome) -> float | None:
+    def evaluate(self, outcome: TickOutcome) -> None:
         for action in outcome.actions:
             if action.kind == "post_grades":
                 self.memory.data["grades_posted"] += action.detail["count"]
             elif action.kind == "publish_report":
                 self.memory.data["reports_generated"] += 1
-        return None

@@ -13,7 +13,6 @@ import json
 import random
 import shutil
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -277,18 +276,24 @@ class MetricsReport:
 
 
 def build_agents(cohort: Cohort) -> list:
-    return [StudentAgent(cohort), EducatorAgent(cohort), InstitutionAgent(cohort)]
+    return [StudentAgent(cohort), EducatorAgent(cohort), InstitutionAgent()]
 
 
 def simulate(
     cohort: Cohort, spec: ExperimentSpec, *, header_extra: Mapping[str, object] | None = None
 ) -> SimulationTranscript:
     agents = build_agents(cohort)
-    driver = PolicyDriver(spec.policy, FeatureTracker(cohort))
     extra = {"experiment": spec.to_dict()}
     if header_extra:
         extra.update(header_extra)
-    return run(cohort, agents, spec.scheduler, policy_driver=driver, header_extra=extra)
+    return run(
+        cohort,
+        agents,
+        spec.scheduler,
+        tracker=FeatureTracker(cohort),
+        policy_driver=PolicyDriver(spec.policy),
+        header_extra=extra,
+    )
 
 
 # -- metric evaluation -----------------------------------------------------------
@@ -469,7 +474,8 @@ def evaluate_metrics(
 # -- pipeline -------------------------------------------------------------------
 
 
-def _write_plot_data(report: MetricsReport, plots_dir: Path) -> list[Path]:
+def write_plot_data(report: MetricsReport, plots_dir: Path) -> list[Path]:
+    """Write the report's plot-ready CSVs under ``plots_dir``; returns their paths."""
     plots_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
@@ -568,7 +574,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[MetricsReport, SimulationTrans
             report.save(report_path)
             plots_dir = out / "plots"
             created.append(plots_dir)
-            _write_plot_data(report, plots_dir)
+            write_plot_data(report, plots_dir)
 
         stage("write", _write)
     return report, transcript
@@ -601,10 +607,8 @@ def replay(
 # -- seed sweeps ------------------------------------------------------------------
 
 
-def run_sweep(
-    spec: ExperimentSpec, n_runs: int, *, max_workers: int = 4
-) -> list[tuple[int, MetricsReport]]:
-    """Run n independent seeds concurrently; reports keep per-seed provenance.
+def run_sweep(spec: ExperimentSpec, n_runs: int) -> list[tuple[int, MetricsReport]]:
+    """Run n independent seeds one after another; reports keep per-seed provenance.
 
     With a generator config, each run regenerates its own cohort; with a
     file cohort, the data stays fixed and the scheduler/policy seeds vary.
@@ -613,8 +617,8 @@ def run_sweep(
         raise ConfigError(f"n_runs must be >= 1, got {n_runs}")
     base = spec.generator.seed if spec.generator is not None else spec.scheduler.rng_seed
 
-    def one(i: int) -> tuple[int, MetricsReport]:
-        seed = base + i
+    results = []
+    for seed in range(base, base + n_runs):
         run_spec = replace(
             spec,
             generator=(
@@ -627,10 +631,7 @@ def run_sweep(
             ),
         )
         report, _transcript = run_experiment(run_spec)
-        return seed, report
-
-    with ThreadPoolExecutor(max_workers=min(max_workers, n_runs)) as pool:
-        results = list(pool.map(one, range(n_runs)))
+        results.append((seed, report))
 
     if spec.output_dir is not None:
         merged = {

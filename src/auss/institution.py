@@ -4,7 +4,6 @@ precision/recall/F1 evaluation, and per-agent load accounting.
 
 from __future__ import annotations
 
-import csv
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -14,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .bus import AgentName, Event, TriggerKind
-from .domain import Cohort, EngagementEvent, EventKind
+from .domain import Cohort, EngagementEvent, EventKind, SeriesStats
 from .errors import InsufficientDataError, MetricInputError, TranscriptError
 from .learners import LogisticModel, fit_logistic
 from .runtime import Action, Agent, Publisher, SimulationTranscript, TickOutcome, TickView
@@ -68,39 +67,6 @@ class LoadReport:
 # -- streaming per-student statistics -----------------------------------------
 
 
-class _SeriesStats:
-    """Running sums for a per-tick series: mean plus least-squares slope."""
-
-    __slots__ = ("n", "sum_y", "sum_x", "sum_xy", "sum_xx")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.sum_y = 0.0
-        self.sum_x = 0.0
-        self.sum_xy = 0.0
-        self.sum_xx = 0.0
-
-    def add(self, x: float, y: float) -> None:
-        self.n += 1
-        self.sum_y += y
-        self.sum_x += x
-        self.sum_xy += x * y
-        self.sum_xx += x * x
-
-    @property
-    def mean(self) -> float:
-        return self.sum_y / self.n if self.n else 0.0
-
-    @property
-    def slope(self) -> float:
-        if self.n < 2:
-            return 0.0
-        denom = self.n * self.sum_xx - self.sum_x * self.sum_x
-        if denom == 0.0:
-            return 0.0
-        return (self.n * self.sum_xy - self.sum_x * self.sum_y) / denom
-
-
 class FeatureTracker:
     """Incremental per-student aggregates fed one tick of events at a time.
 
@@ -108,6 +74,9 @@ class FeatureTracker:
     least-squares fits against tick. A short rolling window of per-tick
     engagement means and score points backs reactive monitoring (policy
     state, learning-gap detection).
+
+    A simulation run has one tracker: the scheduler ingests each tick into
+    it and the agents and the policy driver read it from the TickView.
     """
 
     def __init__(self, cohort: Cohort, window_len: int = 5, monitor: LogisticModel | None = None):
@@ -118,8 +87,8 @@ class FeatureTracker:
             s.student_id: float(s.static_features.get("credits_attempted", 0.0))
             for s in cohort.students
         }
-        self._engagement: dict[str, _SeriesStats] = {}
-        self._scores: dict[str, _SeriesStats] = {}
+        self._engagement: dict[str, SeriesStats] = {}
+        self._scores: dict[str, SeriesStats] = {}
         self._absence_ticks: dict[str, int] = {}
         self._last_event_tick: dict[str, int] = {}
         self._window_engagement: dict[str, deque] = {}
@@ -145,18 +114,18 @@ class FeatureTracker:
             self._absence_ticks[sid] = self._absence_ticks.get(sid, 0) + 1
         for sid, values in engagement_acc.items():
             mean = sum(values) / len(values)
-            self._engagement.setdefault(sid, _SeriesStats()).add(float(tick), mean)
+            self._engagement.setdefault(sid, SeriesStats()).add(float(tick), mean)
             self._window_engagement.setdefault(sid, deque(maxlen=self.window_len)).append(mean)
         for sid, values in score_acc.items():
             mean = sum(values) / len(values)
-            self._scores.setdefault(sid, _SeriesStats()).add(float(tick), mean)
+            self._scores.setdefault(sid, SeriesStats()).add(float(tick), mean)
             self._window_scores.setdefault(sid, deque(maxlen=self.window_len)).append(
                 (float(tick), mean)
             )
 
     def features(self, student_id: str) -> InstitutionalFeatures:
-        engagement = self._engagement.get(student_id, _SeriesStats())
-        scores = self._scores.get(student_id, _SeriesStats())
+        engagement = self._engagement.get(student_id, SeriesStats())
+        scores = self._scores.get(student_id, SeriesStats())
         last = self._last_event_tick.get(student_id)
         if last is None:
             absence_rate = 0.0
@@ -317,14 +286,6 @@ def assess_risk(
     return assessments, events
 
 
-def write_risk_csv(assessments: Sequence[RiskAssessment], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["student_id", "risk_score", "flagged"])
-        for item in assessments:
-            writer.writerow([item.student_id, repr(item.risk_score), str(item.flagged).lower()])
-
-
 # -- metrics -------------------------------------------------------------------
 
 
@@ -387,16 +348,8 @@ class InstitutionAgent(Agent):
     name = AgentName.INSTITUTION
     subscriptions = frozenset(TriggerKind)
 
-    def __init__(
-        self,
-        cohort: Cohort,
-        *,
-        risk_every: int = 5,
-        risk_threshold: float = 0.5,
-        window_len: int = 5,
-    ):
+    def __init__(self, *, risk_every: int = 5, risk_threshold: float = 0.5):
         super().__init__()
-        self.tracker = FeatureTracker(cohort, window_len=window_len)
         self.risk_every = risk_every
         self.risk_threshold = risk_threshold
         self.flagged: set[str] = set()
@@ -408,14 +361,14 @@ class InstitutionAgent(Agent):
 
     def reason(self, percepts: dict) -> dict:
         view: TickView = percepts["view"]
-        self.tracker.ingest(view.tick, view.events)
+        tracker = view.tracker
         self.memory.data["events_processed"] += len(percepts["inbox"])
         decisions: dict = {"tick": view.tick, "new_flags": []}
         if (view.tick + 1) % self.risk_every == 0:
-            seen = [s for s in sorted(self.tracker.student_ids()) if s not in self.flagged]
-            features = [self.tracker.features(s) for s in seen]
+            seen = [s for s in sorted(tracker.student_ids()) if s not in self.flagged]
+            features = [tracker.features(s) for s in seen]
             _, events = assess_risk(
-                self.tracker.monitor,
+                tracker.monitor,
                 features,
                 self.risk_threshold,
                 already_flagged=self.flagged,
@@ -433,6 +386,5 @@ class InstitutionAgent(Agent):
             actions.append(Action(kind="flag_at_risk", student_id=sid, detail=event.payload))
         return actions
 
-    def evaluate(self, outcome: TickOutcome) -> float | None:
+    def evaluate(self, outcome: TickOutcome) -> None:
         self.memory.data["flags_raised"] += len(outcome.actions)
-        return None

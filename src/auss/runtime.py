@@ -15,7 +15,7 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .bus import AgentName, Event, EventBus, Subscription, TriggerKind
 from .domain import Cohort, EngagementEvent
@@ -39,6 +39,9 @@ from .policy import (
     q_update,
     select_action,
 )
+
+if TYPE_CHECKING:
+    from .institution import FeatureTracker
 
 PACKAGE_VERSION = "0.1.0"
 TRANSCRIPT_FORMAT_VERSION = 1
@@ -103,7 +106,8 @@ class TickView:
     """What the environment exposes to agents at one tick.
 
     ``newly_dropped`` holds students who had events before this tick but
-    none at it (the observable form of a dropout).
+    none at it (the observable form of a dropout). ``tracker`` is the run's
+    feature tracker, already fed this tick's events.
     """
 
     tick: int
@@ -111,6 +115,7 @@ class TickView:
     active_students: frozenset[str]
     newly_dropped: frozenset[str]
     cohort: Cohort
+    tracker: FeatureTracker | None = None
 
 
 @dataclass(frozen=True)
@@ -178,8 +183,8 @@ class Agent(ABC):
         """Execute decisions; the only phase allowed to publish events."""
 
     @abstractmethod
-    def evaluate(self, outcome: TickOutcome) -> float | None:
-        """Fold observed outcomes back into memory; returns a feedback signal."""
+    def evaluate(self, outcome: TickOutcome) -> None:
+        """Fold observed outcomes back into memory."""
 
 
 # -- transcript --------------------------------------------------------------
@@ -265,7 +270,10 @@ class SimulationTranscript:
 
     @classmethod
     def from_jsonl(cls, path: str | Path, verify: bool = True) -> "SimulationTranscript":
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise TranscriptError(f"cannot read transcript {path}: {exc}") from exc
         lines = text.splitlines()
         if not lines:
             raise TranscriptError(f"transcript {path} is empty")
@@ -356,27 +364,25 @@ class PolicyDriver:
     Per tick: settle the previous decision (observe reward, apply the
     Q update), then pick the currently riskiest active student, select an
     action epsilon-greedily, and execute it as an intervention_request
-    event. The tracker argument supplies per-student signals and must
-    expose ingest(), student_ids(), policy_signals(student_id).
+    event. Per-student signals come from the view's feature tracker.
     """
 
-    def __init__(self, config: PolicyConfig, tracker: Any, table: QTable | None = None):
+    def __init__(self, config: PolicyConfig, table: QTable | None = None):
         self.config = config
-        self.tracker = tracker
         self.table = table if table is not None else QTable()
         self.rng = random.Random(config.rng_seed)
         self.pending: _PendingDecision | None = None
 
-    def _state_for(self, student_id: str) -> tuple[SystemState, Any]:
-        mean_engagement, score_slope, risk = self.tracker.policy_signals(student_id)
+    @staticmethod
+    def _state_for(tracker: FeatureTracker, student_id: str) -> tuple[SystemState, Any]:
+        mean_engagement, score_slope, risk = tracker.policy_signals(student_id)
         state = discretize_state(mean_engagement, score_slope, risk)
         return state, state.engagement_level
 
     def step(self, view: TickView, publisher: Publisher, transcript: SimulationTranscript) -> None:
-        self.tracker.ingest(view.tick, view.events)
-
+        tracker = view.tracker
         if self.pending is not None:
-            state_now, level_now = self._state_for(self.pending.target)
+            state_now, level_now = self._state_for(tracker, self.pending.target)
             reward = compute_reward(
                 self.pending.action,
                 engagement_before=self.pending.engagement_before,
@@ -407,8 +413,8 @@ class PolicyDriver:
         if not candidates:
             return
         # Highest heuristic risk first; ties go to the smallest student id.
-        target = min(candidates, key=lambda s: (-self.tracker.policy_signals(s)[2], s))
-        state, level = self._state_for(target)
+        target = min(candidates, key=lambda s: (-tracker.policy_signals(s)[2], s))
+        state, level = self._state_for(tracker, target)
         action = select_action(self.table, state, self.config, self.rng)
         if action is not InterventionAction.NO_OP:
             publisher.publish(
@@ -451,17 +457,22 @@ def run(
     agents: Sequence[Agent],
     config: SchedulerConfig,
     *,
+    tracker: FeatureTracker | None = None,
     policy_driver: PolicyDriver | None = None,
     bus: EventBus | None = None,
     header_extra: Mapping[str, object] | None = None,
 ) -> SimulationTranscript:
     """Execute max_ticks scheduler iterations and return the full transcript.
 
-    Per tick: the environment exposes that tick's cohort data, the bus
-    delivers everything published earlier, each agent runs its four phases
-    in the configured order, and the policy driver (when present) settles
-    rewards and issues the next intervention.
+    Per tick: the environment exposes that tick's cohort data, the feature
+    tracker (when present) ingests it, the bus delivers everything
+    published earlier, each agent runs its four phases in the configured
+    order, and the policy driver (when present) settles rewards and issues
+    the next intervention. The policy driver reads the tracker, so it
+    needs one.
     """
+    if policy_driver is not None and tracker is None:
+        raise ConfigError("a policy driver needs a feature tracker")
     by_name: dict[str, Agent] = {}
     for agent in agents:
         by_name[agent.name.value] = agent
@@ -506,7 +517,10 @@ def run(
             active_students=active,
             newly_dropped=newly_dropped,
             cohort=cohort,
+            tracker=tracker,
         )
+        if tracker is not None:
+            tracker.ingest(tick, tick_events)
 
         inboxes = bus.deliver_tick(tick)
         for subscriber in sorted(inboxes):

@@ -20,7 +20,6 @@ from .domain import (
     window_features,
 )
 from .errors import ConfigError, InsufficientDataError, UnknownStudentError, UntrainedModelError
-from .institution import FeatureTracker
 from .learners import BaggedTreeRegressor, LogisticModel, fit_logistic
 from .runtime import Action, Agent, Publisher, TickOutcome, TickView
 
@@ -420,21 +419,12 @@ class StudentAgent(Agent):
         {TriggerKind.AT_RISK_FLAG, TriggerKind.INTERVENTION_REQUEST, TriggerKind.GRADE_POSTED}
     )
 
-    def __init__(
-        self,
-        cohort: Cohort,
-        *,
-        window_len: int = 5,
-        top_k: int = 3,
-        neighborhood: int = 10,
-    ):
+    def __init__(self, cohort: Cohort, *, top_k: int = 3, neighborhood: int = 10):
         super().__init__()
         self.cohort = cohort
-        self.window_len = window_len
         self.top_k = top_k
         self.neighborhood = neighborhood
-        self.tracker = FeatureTracker(cohort, window_len=window_len)
-        self.detector = GapDetector(window_len=window_len)
+        self.detector: GapDetector | None = None
         self._interaction_counts: dict[tuple[str, str], int] = {}
         self._last_recommended: dict[str, int] = {}
         self.memory.data["gap_signals"] = 0
@@ -445,7 +435,10 @@ class StudentAgent(Agent):
 
     def reason(self, percepts: dict) -> dict:
         view: TickView = percepts["view"]
-        self.tracker.ingest(view.tick, view.events)
+        tracker = view.tracker
+        if self.detector is None:
+            # Gap and recommendation cooldowns last one window of the tracker.
+            self.detector = GapDetector(window_len=tracker.window_len)
         for event in view.events:
             if event.resource_id is not None:
                 key = (event.student_id, event.resource_id)
@@ -457,8 +450,8 @@ class StudentAgent(Agent):
                 self.detector.update(
                     sid,
                     view.tick,
-                    self.tracker.window_engagement_values(sid),
-                    self.tracker.window_score_points(sid),
+                    tracker.window_engagement_values(sid),
+                    tracker.window_score_points(sid),
                 )
             )
 
@@ -477,7 +470,8 @@ class StudentAgent(Agent):
         recommend: list[str] = []
         for sid in requests:
             last = self._last_recommended.get(sid)
-            if (last is None or view.tick - last >= self.window_len) and sid not in recommend:
+            cooled_down = last is None or view.tick - last >= self.detector.window_len
+            if cooled_down and sid not in recommend:
                 recommend.append(sid)
         return {"tick": view.tick, "gaps": gaps, "recommend": recommend}
 
@@ -504,9 +498,8 @@ class StudentAgent(Agent):
                 actions.append(Action(kind="recommend", student_id=sid, detail=payload))
         return actions
 
-    def evaluate(self, outcome: TickOutcome) -> float | None:
+    def evaluate(self, outcome: TickOutcome) -> None:
         gaps = sum(1 for a in outcome.actions if a.kind != "recommend")
         recs = sum(1 for a in outcome.actions if a.kind == "recommend")
         self.memory.data["gap_signals"] += gaps
         self.memory.data["recommendations_issued"] += recs
-        return None

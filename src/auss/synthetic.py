@@ -128,6 +128,7 @@ def _cumulative_series_stats(
     values: np.ndarray, mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-student cumulative (count, sum_y, sum_x, sum_xy, sum_xx) along ticks."""
+    # Apart from domain.SeriesStats: one numpy formula for both would slow each policy_signals call.
     ticks = np.arange(values.shape[1], dtype=float)
     masked = np.where(mask, values, 0.0)
     count = np.cumsum(mask, axis=1)

@@ -125,3 +125,34 @@ class TestCliPipeline:
         )
         assert code == 0, err
         assert (out_dir / "sweep_report.json").exists()
+
+
+class TestCliErrors:
+    def test_replay_of_missing_transcript(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "replay", "--transcript", str(tmp_path / "missing.jsonl"))
+        assert code == 1
+        assert out is None
+        error = json.loads(err)
+        assert error["error"] == "TranscriptError"
+        assert "missing.jsonl" in error["message"]
+
+    def test_evaluate_of_empty_run_directory(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "evaluate", "--run", str(tmp_path))
+        assert code == 1
+        assert out is None
+        assert json.loads(err)["error"] == "TranscriptError"
+
+    def test_simulate_with_zero_runs(self, tmp_path, capsys, gen_config):
+        cohort_dir = tmp_path / "cohort"
+        run_cli(capsys, "generate", "--config", str(gen_config), "--out", str(cohort_dir))
+        code, out, err = run_cli(
+            capsys,
+            "simulate",
+            "--cohort", str(cohort_dir),
+            "--out", str(tmp_path / "run"),
+            "--runs", "0",
+        )
+        assert code == 1
+        assert out is None
+        assert json.loads(err)["error"] == "ConfigError"
+        assert not (tmp_path / "run").exists()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from auss.domain import (
     EngagementEvent,
@@ -134,3 +135,16 @@ class TestFeatureWindow:
         assert least_squares_slope([]) == 0.0
         assert least_squares_slope([(1.0, 5.0)]) == 0.0
         assert least_squares_slope([(1.0, 5.0), (1.0, 6.0)]) == 0.0
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 1000).map(float), st.floats(0.0, 1.0)),
+            max_size=30,
+        )
+    )
+    def test_slope_agrees_with_oracle(self, points):
+        slope = least_squares_slope(points)
+        if len(points) < 2 or len({x for x, _ in points}) == 1:
+            assert slope == 0.0
+        else:
+            assert slope == pytest.approx(polyfit_slope(points), rel=1e-6, abs=1e-9)

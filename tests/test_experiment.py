@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,9 @@ from auss.experiment import (
 from auss.policy import PolicyConfig
 from auss.runtime import SchedulerConfig
 from auss.synthetic import GeneratorConfig
+
+#: A 40-student, 6-resource, 12-tick run at seed 3, written by an earlier build.
+COMMITTED_TRANSCRIPT = Path(__file__).parent / "data" / "transcript_40x6x12_seed3.jsonl"
 
 
 def small_spec(out_dir=None, seed=5, n_students=30, n_ticks=12) -> ExperimentSpec:
@@ -105,7 +109,7 @@ class TestRunExperiment:
         def broken_plots(report, plots_dir):
             raise RuntimeError("disk full")
 
-        monkeypatch.setattr(experiment_module, "_write_plot_data", broken_plots)
+        monkeypatch.setattr(experiment_module, "write_plot_data", broken_plots)
         with pytest.raises(StageError) as exc_info:
             run_experiment(small_spec(out_dir=out))
         assert exc_info.value.stage == "write"
@@ -136,6 +140,12 @@ class TestReplay:
         original["metadata"].pop("durations_s")
         recomputed["metadata"].pop("durations_s")
         assert recomputed == original
+
+    def test_committed_transcript_replays(self):
+        # The re-simulation must reproduce every canonical record: events,
+        # deliveries, actions, policy decisions, rewards and the Q table.
+        report = replay(COMMITTED_TRANSCRIPT)
+        assert report.metadata["n_students"] == 40
 
     def test_tampered_transcript_fails_checksum(self, tmp_path):
         out = tmp_path / "run"
@@ -174,7 +184,7 @@ class TestSweep:
     def test_sweep_runs_distinct_seeds(self, tmp_path):
         out = tmp_path / "sweep"
         spec = small_spec(out_dir=out)
-        results = run_sweep(spec, 2, max_workers=2)
+        results = run_sweep(spec, 2)
         seeds = [seed for seed, _ in results]
         assert seeds == [5, 6]
         assert (out / "sweep_report.json").exists()

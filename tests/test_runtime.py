@@ -198,9 +198,13 @@ class TestPolicedRun:
         cohort, _ = generate_cohort(
             GeneratorConfig(n_students=10, n_resources=3, n_ticks=10, seed=4)
         )
-        driver = PolicyDriver(PolicyConfig(rng_seed=1), FeatureTracker(cohort))
+        driver = PolicyDriver(PolicyConfig(rng_seed=1))
         transcript = run(
-            cohort, noop_agents(), SchedulerConfig(max_ticks=10), policy_driver=driver
+            cohort,
+            noop_agents(),
+            SchedulerConfig(max_ticks=10),
+            tracker=FeatureTracker(cohort),
+            policy_driver=driver,
         )
         policy_records = transcript.of_type("policy")
         reward_records = transcript.of_type("reward")
@@ -212,9 +216,13 @@ class TestPolicedRun:
         cohort, _ = generate_cohort(
             GeneratorConfig(n_students=10, n_resources=3, n_ticks=6, seed=4)
         )
-        driver = PolicyDriver(PolicyConfig(rng_seed=1), FeatureTracker(cohort))
+        driver = PolicyDriver(PolicyConfig(rng_seed=1))
         transcript = run(
-            cohort, noop_agents(), SchedulerConfig(max_ticks=6), policy_driver=driver
+            cohort,
+            noop_agents(),
+            SchedulerConfig(max_ticks=6),
+            tracker=FeatureTracker(cohort),
+            policy_driver=driver,
         )
         decisions = {r["tick"]: r for r in transcript.of_type("policy")}
         for reward in transcript.of_type("reward"):
@@ -222,6 +230,42 @@ class TestPolicedRun:
             assert reward["target"] == previous["target"]
             assert reward["action"] == previous["action"]
             assert reward["state"] == previous["state"]
+
+
+class TestSharedTracker:
+    def test_tracker_fed_once_per_tick_before_agents(self):
+        cohort, _ = generate_cohort(
+            GeneratorConfig(n_students=10, n_resources=3, n_ticks=6, seed=4)
+        )
+        tracker = FeatureTracker(cohort)
+        ingested = []
+        ingest = tracker.ingest
+
+        def counting_ingest(tick, events):
+            ingested.append(tick)
+            ingest(tick, events)
+
+        tracker.ingest = counting_ingest
+        seen = []
+
+        class Reader(NoOpAgent):
+            def perceive(self, view, inbox):
+                seen.append((view.tick, view.tracker is tracker, ingested[-1]))
+                return super().perceive(view, inbox)
+
+        agents = [Reader(name) for name in (AgentName.STUDENT, AgentName.EDUCATOR, AgentName.INSTITUTION)]
+        run(cohort, agents, SchedulerConfig(max_ticks=6), tracker=tracker)
+        assert ingested == list(range(6))
+        assert seen == [(tick, True, tick) for tick in range(6) for _ in agents]
+
+    def test_policy_driver_needs_tracker(self):
+        with pytest.raises(ConfigError):
+            run(
+                make_cohort(),
+                noop_agents(),
+                SchedulerConfig(max_ticks=1),
+                policy_driver=PolicyDriver(PolicyConfig()),
+            )
 
 
 class TestTranscriptFile:
