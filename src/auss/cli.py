@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .domain import validate_cohort
-from .errors import AussError
+from .errors import AussError, ConfigError
 from .experiment import (
     ExperimentSpec,
     replay as replay_transcript,
@@ -24,7 +24,15 @@ from .synthetic import GeneratorConfig, export_cohort, generate_cohort, import_c
 
 
 def _load_json(path: str) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} line {exc.lineno}: invalid JSON: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return data
 
 
 def _spec_from_sim_config(config_path: str | None, cohort_dir: str, out_dir: str) -> ExperimentSpec:

@@ -100,23 +100,54 @@ def write_ground_truth(truth: GroundTruth, path: str | Path) -> None:
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True), encoding="utf-8")
 
 
+_GROUND_TRUTH_KEYS = {"abilities", "preference_rankings", "dropout_ticks"}
+
+
 def read_ground_truth(path: str | Path) -> GroundTruth:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CohortFormatError(f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno) from exc
-    unknown = set(data) - {"abilities", "preference_rankings", "dropout_ticks"}
-    if unknown:
-        raise CohortFormatError(f"unknown ground-truth keys {sorted(unknown)}", path=str(path))
-    return GroundTruth(
-        abilities={sid: float(v) for sid, v in data["abilities"].items()},
-        preference_rankings={
-            sid: tuple(r) for sid, r in data["preference_rankings"].items()
-        },
-        dropout_ticks={
-            sid: (None if t is None else int(t)) for sid, t in data["dropout_ticks"].items()
-        },
-    )
+    if not isinstance(data, dict):
+        raise CohortFormatError("ground truth must be a JSON object", path=str(path), line=1)
+    if set(data) != _GROUND_TRUTH_KEYS:
+        unknown = sorted(set(data) - _GROUND_TRUTH_KEYS)
+        missing = sorted(_GROUND_TRUTH_KEYS - set(data))
+        parts = []
+        if unknown:
+            parts.append(f"unknown ground-truth keys {unknown}")
+        if missing:
+            parts.append(f"missing ground-truth keys {missing}")
+        raise CohortFormatError("; ".join(parts), path=str(path), line=1)
+    try:
+        return GroundTruth(
+            abilities={sid: _number(v, "ability") for sid, v in data["abilities"].items()},
+            preference_rankings={
+                sid: tuple(r) for sid, r in data["preference_rankings"].items()
+            },
+            dropout_ticks={
+                sid: (None if t is None else _integer(t, "dropout tick"))
+                for sid, t in data["dropout_ticks"].items()
+            },
+        )
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CohortFormatError(f"malformed ground truth: {exc}", path=str(path)) from exc
+
+
+def _number(value: object, name: str) -> float:
+    """A JSON number as a float; strings, booleans and null are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} {value!r} is not a number")
+    return float(value)
+
+
+def _integer(value: object, name: str) -> int:
+    """A JSON integer, or a float with no fractional part, as an int."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return value
 
 
 def _parse_float(text: str, *, path: str, line: int, column: str) -> float:
@@ -207,6 +238,10 @@ def read_cohort(directory: str | Path) -> Cohort:
                 raise CohortFormatError(
                     f"invalid JSON: {exc.msg}", path=str(events_path), line=line_no
                 ) from exc
+            if not isinstance(data, dict):
+                raise CohortFormatError(
+                    "an event must be a JSON object", path=str(events_path), line=line_no
+                )
             if set(data) != _EVENT_FIELDS:
                 unexpected = sorted(set(data) - _EVENT_FIELDS)
                 missing = sorted(_EVENT_FIELDS - set(data))
@@ -222,12 +257,17 @@ def read_cohort(directory: str | Path) -> Cohort:
                 raise CohortFormatError(
                     f"unknown event kind {data['kind']!r}", path=str(events_path), line=line_no
                 ) from exc
+            try:
+                tick = _integer(data["tick"], "tick")
+                value = _number(data["value"], "value")
+            except ValueError as exc:
+                raise CohortFormatError(str(exc), path=str(events_path), line=line_no) from exc
             events.append(
                 EngagementEvent(
                     student_id=str(data["student_id"]),
-                    tick=int(data["tick"]),
+                    tick=tick,
                     kind=kind,
-                    value=float(data["value"]),
+                    value=value,
                     resource_id=None if data["resource_id"] is None else str(data["resource_id"]),
                 )
             )

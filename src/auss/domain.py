@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import UnknownStudentError
 
 
@@ -257,6 +259,29 @@ class SeriesStats:
         if denom == 0.0:
             return 0.0
         return (self.n * self.sum_xy - self.sum_x * self.sum_y) / denom
+
+
+def series_mean_slope(
+    count: np.ndarray,
+    sum_y: np.ndarray,
+    sum_x: np.ndarray,
+    sum_xy: np.ndarray,
+    sum_xx: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:attr:`SeriesStats.mean` and :attr:`SeriesStats.slope` over arrays of running sums.
+
+    Element by element the same operations in the same order as the
+    scalar properties, so each (mean, slope) equals theirs bit for bit.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = np.where(count > 0, sum_y / np.maximum(count, 1), 0.0)
+        denom = count * sum_xx - sum_x * sum_x
+        slope = np.where(
+            (count >= 2) & (denom != 0.0),
+            (count * sum_xy - sum_x * sum_y) / np.where(denom == 0.0, 1.0, denom),
+            0.0,
+        )
+    return mean, slope
 
 
 def least_squares_slope(points: Sequence[tuple[float, float]]) -> float:

@@ -13,8 +13,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .bus import AgentName, Event, TriggerKind
-from .domain import Cohort, EngagementEvent, EventKind, SeriesStats
-from .errors import InsufficientDataError, MetricInputError, TranscriptError
+from .domain import Cohort, EngagementEvent, EventKind, series_mean_slope
+from .errors import (
+    InsufficientDataError,
+    MetricInputError,
+    TranscriptError,
+    UnknownStudentError,
+)
 from .learners import LogisticModel, fit_logistic
 from .runtime import Action, Agent, Publisher, SimulationTranscript, TickOutcome, TickView
 
@@ -67,80 +72,136 @@ class LoadReport:
 # -- streaming per-student statistics -----------------------------------------
 
 
+class _SeriesColumns:
+    """One :class:`~auss.domain.SeriesStats` per student, as one array per running sum."""
+
+    def __init__(self, n: int):
+        self.count = np.zeros(n, dtype=np.int64)
+        self.sum_y = np.zeros(n)
+        self.sum_x = np.zeros(n)
+        self.sum_xy = np.zeros(n)
+        self.sum_xx = np.zeros(n)
+
+    def add(self, rows: np.ndarray, x: float, y: np.ndarray) -> None:
+        """SeriesStats.add(x, y[i]) for each student rows[i]; rows are distinct."""
+        self.count[rows] += 1
+        self.sum_y[rows] += y
+        self.sum_x[rows] += x
+        self.sum_xy[rows] += x * y
+        self.sum_xx[rows] += x * x
+
+    def mean_slope(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        sums = (self.count, self.sum_y, self.sum_x, self.sum_xy, self.sum_xx)
+        return series_mean_slope(*(column[rows] for column in sums))
+
+
+_KIND_CODES = {kind: code for code, kind in enumerate(EventKind)}
+
+#: Sentinel for "no event yet" in the last-event-tick column.
+_NO_EVENT = np.iinfo(np.int64).min
+
+
 class FeatureTracker:
     """Incremental per-student aggregates fed one tick of events at a time.
 
     Engagement and score series are per-tick means; slopes are cumulative
-    least-squares fits against tick. A short rolling window of per-tick
-    engagement means and score points backs reactive monitoring (policy
-    state, learning-gap detection).
+    least-squares fits against tick. The aggregates are numpy columns in
+    ``cohort.students`` order: the running sums of both series, absence
+    ticks, last event tick, enrollment tick and credits. ``ingest`` updates
+    them in one vectorised pass per tick, and ``feature_matrix`` and
+    ``risks`` read any set of students in one call. A short rolling window
+    of per-tick engagement means and score points backs reactive
+    monitoring (policy state, learning-gap detection).
 
     A simulation run has one tracker: the scheduler ingests each tick into
     it and the agents and the policy driver read it from the TickView.
+    Ingesting, reading or scoring a student outside the cohort raises
+    UnknownStudentError.
     """
 
     def __init__(self, cohort: Cohort, window_len: int = 5, monitor: LogisticModel | None = None):
         self.window_len = window_len
         self.monitor = monitor if monitor is not None else monitor_model()
-        self._enrollment = {s.student_id: s.enrollment_tick for s in cohort.students}
-        self._credits = {
-            s.student_id: float(s.static_features.get("credits_attempted", 0.0))
-            for s in cohort.students
-        }
-        self._engagement: dict[str, SeriesStats] = {}
-        self._scores: dict[str, SeriesStats] = {}
-        self._absence_ticks: dict[str, int] = {}
-        self._last_event_tick: dict[str, int] = {}
-        self._window_engagement: dict[str, deque] = {}
-        self._window_scores: dict[str, deque] = {}
+        self._row = {s.student_id: i for i, s in enumerate(cohort.students)}
+        self._ids = cohort.student_ids
+        n = len(cohort.students)
+        self._enrollment = np.array([s.enrollment_tick for s in cohort.students], dtype=np.int64)
+        self._credits = np.array(
+            [float(s.static_features.get("credits_attempted", 0.0)) for s in cohort.students]
+        )
+        self._engagement = _SeriesColumns(n)
+        self._scores = _SeriesColumns(n)
+        self._absence_ticks = np.zeros(n, dtype=np.int64)
+        self._last_event_tick = np.full(n, _NO_EVENT, dtype=np.int64)
+        self._window_engagement = {sid: deque(maxlen=window_len) for sid in self._row}
+        self._window_scores = {sid: deque(maxlen=window_len) for sid in self._row}
 
     def student_ids(self) -> Iterable[str]:
-        return self._enrollment.keys()
+        return self._row.keys()
+
+    def _rows(self, student_ids: Sequence[str]) -> np.ndarray:
+        try:
+            return np.array([self._row[sid] for sid in student_ids], dtype=np.intp)
+        except KeyError as exc:
+            raise UnknownStudentError(f"student {exc.args[0]!r} is not in the cohort") from None
 
     def ingest(self, tick: int, events: Sequence[EngagementEvent]) -> None:
-        engagement_acc: dict[str, list[float]] = {}
-        score_acc: dict[str, list[float]] = {}
-        absent: set[str] = set()
-        for event in events:
-            sid = event.student_id
-            self._last_event_tick[sid] = max(self._last_event_tick.get(sid, tick), tick)
-            if event.kind is EventKind.ABSENCE:
-                absent.add(sid)
-            else:
-                engagement_acc.setdefault(sid, []).append(event.value)
-                if event.kind is EventKind.SUBMISSION:
-                    score_acc.setdefault(sid, []).append(event.value)
-        for sid in absent:
-            self._absence_ticks[sid] = self._absence_ticks.get(sid, 0) + 1
-        for sid, values in engagement_acc.items():
-            mean = sum(values) / len(values)
-            self._engagement.setdefault(sid, SeriesStats()).add(float(tick), mean)
-            self._window_engagement.setdefault(sid, deque(maxlen=self.window_len)).append(mean)
-        for sid, values in score_acc.items():
-            mean = sum(values) / len(values)
-            self._scores.setdefault(sid, SeriesStats()).add(float(tick), mean)
-            self._window_scores.setdefault(sid, deque(maxlen=self.window_len)).append(
-                (float(tick), mean)
-            )
+        if not events:
+            return
+        rows = self._rows([event.student_id for event in events])
+        kinds = np.fromiter([_KIND_CODES[event.kind] for event in events], np.intp, len(events))
+        values = np.fromiter([event.value for event in events], float, len(events))
+        absent = kinds == _KIND_CODES[EventKind.ABSENCE]
+        submission = kinds == _KIND_CODES[EventKind.SUBMISSION]
+
+        self._last_event_tick[rows] = np.maximum(self._last_event_tick[rows], tick)
+        self._absence_ticks[np.unique(rows[absent])] += 1
+        x = float(tick)
+        engaged, engagement_means = self._tick_means(rows[~absent], values[~absent])
+        self._engagement.add(engaged, x, engagement_means)
+        scored, score_means = self._tick_means(rows[submission], values[submission])
+        self._scores.add(scored, x, score_means)
+
+        for i, mean in zip(engaged.tolist(), engagement_means.tolist()):
+            self._window_engagement[self._ids[i]].append(mean)
+        for i, mean in zip(scored.tolist(), score_means.tolist()):
+            self._window_scores[self._ids[i]].append((x, mean))
+
+    def _tick_means(self, rows: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(students with values, their mean value); bincount sums in event order."""
+        n = len(self._ids)
+        counts = np.bincount(rows, minlength=n)
+        sums = np.bincount(rows, weights=values, minlength=n)
+        hit = np.flatnonzero(counts)
+        return hit, sums[hit] / counts[hit]
+
+    def feature_matrix(self, student_ids: Sequence[str]) -> np.ndarray:
+        """One FEATURE_ORDER row per student, in the order given."""
+        rows = self._rows(student_ids)
+        mean_engagement, engagement_slope = self._engagement.mean_slope(rows)
+        mean_score, score_slope = self._scores.mean_slope(rows)
+        last = self._last_event_tick[rows]
+        seen = last != _NO_EVENT
+        enrollment = self._enrollment[rows]
+        elapsed = np.maximum(1, np.where(seen, last, enrollment) - enrollment + 1)
+        absence_rate = np.where(seen, np.minimum(1.0, self._absence_ticks[rows] / elapsed), 0.0)
+        return np.column_stack(
+            [
+                mean_engagement,
+                engagement_slope,
+                mean_score,
+                score_slope,
+                absence_rate,
+                self._credits[rows],
+            ]
+        )
+
+    def risks(self, student_ids: Sequence[str]) -> np.ndarray:
+        """Monitor risk per student, each equal to ``monitor.predict_proba_one`` of its row."""
+        return self.monitor.predict_proba_rows(self.feature_matrix(student_ids))
 
     def features(self, student_id: str) -> InstitutionalFeatures:
-        engagement = self._engagement.get(student_id, SeriesStats())
-        scores = self._scores.get(student_id, SeriesStats())
-        last = self._last_event_tick.get(student_id)
-        if last is None:
-            absence_rate = 0.0
-        else:
-            elapsed = max(1, last - self._enrollment.get(student_id, 0) + 1)
-            absence_rate = min(1.0, self._absence_ticks.get(student_id, 0) / elapsed)
-        return InstitutionalFeatures(
-            student_id=student_id,
-            mean_engagement=engagement.mean,
-            engagement_slope=engagement.slope,
-            mean_score=scores.mean,
-            score_slope=scores.slope,
-            absence_rate=absence_rate,
-            credits_attempted=self._credits.get(student_id, 0.0),
-        )
+        return InstitutionalFeatures(student_id, *self.feature_matrix([student_id])[0].tolist())
 
     def window_engagement_values(self, student_id: str) -> list[float]:
         return list(self._window_engagement.get(student_id, ()))
@@ -156,9 +217,9 @@ class FeatureTracker:
 
     def policy_signals(self, student_id: str) -> tuple[float, float, float]:
         """(windowed engagement mean, cumulative score slope, monitor risk)."""
-        features = self.features(student_id)
-        risk = float(self.monitor.predict_proba_one(features.as_vector()))
-        return self.window_engagement_mean(student_id), features.score_slope, risk
+        score_slope = self.features(student_id).score_slope
+        risk = float(self.risks([student_id])[0])
+        return self.window_engagement_mean(student_id), score_slope, risk
 
 
 def aggregate_features(cohort: Cohort, tick: int) -> list[InstitutionalFeatures]:
@@ -174,7 +235,9 @@ def aggregate_features(cohort: Cohort, tick: int) -> list[InstitutionalFeatures]
             by_tick.setdefault(event.tick, []).append(event)
     for t in sorted(by_tick):
         tracker.ingest(t, by_tick[t])
-    return [tracker.features(s.student_id) for s in cohort.students]
+    ids = cohort.student_ids
+    rows = tracker.feature_matrix(ids).tolist()
+    return [InstitutionalFeatures(sid, *row) for sid, row in zip(ids, rows)]
 
 
 # -- risk model ---------------------------------------------------------------
@@ -265,22 +328,33 @@ def assess_risk(
     Returns the assessments plus one at_risk_flag event per newly flagged
     student (students in ``already_flagged`` never produce another event).
     """
+    scorer = model if isinstance(model, RiskModel) else RiskModel(model, FEATURE_ORDER, seed=0)
+    scores = [(feats.student_id, scorer.score(feats)) for feats in features]
+    return _flag_risks(scores, threshold, already_flagged=already_flagged, tick=tick)
+
+
+def _flag_risks(
+    scores: Iterable[tuple[str, float]],
+    threshold: float,
+    *,
+    already_flagged: frozenset[str] | set[str] = frozenset(),
+    tick: int = 0,
+) -> tuple[list[RiskAssessment], list[Event]]:
+    """Assessments and new at_risk_flag events for (student_id, risk score) pairs."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    scorer = model if isinstance(model, RiskModel) else RiskModel(model, FEATURE_ORDER, seed=0)
     assessments: list[RiskAssessment] = []
     events: list[Event] = []
-    for feats in features:
-        score = scorer.score(feats)
+    for student_id, score in scores:
         flagged = score >= threshold
-        assessments.append(RiskAssessment(feats.student_id, score, flagged))
-        if flagged and feats.student_id not in already_flagged:
+        assessments.append(RiskAssessment(student_id, score, flagged))
+        if flagged and student_id not in already_flagged:
             events.append(
                 Event(
                     tick=tick,
                     source_agent=AgentName.INSTITUTION,
                     kind=TriggerKind.AT_RISK_FLAG,
-                    payload={"student_id": feats.student_id, "risk_score": score},
+                    payload={"student_id": student_id, "risk_score": score},
                 )
             )
     return assessments, events
@@ -366,10 +440,8 @@ class InstitutionAgent(Agent):
         decisions: dict = {"tick": view.tick, "new_flags": []}
         if (view.tick + 1) % self.risk_every == 0:
             seen = [s for s in sorted(tracker.student_ids()) if s not in self.flagged]
-            features = [tracker.features(s) for s in seen]
-            _, events = assess_risk(
-                tracker.monitor,
-                features,
+            _, events = _flag_risks(
+                zip(seen, tracker.risks(seen).tolist()),
                 self.risk_threshold,
                 already_flagged=self.flagged,
                 tick=view.tick,

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
+import numpy as np
+
 from .bus import AgentName, Event, EventBus, Subscription, TriggerKind
 from .domain import Cohort, EngagementEvent
 from .errors import (
@@ -364,7 +366,9 @@ class PolicyDriver:
     Per tick: settle the previous decision (observe reward, apply the
     Q update), then pick the currently riskiest active student, select an
     action epsilon-greedily, and execute it as an intervention_request
-    event. Per-student signals come from the view's feature tracker.
+    event. Signals come from the view's feature tracker: one batched
+    ``risks`` call scores every active student, and ``policy_signals``
+    reads the state of the settled and the chosen target.
     """
 
     def __init__(self, config: PolicyConfig, table: QTable | None = None):
@@ -412,8 +416,9 @@ class PolicyDriver:
         candidates = sorted(view.active_students)
         if not candidates:
             return
-        # Highest heuristic risk first; ties go to the smallest student id.
-        target = min(candidates, key=lambda s: (-tracker.policy_signals(s)[2], s))
+        # Highest monitor risk first; argmax keeps the first of tied maxima,
+        # so ties go to the smallest student id.
+        target = candidates[int(np.argmax(tracker.risks(candidates)))]
         state, level = self._state_for(tracker, target)
         action = select_action(self.table, state, self.config, self.rng)
         if action is not InterventionAction.NO_OP:

@@ -38,6 +38,7 @@ from .domain import (
     GroundTruth,
     LearningResource,
     StudentRecord,
+    series_mean_slope,
 )
 from .errors import ConfigError
 from .institution import FEATURE_ORDER
@@ -128,7 +129,6 @@ def _cumulative_series_stats(
     values: np.ndarray, mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-student cumulative (count, sum_y, sum_x, sum_xy, sum_xx) along ticks."""
-    # Apart from domain.SeriesStats: one numpy formula for both would slow each policy_signals call.
     ticks = np.arange(values.shape[1], dtype=float)
     masked = np.where(mask, values, 0.0)
     count = np.cumsum(mask, axis=1)
@@ -137,22 +137,6 @@ def _cumulative_series_stats(
     sum_xy = np.cumsum(masked * ticks, axis=1)
     sum_xx = np.cumsum(np.where(mask, ticks * ticks, 0.0), axis=1)
     return count, sum_y, sum_x, sum_xy, sum_xx
-
-
-def _stats_at(
-    cumulative: tuple[np.ndarray, ...], column: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(mean, slope) per student from cumulative sums up to ``column``."""
-    count, sum_y, sum_x, sum_xy, sum_xx = (c[:, column] for c in cumulative)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean = np.where(count > 0, sum_y / np.maximum(count, 1), 0.0)
-        denom = count * sum_xx - sum_x * sum_x
-        slope = np.where(
-            (count >= 2) & (denom != 0.0),
-            (count * sum_xy - sum_x * sum_y) / np.where(denom == 0.0, 1.0, denom),
-            0.0,
-        )
-    return mean, slope
 
 
 def generate_cohort(config: GeneratorConfig) -> tuple[Cohort, GroundTruth]:
@@ -236,8 +220,8 @@ def generate_cohort(config: GeneratorConfig) -> tuple[Cohort, GroundTruth]:
             # No assessment signal exists yet; hazard on all-zero score
             # features would just be noise, so the first check waits.
             continue
-        mean_eng, slope_eng = _stats_at(engagement_stats, t - 1)
-        mean_score, slope_score = _stats_at(score_stats, t - 1)
+        mean_eng, slope_eng = series_mean_slope(*(c[:, t - 1] for c in engagement_stats))
+        mean_score, slope_score = series_mean_slope(*(c[:, t - 1] for c in score_stats))
         absence_frac = absent_cum[:, t - 1] / t
         features = np.column_stack(
             [mean_eng, slope_eng, mean_score, slope_score, absence_frac, credits.astype(float)]

@@ -7,6 +7,7 @@ no shared code with the package) so the two sides can disagree.
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Mapping, Sequence
 
 
@@ -133,3 +134,99 @@ def match_rate_oracle(
 ) -> float:
     agreed = sum(1 for pair in ours if ours[pair] == theirs[pair])
     return agreed / len(ours)
+
+
+class DictFeatureTracker:
+    """Per-student dict tracker: one Python pass over every event per tick.
+
+    The slow reference for ``institution.FeatureTracker``. ``features``
+    returns the FEATURE_ORDER tuple; engagement and score series are
+    per-tick means summed in event order, slopes are least-squares fits
+    against tick from running sums (n, sum_y, sum_x, sum_xy, sum_xx).
+    """
+
+    def __init__(self, students: Sequence, window_len: int = 5) -> None:
+        self.window_len = window_len
+        self._enrollment = {s.student_id: s.enrollment_tick for s in students}
+        self._credits = {
+            s.student_id: float(s.static_features.get("credits_attempted", 0.0)) for s in students
+        }
+        self._engagement: dict[str, list] = {}
+        self._scores: dict[str, list] = {}
+        self._absence_ticks: dict[str, int] = {}
+        self._last_event_tick: dict[str, int] = {}
+        self._window_engagement: dict[str, deque] = {}
+        self._window_scores: dict[str, deque] = {}
+
+    @staticmethod
+    def _add(sums: list, x: float, y: float) -> None:
+        sums[0] += 1
+        sums[1] += y
+        sums[2] += x
+        sums[3] += x * y
+        sums[4] += x * x
+
+    @staticmethod
+    def _mean_slope(sums: list) -> tuple[float, float]:
+        n, sum_y, sum_x, sum_xy, sum_xx = sums
+        mean = sum_y / n if n else 0.0
+        if n < 2:
+            return mean, 0.0
+        denom = n * sum_xx - sum_x * sum_x
+        if denom == 0.0:
+            return mean, 0.0
+        return mean, (n * sum_xy - sum_x * sum_y) / denom
+
+    def ingest(self, tick: int, events: Sequence) -> None:
+        engagement_acc: dict[str, list[float]] = {}
+        score_acc: dict[str, list[float]] = {}
+        absent: set[str] = set()
+        for event in events:
+            sid = event.student_id
+            self._last_event_tick[sid] = max(self._last_event_tick.get(sid, tick), tick)
+            if event.kind.value == "absence":
+                absent.add(sid)
+            else:
+                engagement_acc.setdefault(sid, []).append(event.value)
+                if event.kind.value == "submission":
+                    score_acc.setdefault(sid, []).append(event.value)
+        for sid in absent:
+            self._absence_ticks[sid] = self._absence_ticks.get(sid, 0) + 1
+        for sid, values in engagement_acc.items():
+            mean = sum(values) / len(values)
+            self._add(self._engagement.setdefault(sid, [0, 0.0, 0.0, 0.0, 0.0]), float(tick), mean)
+            self._window_engagement.setdefault(sid, deque(maxlen=self.window_len)).append(mean)
+        for sid, values in score_acc.items():
+            mean = sum(values) / len(values)
+            self._add(self._scores.setdefault(sid, [0, 0.0, 0.0, 0.0, 0.0]), float(tick), mean)
+            self._window_scores.setdefault(sid, deque(maxlen=self.window_len)).append(
+                (float(tick), mean)
+            )
+
+    def features(self, student_id: str) -> tuple[float, ...]:
+        mean_engagement, engagement_slope = self._mean_slope(
+            self._engagement.get(student_id, [0, 0.0, 0.0, 0.0, 0.0])
+        )
+        mean_score, score_slope = self._mean_slope(
+            self._scores.get(student_id, [0, 0.0, 0.0, 0.0, 0.0])
+        )
+        last = self._last_event_tick.get(student_id)
+        if last is None:
+            absence_rate = 0.0
+        else:
+            elapsed = max(1, last - self._enrollment[student_id] + 1)
+            absence_rate = min(1.0, self._absence_ticks.get(student_id, 0) / elapsed)
+        return (
+            mean_engagement,
+            engagement_slope,
+            mean_score,
+            score_slope,
+            absence_rate,
+            self._credits[student_id],
+        )
+
+    def window_engagement_values(self, student_id: str) -> list[float]:
+        return list(self._window_engagement.get(student_id, ()))
+
+    def window_score_points(self, student_id: str) -> list[tuple[float, float]]:
+        return list(self._window_scores.get(student_id, ()))

@@ -156,3 +156,45 @@ class TestCliErrors:
         assert out is None
         assert json.loads(err)["error"] == "ConfigError"
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "config_text, needle",
+        [(None, "cannot read config"), ('{"scheduler": {"max_ticks": 12}', "invalid JSON")],
+        ids=["missing", "malformed"],
+    )
+    def test_simulate_with_unusable_config(self, tmp_path, capsys, gen_config, config_text, needle):
+        cohort_dir = tmp_path / "cohort"
+        run_cli(capsys, "generate", "--config", str(gen_config), "--out", str(cohort_dir))
+        config = tmp_path / "sim.json"
+        if config_text is not None:
+            config.write_text(config_text)
+        code, out, err = run_cli(
+            capsys,
+            "simulate",
+            "--cohort", str(cohort_dir),
+            "--config", str(config),
+            "--out", str(tmp_path / "run"),
+        )
+        assert code == 1
+        assert out is None
+        error = json.loads(err)
+        assert error["error"] == "ConfigError"
+        assert needle in error["message"] and "sim.json" in error["message"]
+
+    def test_simulate_with_non_integer_tick(self, tmp_path, capsys, gen_config):
+        cohort_dir = tmp_path / "cohort"
+        run_cli(capsys, "generate", "--config", str(gen_config), "--out", str(cohort_dir))
+        events = cohort_dir / "events.jsonl"
+        lines = events.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["tick"] = "x"
+        lines[1] = json.dumps(record)
+        events.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(
+            capsys, "simulate", "--cohort", str(cohort_dir), "--out", str(tmp_path / "run")
+        )
+        assert code == 1
+        assert out is None
+        error = json.loads(err)
+        assert error["error"] == "CohortFormatError"
+        assert error["message"].startswith(f"{events}:2: ")

@@ -4,9 +4,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from auss.domain import EngagementEvent, EventKind
-from auss.errors import InsufficientDataError, MetricInputError, TranscriptError
+from auss.domain import EngagementEvent, EventKind, StudentRecord
+from auss.errors import (
+    InsufficientDataError,
+    MetricInputError,
+    TranscriptError,
+    UnknownStudentError,
+)
 from auss.institution import (
     FEATURE_ORDER,
     FeatureTracker,
@@ -23,7 +29,7 @@ from auss.learners import LogisticModel
 from auss.runtime import SimulationTranscript
 
 from conftest import make_cohort, make_student
-from oracles import confusion_f1
+from oracles import DictFeatureTracker, confusion_f1
 
 
 def features(sid="s1", **overrides) -> InstitutionalFeatures:
@@ -116,10 +122,102 @@ class TestAggregateFeatures:
             incremental = tracker.features(feats.student_id)
             assert incremental == feats
 
+    def test_feature_matrix_rows_follow_the_requested_order(self):
+        events = [
+            EngagementEvent("s1", 0, EventKind.LOGIN, 0.2),
+            EngagementEvent("s2", 0, EventKind.LOGIN, 0.9),
+        ]
+        cohort = make_cohort(events=events)
+        tracker = FeatureTracker(cohort)
+        tracker.ingest(0, events)
+        matrix = tracker.feature_matrix(["s2", "s1", "s2"])
+        assert matrix.shape == (3, len(FEATURE_ORDER))
+        assert matrix[:, 0].tolist() == [0.9, 0.2, 0.9]
+        assert tracker.feature_matrix([]).shape == (0, len(FEATURE_ORDER))
+
+    def test_event_outside_cohort_is_unknown_student(self):
+        tracker = FeatureTracker(make_cohort())
+        with pytest.raises(UnknownStudentError, match="ghost"):
+            tracker.ingest(0, [EngagementEvent("ghost", 0, EventKind.LOGIN, 0.5)])
+        with pytest.raises(UnknownStudentError, match="ghost"):
+            tracker.risks(["s1", "ghost"])
+
     def test_credits_taken_from_static_features(self):
         cohort = make_cohort(students=[make_student("s1", credits=21.0)])
         [feats] = aggregate_features(cohort, 0)
         assert feats.credits_attempted == 21.0
+
+
+_TIED_VALUES = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+#: Full-mantissa values in [0, 1), whose sums depend on the order of addition.
+_ROUNDING_VALUES = st.integers(0, 2**53 - 1).map(lambda k: k / 2**53)
+_VALUES = st.one_of(_TIED_VALUES, _ROUNDING_VALUES)
+#: Up to four events of one student at one tick.
+_TICK_EVENTS = st.lists(st.tuples(st.sampled_from(list(EventKind)), _VALUES), max_size=4)
+
+
+@st.composite
+def tracked_cohorts(draw):
+    """(students, per-tick event lists) covering the tracker's degenerate cases.
+
+    Besides random streams there is always a twin of the first stream
+    (tied features and risks), an absence-only student, a one-tick
+    student and a student with no events, in a drawn cohort order.
+    """
+    n_ticks = draw(st.integers(1, 6))
+    streams: dict[str, dict[int, list]] = {}
+    for i in range(draw(st.integers(1, 4))):
+        streams[f"r{i}"] = {t: draw(_TICK_EVENTS) for t in range(n_ticks)}
+    streams["twin"] = streams["r0"]
+    streams["absent"] = {
+        t: [(EventKind.ABSENCE, draw(_VALUES))] * draw(st.integers(0, 2)) for t in range(n_ticks)
+    }
+    one_tick = draw(st.integers(0, n_ticks - 1))
+    streams["once"] = {one_tick: draw(_TICK_EVENTS.filter(bool))}
+    streams["silent"] = {}
+    credits = st.sampled_from([0.0, 6.0, 12.5])
+    profiles = {
+        sid: ({"credits_attempted": draw(credits)}, draw(st.integers(0, 2))) for sid in streams
+    }
+    profiles["twin"] = profiles["r0"]
+    students = [
+        StudentRecord(sid, *profiles[sid]) for sid in draw(st.permutations(sorted(streams)))
+    ]
+    ticks = []
+    for t in range(n_ticks):
+        tick_events = [
+            EngagementEvent(sid, t, kind, value)
+            for sid, stream in streams.items()
+            for kind, value in stream.get(t, ())
+        ]
+        # Interleave the students at random, keeping each student's own order.
+        own = {sid: iter([e for e in tick_events if e.student_id == sid]) for sid in streams}
+        ticks.append([next(own[e.student_id]) for e in draw(st.permutations(tick_events))])
+    return students, ticks
+
+
+class TestTrackerMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(tracked_cohorts())
+    def test_columns_equal_dict_tracker_after_every_tick(self, drawn):
+        students, ticks = drawn
+        cohort = make_cohort(students=students)
+        ids = cohort.student_ids
+        tracker = FeatureTracker(cohort, window_len=3)
+        oracle = DictFeatureTracker(students, window_len=3)
+        monitor = monitor_model()
+        for tick, events in enumerate(ticks):
+            tracker.ingest(tick, events)
+            oracle.ingest(tick, events)
+            rows = [oracle.features(sid) for sid in ids]
+            assert [tuple(row) for row in tracker.feature_matrix(ids).tolist()] == rows
+            assert tracker.risks(ids).tolist() == [monitor.predict_proba_one(row) for row in rows]
+            for sid in ids:
+                assert tracker.window_engagement_values(sid) == oracle.window_engagement_values(sid)
+                assert tracker.window_score_points(sid) == oracle.window_score_points(sid)
+        risks = dict(zip(ids, tracker.risks(ids).tolist()))
+        assert risks["twin"] == risks["r0"]
+        assert tracker.features("silent").absence_rate == 0.0
 
 
 class TestRiskModel:

@@ -23,10 +23,12 @@ from auss.runtime import (
     measure_phase_latency,
     run,
 )
-from auss.institution import FeatureTracker
+from auss.domain import EngagementEvent, EventKind
+from auss.experiment import ExperimentSpec, simulate
+from auss.institution import FeatureTracker, InstitutionAgent
 from auss.synthetic import GeneratorConfig, generate_cohort
 
-from conftest import make_cohort
+from conftest import make_cohort, make_student
 
 
 class NoOpAgent(Agent):
@@ -230,6 +232,64 @@ class TestPolicedRun:
             assert reward["target"] == previous["target"]
             assert reward["action"] == previous["action"]
             assert reward["state"] == previous["state"]
+
+
+class TestBatchedScoring:
+    def test_tied_risks_target_the_smallest_id(self):
+        students = [make_student(sid) for sid in ("s4", "s2", "s3", "s1")]
+        engagement = {"s4": 0.1, "s2": 0.1, "s3": 0.9, "s1": 0.9}
+        events = [EngagementEvent(sid, 0, EventKind.LOGIN, engagement[sid]) for sid in engagement]
+        cohort = make_cohort(students=students, events=events)
+        tracker = FeatureTracker(cohort)
+        transcript = run(
+            cohort,
+            noop_agents(),
+            SchedulerConfig(max_ticks=1),
+            tracker=tracker,
+            policy_driver=PolicyDriver(PolicyConfig(rng_seed=1)),
+        )
+        risk_s1, risk_s2, risk_s3, risk_s4 = tracker.risks(["s1", "s2", "s3", "s4"]).tolist()
+        assert risk_s4 == risk_s2 > risk_s1 == risk_s3
+        [decision] = transcript.of_type("policy")
+        assert decision["target"] == "s2"
+
+    def test_one_batched_risks_call_per_active_tick_and_per_sweep(self, monkeypatch):
+        # The cohort has 10 ticks of events; ticks 10 and 11 have no active students.
+        spec = ExperimentSpec(
+            generator=GeneratorConfig(n_students=30, n_resources=6, n_ticks=10, seed=5),
+            scheduler=SchedulerConfig(max_ticks=12, rng_seed=5),
+            policy=PolicyConfig(rng_seed=5),
+        )
+        cohort, _ = generate_cohort(spec.generator)
+        calls = {"batched": 0, "policy_signals": 0}
+        inside_signals: list[str] = []
+        risks, policy_signals = FeatureTracker.risks, FeatureTracker.policy_signals
+
+        def counting_risks(self, student_ids):
+            if not inside_signals:
+                calls["batched"] += 1
+            return risks(self, student_ids)
+
+        def counting_signals(self, student_id):
+            calls["policy_signals"] += 1
+            inside_signals.append(student_id)
+            try:
+                return policy_signals(self, student_id)
+            finally:
+                inside_signals.pop()
+
+        monkeypatch.setattr(FeatureTracker, "risks", counting_risks)
+        monkeypatch.setattr(FeatureTracker, "policy_signals", counting_signals)
+        transcript = simulate(cohort, spec)
+
+        active_ticks = {e.tick for e in cohort.events if e.tick < spec.scheduler.max_ticks}
+        risk_every = InstitutionAgent().risk_every
+        sweeps = [t for t in range(spec.scheduler.max_ticks) if (t + 1) % risk_every == 0]
+        assert len(active_ticks) < spec.scheduler.max_ticks
+        assert calls["batched"] == len(active_ticks) + len(sweeps)
+        # policy_signals reads only the settled and the chosen target.
+        decisions = transcript.of_type("policy") + transcript.of_type("reward")
+        assert calls["policy_signals"] == len(decisions)
 
 
 class TestSharedTracker:

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from auss.cohort_files import EVENTS_FILE, STUDENTS_FILE
+from auss.cohort_files import EVENTS_FILE, GROUND_TRUTH_FILE, STUDENTS_FILE
 from auss.domain import EventKind, validate_cohort
 from auss.errors import CohortFormatError, ConfigError
 from auss.institution import aggregate_features
@@ -176,6 +177,64 @@ class TestRoundTrip:
         lines[0] = lines[0][:-1] + ',"surprise":1}'
         events_path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CohortFormatError, match="surprise"):
+            import_cohort(tmp_path / "cohort")
+
+    @pytest.mark.parametrize(
+        "field, bad, needle",
+        [
+            ("tick", "x", "tick 'x' is not an integer"),
+            ("tick", 1.5, "tick 1.5 is not an integer"),
+            ("tick", True, "tick True is not an integer"),
+            ("value", None, "value None is not a number"),
+            ("value", "0.5", "value '0.5' is not a number"),
+        ],
+    )
+    def test_mistyped_event_field_rejected_with_line(self, tmp_path, field, bad, needle):
+        cohort, _ = generate_cohort(SMALL)
+        export_cohort(cohort, tmp_path / "cohort")
+        events_path = tmp_path / "cohort" / EVENTS_FILE
+        lines = events_path.read_text().splitlines()
+        record = json.loads(lines[3])
+        record[field] = bad
+        lines[3] = json.dumps(record)
+        events_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CohortFormatError, match=needle) as exc_info:
+            import_cohort(tmp_path / "cohort")
+        assert exc_info.value.line == 4
+        assert str(exc_info.value).startswith(f"{events_path}:4: ")
+
+    def test_integral_float_tick_accepted(self, tmp_path):
+        cohort, _ = generate_cohort(SMALL)
+        export_cohort(cohort, tmp_path / "cohort")
+        events_path = tmp_path / "cohort" / EVENTS_FILE
+        lines = events_path.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["tick"] = float(record["tick"])
+        lines[0] = json.dumps(record)
+        events_path.write_text("\n".join(lines) + "\n")
+        assert import_cohort(tmp_path / "cohort").events == cohort.events
+
+    @pytest.mark.parametrize("key", ["abilities", "preference_rankings", "dropout_ticks"])
+    def test_ground_truth_without_a_key_rejected(self, tmp_path, key):
+        cohort, _ = generate_cohort(SMALL)
+        export_cohort(cohort, tmp_path / "cohort")
+        truth_path = tmp_path / "cohort" / GROUND_TRUTH_FILE
+        data = json.loads(truth_path.read_text())
+        del data[key]
+        truth_path.write_text(json.dumps(data))
+        with pytest.raises(CohortFormatError) as exc_info:
+            import_cohort(tmp_path / "cohort")
+        assert f"missing ground-truth keys ['{key}']" in str(exc_info.value)
+        assert str(exc_info.value).startswith(f"{truth_path}:1: ")
+
+    def test_ground_truth_with_mistyped_value_rejected(self, tmp_path):
+        cohort, _ = generate_cohort(SMALL)
+        export_cohort(cohort, tmp_path / "cohort")
+        truth_path = tmp_path / "cohort" / GROUND_TRUTH_FILE
+        data = json.loads(truth_path.read_text())
+        data["abilities"][next(iter(data["abilities"]))] = "high"
+        truth_path.write_text(json.dumps(data))
+        with pytest.raises(CohortFormatError, match="ability 'high' is not a number"):
             import_cohort(tmp_path / "cohort")
 
     def test_empty_directory_rejected(self, tmp_path):
