@@ -56,16 +56,6 @@ class Event:
             "payload": dict(self.payload),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, object]) -> "Event":
-        return cls(
-            tick=int(data["tick"]),
-            source_agent=AgentName(data["source_agent"]),
-            kind=TriggerKind(data["kind"]),
-            payload=dict(data["payload"]),  # type: ignore[arg-type]
-            event_id=int(data["event_id"]),
-        )
-
 
 @dataclass(frozen=True)
 class Subscription:

@@ -11,8 +11,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, TextIO
 
 from .domain import (
     AssessmentRecord,
@@ -103,11 +104,55 @@ def write_ground_truth(truth: GroundTruth, path: str | Path) -> None:
 _GROUND_TRUTH_KEYS = {"abilities", "preference_rankings", "dropout_ticks"}
 
 
-def read_ground_truth(path: str | Path) -> GroundTruth:
+def _undecodable_line(path: Path) -> int | None:
+    """1-based line of the first byte sequence in ``path`` that is not UTF-8."""
+    data = path.read_bytes()
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CohortFormatError(f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno) from exc
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return None
+
+
+@contextmanager
+def _utf8_file(path: Path, newline: str | None = None) -> Iterator[TextIO]:
+    """``path`` open as UTF-8 text; a byte that is not UTF-8 is a CohortFormatError."""
+    with path.open("r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise CohortFormatError(
+                f"not valid UTF-8 ({exc.reason})", path=str(path), line=_undecodable_line(path)
+            ) from exc
+
+
+def _csv_rows(fh: TextIO, path: Path) -> Iterator[list[str]]:
+    """The rows of a CSV file; a CSV syntax error or a cell over the csv
+    module's field-size limit (131,072 characters) is a CohortFormatError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise CohortFormatError(
+            f"malformed CSV: {exc}", path=str(path), line=reader.line_num
+        ) from exc
+
+
+def _json_error(exc: ValueError | RecursionError) -> str:
+    """Message for a json.loads failure: bad syntax, an integer over Python's
+    4,300-digit conversion limit, or nesting deeper than the recursion limit."""
+    return f"invalid JSON: {getattr(exc, 'msg', exc)}"
+
+
+def read_ground_truth(path: str | Path) -> GroundTruth:
+    path = Path(path)
+    with _utf8_file(path) as fh:
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        line = getattr(exc, "lineno", None)
+        raise CohortFormatError(_json_error(exc), path=str(path), line=line) from exc
     if not isinstance(data, dict):
         raise CohortFormatError("ground truth must be a JSON object", path=str(path), line=1)
     if set(data) != _GROUND_TRUTH_KEYS:
@@ -170,8 +215,8 @@ def read_cohort(directory: str | Path) -> Cohort:
 
     students = []
     students_path = directory / STUDENTS_FILE
-    with students_path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with _utf8_file(students_path, newline="") as fh:
+        reader = _csv_rows(fh, students_path)
         header = next(reader, None)
         if header is None or header[:2] != ["student_id", "enrollment_tick"]:
             raise CohortFormatError(
@@ -205,8 +250,8 @@ def read_cohort(directory: str | Path) -> Cohort:
 
     resources = []
     resources_path = directory / RESOURCES_FILE
-    with resources_path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with _utf8_file(resources_path, newline="") as fh:
+        reader = _csv_rows(fh, resources_path)
         header = next(reader, None)
         if header != _RESOURCE_COLUMNS:
             raise CohortFormatError(
@@ -227,16 +272,16 @@ def read_cohort(directory: str | Path) -> Cohort:
 
     events = []
     events_path = directory / EVENTS_FILE
-    with events_path.open("r", encoding="utf-8") as fh:
+    with _utf8_file(events_path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 data = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise CohortFormatError(
-                    f"invalid JSON: {exc.msg}", path=str(events_path), line=line_no
+                    _json_error(exc), path=str(events_path), line=line_no
                 ) from exc
             if not isinstance(data, dict):
                 raise CohortFormatError(
@@ -274,8 +319,8 @@ def read_cohort(directory: str | Path) -> Cohort:
 
     assessments = []
     assessments_path = directory / ASSESSMENTS_FILE
-    with assessments_path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with _utf8_file(assessments_path, newline="") as fh:
+        reader = _csv_rows(fh, assessments_path)
         header = next(reader, None)
         if header != _ASSESSMENT_COLUMNS:
             raise CohortFormatError(

@@ -8,13 +8,11 @@ Grading is all-or-nothing per item and limited to objective kinds
 from __future__ import annotations
 
 import ast
-import csv
 import random
 import re
 import statistics
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from .bus import AgentName, Event, TriggerKind
@@ -120,39 +118,6 @@ def grading_match_rate(
     return agreed / len(ours)
 
 
-def write_answer_keys(keys: Sequence[AnswerKey], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["item_id", "kind", "answer", "tolerance", "points"])
-        for key in keys:
-            writer.writerow(
-                [
-                    key.item_id,
-                    key.kind.value,
-                    key.answer,
-                    "" if key.tolerance is None else repr(key.tolerance),
-                    repr(key.points),
-                ]
-            )
-
-
-def read_answer_keys(path: str | Path) -> list[AnswerKey]:
-    keys = []
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            tolerance = row["tolerance"]
-            keys.append(
-                AnswerKey(
-                    item_id=row["item_id"],
-                    kind=ItemKind(row["kind"]),
-                    answer=row["answer"],
-                    tolerance=None if tolerance == "" else float(tolerance),
-                    points=float(row["points"]),
-                )
-            )
-    return keys
-
-
 # -- class reports ---------------------------------------------------------------
 
 
@@ -173,37 +138,6 @@ class ClassReport:
     class_mean: float | None
     class_median: float | None
     at_risk_count: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "class_id": self.class_id,
-            "window": [self.window_start, self.window_end],
-            "per_student": [
-                {
-                    "student_id": s.student_id,
-                    "mean_score": s.mean_score,
-                    "engagement_mean": s.engagement_mean,
-                    "at_risk": s.at_risk,
-                }
-                for s in self.per_student
-            ],
-            "class_mean": self.class_mean,
-            "class_median": self.class_median,
-            "at_risk_count": self.at_risk_count,
-        }
-
-    def format_text(self) -> str:
-        lines = [
-            f"Class report: {self.class_id} (ticks {self.window_start}-{self.window_end})",
-            f"  students: {len(self.per_student)}  at-risk: {self.at_risk_count}",
-            f"  class mean: {self.class_mean}  median: {self.class_median}",
-        ]
-        for s in self.per_student:
-            lines.append(
-                f"  {s.student_id}: score={s.mean_score} engagement={s.engagement_mean}"
-                f"{' AT-RISK' if s.at_risk else ''}"
-            )
-        return "\n".join(lines)
 
 
 def generate_class_report(

@@ -15,7 +15,7 @@ import shutil
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -178,10 +178,6 @@ class ExperimentSpec:
             cohort_dir=data.get("cohort_dir"),  # type: ignore[arg-type]
             output_dir=data.get("output_dir"),  # type: ignore[arg-type]
         )
-
-    @classmethod
-    def from_json_file(cls, path: str | Path) -> "ExperimentSpec":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def derive_seed(base: int, label: str) -> int:

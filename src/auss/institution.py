@@ -4,10 +4,8 @@ precision/recall/F1 evaluation, and per-agent load accounting.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -273,20 +271,6 @@ class RiskModel:
                 f"feature length {len(vector)} does not match model ({len(self.logistic.weights)})"
             )
         return float(self.logistic.predict_proba_one(vector))
-
-    def to_json(self, path: str | Path) -> None:
-        data = {"feature_names": list(self.feature_names), "seed": self.seed}
-        data.update(self.logistic.to_dict())
-        Path(path).write_text(json.dumps(data, indent=2, sort_keys=True), encoding="utf-8")
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "RiskModel":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            logistic=LogisticModel.from_dict(data),
-            feature_names=tuple(data["feature_names"]),
-            seed=int(data["seed"]),
-        )
 
 
 def fit_risk_model(

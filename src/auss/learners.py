@@ -7,7 +7,7 @@ temporal / risk scoring. Everything is deterministic given its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,29 +35,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.feature is None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"value": self.value}
-        return {
-            "value": self.value,
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TreeNode":
-        if "feature" not in data:
-            return cls(value=float(data["value"]))
-        return cls(
-            value=float(data["value"]),
-            feature=int(data["feature"]),
-            threshold=float(data["threshold"]),
-            left=cls.from_dict(data["left"]),
-            right=cls.from_dict(data["right"]),
-        )
 
 
 def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float] | None:
@@ -194,31 +171,6 @@ class BaggedTreeRegressor:
             raise UntrainedModelError("ensemble is not fitted; call fit first")
         return sum(t.predict_one(row) for t in self.trees) / len(self.trees)
 
-    def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "bootstrap_fraction": self.bootstrap_fraction,
-            "min_samples_leaf": self.min_samples_leaf,
-            "seed": self.seed,
-            "trees": [t.root.to_dict() for t in self.trees],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BaggedTreeRegressor":
-        model = cls(
-            n_trees=int(data["n_trees"]),
-            max_depth=int(data["max_depth"]),
-            bootstrap_fraction=float(data["bootstrap_fraction"]),
-            min_samples_leaf=int(data["min_samples_leaf"]),
-            seed=int(data["seed"]),
-        )
-        for node_dict in data["trees"]:
-            tree = DecisionTreeRegressor(model.max_depth, model.min_samples_leaf)
-            tree.root = TreeNode.from_dict(node_dict)
-            model.trees.append(tree)
-        return model
-
 
 # -- logistic regression -----------------------------------------------------
 
@@ -249,23 +201,6 @@ class LogisticModel:
         """
         z = (np.asarray(x, dtype=float) - self.feature_means) / self.feature_stds
         return np.asarray(sigmoid((z[:, None, :] @ self.weights)[:, 0] + self.bias))
-
-    def to_dict(self) -> dict:
-        return {
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
-            "feature_means": self.feature_means.tolist(),
-            "feature_stds": self.feature_stds.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LogisticModel":
-        return cls(
-            weights=np.array(data["weights"], dtype=float),
-            bias=float(data["bias"]),
-            feature_means=np.array(data["feature_means"], dtype=float),
-            feature_stds=np.array(data["feature_stds"], dtype=float),
-        )
 
 
 def fit_logistic(

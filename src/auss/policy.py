@@ -7,13 +7,10 @@ Q(s,a) += alpha * (r + gamma * max_a' Q(s',a') - Q(s,a)).
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -150,43 +147,11 @@ class QTable:
                 best, best_value = action, value
         return best
 
-    def copy(self) -> "QTable":
-        return QTable(dict(self._values))
-
     def items(self):
         return self._values.items()
 
     def as_dict(self) -> dict[tuple[SystemState, InterventionAction], float]:
         return dict(self._values)
-
-    def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["engagement_level", "performance_trend", "risk_tier", "action", "q_value"])
-            for state in all_states():
-                for action in ACTIONS:
-                    writer.writerow([*state.as_tuple(), action.value, repr(self._values[(state, action)])])
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "QTable":
-        table = cls()
-        seen: set[tuple[SystemState, InterventionAction]] = set()
-        with Path(path).open("r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                state = SystemState(
-                    EngagementLevel(row["engagement_level"]),
-                    PerformanceTrend(row["performance_trend"]),
-                    RiskTier(row["risk_tier"]),
-                )
-                action = InterventionAction(row["action"])
-                table.set(state, action, float(row["q_value"]))
-                seen.add((state, action))
-        if len(seen) != len(all_states()) * len(ACTIONS):
-            raise ValueError(
-                f"incomplete Q table: {len(seen)} of {len(all_states()) * len(ACTIONS)} entries"
-            )
-        return table
 
 
 def q_update(table: QTable, sample: TransitionSample, config: PolicyConfig) -> QTable:

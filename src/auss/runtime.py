@@ -25,7 +25,6 @@ from .errors import (
     AgentPhaseError,
     ConfigError,
     PhaseDisciplineError,
-    SchedulerProtocolError,
     TranscriptChecksumError,
     TranscriptError,
     TranscriptVersionError,
@@ -474,10 +473,17 @@ def run(
     published earlier, each agent runs its four phases in the configured
     order, and the policy driver (when present) settles rewards and issues
     the next intervention. The policy driver reads the tracker, so it
-    needs one.
+    needs one. A cohort event at a tick the run never reaches (at or past
+    max_ticks) is a ConfigError rather than silently left out.
     """
     if policy_driver is not None and tracker is None:
         raise ConfigError("a policy driver needs a feature tracker")
+    events_by_tick = _group_events_by_tick(cohort)
+    late = [tick for tick in events_by_tick if tick >= config.max_ticks]
+    if late:
+        raise ConfigError(
+            f"cohort has an event at tick {min(late)}, at or past max_ticks {config.max_ticks}"
+        )
     by_name: dict[str, Agent] = {}
     for agent in agents:
         by_name[agent.name.value] = agent
@@ -506,7 +512,6 @@ def run(
     transcript = SimulationTranscript(header)
     publisher = Publisher(bus, transcript)
 
-    events_by_tick = _group_events_by_tick(cohort)
     previously_active: set[str] = set()
 
     for tick in range(config.max_ticks):

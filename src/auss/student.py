@@ -4,9 +4,7 @@ blended performance prediction, and learning-gap detection.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -14,7 +12,6 @@ import numpy as np
 from .bus import AgentName, Event, TriggerKind
 from .domain import (
     Cohort,
-    EventKind,
     StudentRecord,
     least_squares_slope,
     window_features,
@@ -238,27 +235,6 @@ class PerformanceModel:
             static_score=static_score,
             temporal_score=temporal_score,
             blend_weight=w,
-        )
-
-    def to_json(self, path: str | Path) -> None:
-        data = {
-            "blend_weight": self.blend_weight,
-            "static_feature_names": list(self.static_feature_names),
-            "window_len": self.window_len,
-            "static_model": self.static_model.to_dict(),
-            "temporal_model": self.temporal_model.to_dict(),
-        }
-        Path(path).write_text(json.dumps(data, sort_keys=True), encoding="utf-8")
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "PerformanceModel":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            static_model=BaggedTreeRegressor.from_dict(data["static_model"]),
-            temporal_model=LogisticModel.from_dict(data["temporal_model"]),
-            blend_weight=float(data["blend_weight"]),
-            static_feature_names=tuple(data["static_feature_names"]),
-            window_len=int(data["window_len"]),
         )
 
 

@@ -198,3 +198,22 @@ class TestCliErrors:
         error = json.loads(err)
         assert error["error"] == "CohortFormatError"
         assert error["message"].startswith(f"{events}:2: ")
+
+    def test_simulate_with_events_past_max_ticks(self, tmp_path, capsys, gen_config):
+        cohort_dir = tmp_path / "cohort"
+        run_cli(capsys, "generate", "--config", str(gen_config), "--out", str(cohort_dir))
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"scheduler": {"max_ticks": 11}}))
+        code, out, err = run_cli(
+            capsys,
+            "simulate",
+            "--cohort", str(cohort_dir),
+            "--config", str(config),
+            "--out", str(tmp_path / "run"),
+        )
+        assert code == 1
+        assert out is None
+        error = json.loads(err)
+        assert error["error"] == "ConfigError"
+        assert "event at tick 11, at or past max_ticks 11" in error["message"]
+        assert not (tmp_path / "run").exists()

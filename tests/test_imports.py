@@ -1,0 +1,45 @@
+"""Every module-level import in ``src/auss`` is used by its module.
+
+``__init__.py`` is exempt: its imports are the package's public re-exports.
+A name counts as used when the module loads it anywhere; the modules use
+``from __future__ import annotations``, so annotations need no quotes.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "auss"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _module_imports(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line for each import at module level, ``if`` blocks included."""
+    bound: dict[str, int] = {}
+    pending: list[ast.stmt] = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.If):
+            pending.extend(node.body + node.orelse)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(
+        f"{path.name}:{line} {name}"
+        for name, line in _module_imports(tree).items()
+        if name not in used
+    )
+    assert not unused, f"unused imports: {unused}"

@@ -268,15 +268,6 @@ class TestRiskModel:
         high = features("x", **{name: 0.5})
         assert model.score(high) >= model.score(low)
 
-    def test_json_round_trip(self, tmp_path):
-        rows, labels = self._training_set()
-        model = fit_risk_model(rows, labels, seed=2)
-        path = tmp_path / "risk.json"
-        model.to_json(path)
-        restored = RiskModel.from_json(path)
-        for f in rows[:5]:
-            assert restored.score(f) == pytest.approx(model.score(f), abs=1e-12)
-
 
 class TestAssessRisk:
     def test_zero_weights_score_half(self):

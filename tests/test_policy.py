@@ -235,27 +235,6 @@ class TestTrainOnMdp:
             )
 
 
-class TestQTableSerialization:
-    def test_csv_round_trip(self, tmp_path):
-        rng = random.Random(5)
-        table = QTable()
-        for state in all_states():
-            for action in ACTIONS:
-                table.set(state, action, rng.uniform(-3, 3))
-        path = tmp_path / "q.csv"
-        table.to_csv(path)
-        restored = QTable.from_csv(path)
-        assert restored.as_dict() == table.as_dict()
-
-    def test_incomplete_csv_rejected(self, tmp_path):
-        path = tmp_path / "q.csv"
-        QTable().to_csv(path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-10]) + "\n")
-        with pytest.raises(ValueError):
-            QTable.from_csv(path)
-
-
 class TestPolicyConfig:
     def test_ranges_enforced(self):
         with pytest.raises(ConfigError):

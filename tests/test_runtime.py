@@ -123,6 +123,16 @@ class TestRunBasics:
         run(make_cohort(), agents, SchedulerConfig(max_ticks=4))
         assert [a.memory.version for a in agents] == [4, 4, 4]
 
+    def test_event_past_max_ticks_rejected(self):
+        events = [
+            EngagementEvent("s1", tick, EventKind.LOGIN, 0.5) for tick in (0, 5, 3, 2)
+        ]
+        cohort = make_cohort(events=events)
+        with pytest.raises(ConfigError, match="event at tick 3, at or past max_ticks 3"):
+            run(cohort, noop_agents(), SchedulerConfig(max_ticks=3))
+        transcript = run(cohort, noop_agents(), SchedulerConfig(max_ticks=6))
+        assert len(transcript.of_type("tick_start")) == 6
+
 
 class TestEventFlow:
     def test_events_published_at_t_arrive_at_t_plus_one(self):

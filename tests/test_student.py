@@ -253,25 +253,15 @@ class TestPrediction:
         model_a, acc_a = fit_predictors(cohort, split=0.6, seed=11)
         model_b, acc_b = fit_predictors(cohort, split=0.6, seed=11)
         assert acc_a == acc_b
-        assert model_a.static_model.to_dict() == model_b.static_model.to_dict()
+        assert [t.root for t in model_a.static_model.trees] == [
+            t.root for t in model_b.static_model.trees
+        ]
         assert np.array_equal(model_a.temporal_model.weights, model_b.temporal_model.weights)
 
     def test_too_few_students(self):
         cohort = constant_engagement_cohort(n_students=6, n_ticks=4)
         with pytest.raises(InsufficientDataError):
             fit_predictors(cohort, split=0.5, seed=0)
-
-    def test_model_json_round_trip(self, tmp_path):
-        cohort = constant_engagement_cohort(n_students=20, n_ticks=6)
-        model, _accuracy = fit_predictors(cohort, split=0.5, seed=5)
-        path = tmp_path / "model.json"
-        model.to_json(path)
-        restored = PerformanceModel.from_json(path)
-        lag = lag_feature_rows(cohort, 5, model.window_len)
-        for student in cohort.students[:5]:
-            a = model.predict(student, lag[student.student_id])
-            b = restored.predict(student, lag[student.student_id])
-            assert a.predicted_score == pytest.approx(b.predicted_score, abs=1e-12)
 
 
 class TestGapDetection:
