@@ -23,15 +23,48 @@ from .experiment import (
 from .synthetic import GeneratorConfig, export_cohort, generate_cohort, import_cohort
 
 
+class _OversizedInt(str):
+    """An integer literal past Python's digit limit, kept as text so its key can be named."""
+
+
+def _parse_int(text: str) -> int | _OversizedInt:
+    try:
+        return int(text)
+    except ValueError:
+        return _OversizedInt(text)
+
+
+def _oversized_int_key(data: object) -> str | None:
+    """Dotted key of an integer past the digit limit anywhere in ``data``, if any."""
+    stack: list[tuple[tuple[str, ...], object]] = [((), data)]
+    while stack:
+        keys, value = stack.pop()
+        if isinstance(value, _OversizedInt):
+            return ".".join(keys)
+        if isinstance(value, dict):
+            stack.extend(((*keys, str(key)), item) for key, item in value.items())
+        elif isinstance(value, list):
+            stack.extend(((*keys, str(i)), item) for i, item in enumerate(value))
+    return None
+
+
 def _load_json(path: str) -> dict:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=_parse_int)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} line {exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path}: invalid JSON: nested too deeply") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
+    key = _oversized_int_key(data)
+    if key is not None:
+        raise ConfigError(
+            f"config {path}: {key} is an integer with more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        )
     return data
 
 

@@ -163,21 +163,26 @@ class ExperimentSpec:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown experiment spec keys: {sorted(unknown)}")
-        policy_data = dict(data.get("policy") or {})
-        policy_known = {"alpha", "gamma", "epsilon", "epsilon_decay", "rng_seed"}
-        policy_unknown = set(policy_data) - policy_known
-        if policy_unknown:
-            raise ConfigError(f"unknown policy config keys: {sorted(policy_unknown)}")
-        generator = data.get("generator")
-        return cls(
-            generator=None if generator is None else GeneratorConfig.from_dict(dict(generator)),
-            scheduler=SchedulerConfig.from_dict(dict(data.get("scheduler") or {"max_ticks": 50})),
-            policy=PolicyConfig(**policy_data),
-            evaluation=EvaluationConfig.from_dict(dict(data.get("evaluation") or {})),
-            metrics=tuple(data.get("metrics") or METRIC_NAMES),  # type: ignore[arg-type]
-            cohort_dir=data.get("cohort_dir"),  # type: ignore[arg-type]
-            output_dir=data.get("output_dir"),  # type: ignore[arg-type]
-        )
+        try:
+            policy_data = dict(data.get("policy") or {})
+            policy_known = {"alpha", "gamma", "epsilon", "epsilon_decay", "rng_seed"}
+            policy_unknown = set(policy_data) - policy_known
+            if policy_unknown:
+                raise ConfigError(f"unknown policy config keys: {sorted(policy_unknown)}")
+            generator = data.get("generator")
+            scheduler = data.get("scheduler") or {"max_ticks": 50}
+            return cls(
+                generator=None if generator is None else GeneratorConfig.from_dict(dict(generator)),
+                scheduler=SchedulerConfig.from_dict(dict(scheduler)),
+                policy=PolicyConfig(**policy_data),
+                evaluation=EvaluationConfig.from_dict(dict(data.get("evaluation") or {})),
+                metrics=tuple(data.get("metrics") or METRIC_NAMES),  # type: ignore[arg-type]
+                cohort_dir=data.get("cohort_dir"),  # type: ignore[arg-type]
+                output_dir=data.get("output_dir"),  # type: ignore[arg-type]
+            )
+        except (TypeError, ValueError) as exc:
+            # a section or value of the wrong JSON type that no named check caught
+            raise ConfigError(f"invalid experiment config: {exc}") from exc
 
 
 def derive_seed(base: int, label: str) -> int:

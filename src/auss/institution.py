@@ -4,7 +4,6 @@ precision/recall/F1 evaluation, and per-agent load accounting.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -93,6 +92,27 @@ class _SeriesColumns:
         return series_mean_slope(*(column[rows] for column in sums))
 
 
+class _Windows:
+    """Rolling windows of the last ``width`` values per student, right-aligned."""
+
+    def __init__(self, n: int, width: int):
+        self.window = np.zeros((n, width))
+        self.fill = np.zeros(n, dtype=np.int64)
+
+    def push(self, rows: np.ndarray, values: np.ndarray | float) -> None:
+        """Append values[i] to student rows[i]'s window, dropping its oldest when full."""
+        width = self.window.shape[1]
+        if width == 0:
+            return
+        self.window[rows, :-1] = self.window[rows, 1:]
+        self.window[rows, -1] = values
+        self.fill[rows] = np.minimum(self.fill[rows] + 1, width)
+
+    def values(self, row: int) -> list[float]:
+        width = self.window.shape[1]
+        return self.window[row, width - self.fill[row]:].tolist()
+
+
 _KIND_CODES = {kind: code for code, kind in enumerate(EventKind)}
 
 #: Sentinel for "no event yet" in the last-event-tick column.
@@ -111,6 +131,15 @@ class FeatureTracker:
     of per-tick engagement means and score points backs reactive
     monitoring (policy state, learning-gap detection).
 
+    The windows are right-aligned ``(n, window_len)`` arrays plus a fill
+    count per student: the newest value sits in the last column and the
+    unfilled columns on the left hold 0.0. A left-to-right sum over a
+    padded row therefore equals ``sum()`` of the window list bit for bit
+    (0.0 + 0.0 stays 0.0, and 0.0 + v is v), which is what lets the gap
+    rules run over all students at once. ``window_engagement_values``,
+    ``window_engagement_mean`` and ``window_score_points`` read one
+    student's filled columns as lists.
+
     A simulation run has one tracker: the scheduler ingests each tick into
     it and the agents and the policy driver read it from the TickView.
     Ingesting, reading or scoring a student outside the cohort raises
@@ -121,7 +150,6 @@ class FeatureTracker:
         self.window_len = window_len
         self.monitor = monitor if monitor is not None else monitor_model()
         self._row = {s.student_id: i for i, s in enumerate(cohort.students)}
-        self._ids = cohort.student_ids
         n = len(cohort.students)
         self._enrollment = np.array([s.enrollment_tick for s in cohort.students], dtype=np.int64)
         self._credits = np.array(
@@ -131,8 +159,9 @@ class FeatureTracker:
         self._scores = _SeriesColumns(n)
         self._absence_ticks = np.zeros(n, dtype=np.int64)
         self._last_event_tick = np.full(n, _NO_EVENT, dtype=np.int64)
-        self._window_engagement = {sid: deque(maxlen=window_len) for sid in self._row}
-        self._window_scores = {sid: deque(maxlen=window_len) for sid in self._row}
+        self._window_engagement = _Windows(n, window_len)
+        self._window_score_ticks = _Windows(n, window_len)
+        self._window_scores = _Windows(n, window_len)
 
     def student_ids(self) -> Iterable[str]:
         return self._row.keys()
@@ -160,14 +189,13 @@ class FeatureTracker:
         scored, score_means = self._tick_means(rows[submission], values[submission])
         self._scores.add(scored, x, score_means)
 
-        for i, mean in zip(engaged.tolist(), engagement_means.tolist()):
-            self._window_engagement[self._ids[i]].append(mean)
-        for i, mean in zip(scored.tolist(), score_means.tolist()):
-            self._window_scores[self._ids[i]].append((x, mean))
+        self._window_engagement.push(engaged, engagement_means)
+        self._window_score_ticks.push(scored, x)
+        self._window_scores.push(scored, score_means)
 
     def _tick_means(self, rows: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(students with values, their mean value); bincount sums in event order."""
-        n = len(self._ids)
+        n = len(self._row)
         counts = np.bincount(rows, minlength=n)
         sums = np.bincount(rows, weights=values, minlength=n)
         hit = np.flatnonzero(counts)
@@ -202,16 +230,36 @@ class FeatureTracker:
         return InstitutionalFeatures(student_id, *self.feature_matrix([student_id])[0].tolist())
 
     def window_engagement_values(self, student_id: str) -> list[float]:
-        return list(self._window_engagement.get(student_id, ()))
+        row = self._row.get(student_id)
+        return [] if row is None else self._window_engagement.values(row)
 
     def window_engagement_mean(self, student_id: str) -> float:
-        window = self._window_engagement.get(student_id)
+        window = self.window_engagement_values(student_id)
         if not window:
             return 0.0
         return sum(window) / len(window)
 
     def window_score_points(self, student_id: str) -> list[tuple[float, float]]:
-        return list(self._window_scores.get(student_id, ()))
+        row = self._row.get(student_id)
+        if row is None:
+            return []
+        return list(zip(self._window_score_ticks.values(row), self._window_scores.values(row)))
+
+    def engagement_windows(self, student_ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """(padded engagement windows, fill counts), one row per student in the order given."""
+        rows = self._rows(student_ids)
+        return self._window_engagement.window[rows], self._window_engagement.fill[rows]
+
+    def score_windows(
+        self, student_ids: Sequence[str]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(padded score ticks, padded score means, fill counts), one row per student."""
+        rows = self._rows(student_ids)
+        return (
+            self._window_score_ticks.window[rows],
+            self._window_scores.window[rows],
+            self._window_scores.fill[rows],
+        )
 
     def policy_signals(self, student_id: str) -> tuple[float, float, float]:
         """(windowed engagement mean, cumulative score slope, monitor risk)."""

@@ -8,6 +8,7 @@ Q(s,a) += alpha * (r + gamma * max_a' Q(s',a') - Q(s,a)).
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -89,6 +90,10 @@ class PolicyConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "gamma", "epsilon", "epsilon_decay"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {type(value).__name__}")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0.0 <= self.gamma < 1.0:

@@ -84,10 +84,18 @@ class SchedulerConfig:
             raise ConfigError(f"unknown scheduler config keys: {sorted(unknown)}")
         if "max_ticks" not in data:
             raise ConfigError("scheduler config is missing max_ticks")
+        integers = {}
+        for key, default in (("max_ticks", None), ("rng_seed", 0)):
+            value = data.get(key, default)
+            try:
+                integers[key] = int(value)  # type: ignore[arg-type]
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"scheduler config {key} must be an integer, got {type(value).__name__}"
+                ) from None
         return cls(
-            max_ticks=int(data["max_ticks"]),  # type: ignore[arg-type]
             agent_order=tuple(data.get("agent_order", DEFAULT_AGENT_ORDER)),  # type: ignore[arg-type]
-            rng_seed=int(data.get("rng_seed", 0)),  # type: ignore[arg-type]
+            **integers,
         )
 
 
@@ -278,10 +286,20 @@ class SimulationTranscript:
         lines = text.splitlines()
         if not lines:
             raise TranscriptError(f"transcript {path} is empty")
-        try:
-            records = [json.loads(line) for line in lines]
-        except json.JSONDecodeError as exc:
-            raise TranscriptError(f"transcript {path} line {exc.lineno}: invalid JSON") from exc
+        records = []
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                record = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                # a JSONDecodeError, an integer past the digit limit or nesting past the stack
+                raise TranscriptError(
+                    f"transcript {path} line {lineno}: invalid JSON: {exc}"
+                ) from exc
+            if not isinstance(record, dict):
+                raise TranscriptError(
+                    f"transcript {path} line {lineno}: record is not a JSON object"
+                )
+            records.append(record)
         footer = records[-1]
         if footer.get("type") != "checksum":
             raise TranscriptError(f"transcript {path} has no checksum footer")

@@ -5,15 +5,16 @@ blended performance prediction, and learning-gap detection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .bus import AgentName, Event, TriggerKind
 from .domain import (
     Cohort,
+    EngagementEvent,
     StudentRecord,
-    least_squares_slope,
+    series_mean_slope,
     window_features,
 )
 from .errors import ConfigError, InsufficientDataError, UnknownStudentError, UntrainedModelError
@@ -28,7 +29,10 @@ class InteractionMatrix:
     """Sparse student x resource engagement scores; missing cells are unobserved.
 
     For similarity, unobserved cells count as 0; for scoring, they are
-    excluded from the weighted-average denominator.
+    excluded from the weighted-average denominator. A cell may hold 0.0
+    and still be observed. Construction validates the cells and builds the
+    dense arrays the CF kernel reads: scores, observed mask, row norms and
+    the id ranks that break ties.
     """
 
     student_ids: tuple[str, ...]
@@ -36,78 +40,136 @@ class InteractionMatrix:
     cells: Mapping[tuple[str, str], float]
 
     def __post_init__(self) -> None:
-        if len(set(self.student_ids)) != len(self.student_ids):
-            raise ValueError("duplicate student ids in interaction matrix")
-        if len(set(self.resource_ids)) != len(self.resource_ids):
-            raise ValueError("duplicate resource ids in interaction matrix")
-        students = set(self.student_ids)
-        resources = set(self.resource_ids)
+        row_of, col_of = _id_indexes(self.student_ids, self.resource_ids)
+        rows: list[int] = []
+        cols: list[int] = []
         for (sid, rid), value in self.cells.items():
-            if sid not in students or rid not in resources:
+            if sid not in row_of or rid not in col_of:
                 raise ValueError(f"cell ({sid!r}, {rid!r}) outside declared ids")
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"cell ({sid!r}, {rid!r}) value {value!r} outside [0, 1]")
+            rows.append(row_of[sid])
+            cols.append(col_of[rid])
+        shape = (len(self.student_ids), len(self.resource_ids))
+        dense = np.zeros(shape)
+        observed = np.zeros(shape, dtype=bool)
+        dense[rows, cols] = list(self.cells.values())
+        observed[rows, cols] = True
+        self._set_arrays(row_of, dense, observed)
+
+    def _set_arrays(self, row_of: dict[str, int], dense: np.ndarray, observed: np.ndarray) -> None:
+        for name, value in (
+            ("_row_of", row_of),
+            ("_dense", dense),
+            ("_observed", observed),
+            ("_norms", np.linalg.norm(dense, axis=1)),
+            ("_sid_rank", _sort_ranks(self.student_ids)),
+            ("_rid_rank", _sort_ranks(self.resource_ids)),
+            ("_popularity_cache", None),
+        ):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_cohort(cls, cohort: Cohort) -> "InteractionMatrix":
         """Cells are relative interaction frequency: per student, the count
         of events touching a resource divided by that student's maximum
         per-resource count, giving scores in (0, 1]."""
-        counts: dict[tuple[str, str], int] = {}
-        for event in cohort.events:
-            if event.resource_id is not None:
-                key = (event.student_id, event.resource_id)
-                counts[key] = counts.get(key, 0) + 1
-        return cls.from_counts(counts, cohort.student_ids, cohort.resource_ids)
+        student_ids, resource_ids = cohort.student_ids, cohort.resource_ids
+        counts = np.zeros((len(student_ids), len(resource_ids)), dtype=np.int64)
+        _add_interactions(counts, cohort.events, *_id_indexes(student_ids, resource_ids))
+        return cls.from_counts(counts, student_ids, resource_ids)
 
     @classmethod
     def from_counts(
-        cls,
-        counts: Mapping[tuple[str, str], int],
-        student_ids: Sequence[str],
-        resource_ids: Sequence[str],
+        cls, counts: np.ndarray, student_ids: Sequence[str], resource_ids: Sequence[str]
     ) -> "InteractionMatrix":
-        max_per_student: dict[str, int] = {}
-        for (sid, _rid), count in counts.items():
-            max_per_student[sid] = max(max_per_student.get(sid, 0), count)
-        cells = {
-            (sid, rid): count / max_per_student[sid]
-            for (sid, rid), count in counts.items()
-            if count > 0
-        }
-        return cls(tuple(student_ids), tuple(resource_ids), cells)
+        """Matrix of an (n_students, n_resources) integer count array.
+
+        A cell is observed where its count is positive; its value is the
+        count over the row's maximum count. ``cells`` is built in row-major
+        order. Values lie in (0, 1] by construction.
+        """
+        student_ids, resource_ids = tuple(student_ids), tuple(resource_ids)
+        row_of, _col_of = _id_indexes(student_ids, resource_ids)
+        counts = np.asarray(counts)
+        if counts.shape != (len(student_ids), len(resource_ids)):
+            raise ValueError(
+                f"count array shape {counts.shape} does not match "
+                f"{len(student_ids)} students x {len(resource_ids)} resources"
+            )
+        if counts.dtype.kind not in "iu":
+            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+        observed = counts > 0
+        row_max = counts.max(axis=1, initial=0)
+        dense = np.zeros(counts.shape)
+        np.divide(counts, row_max[:, None], out=dense, where=observed)
+        rows, cols = np.nonzero(observed)
+        keys = zip(
+            [student_ids[i] for i in rows.tolist()], [resource_ids[j] for j in cols.tolist()]
+        )
+        # Skip __post_init__: its per-cell checks hold by construction here.
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "student_ids", student_ids)
+        object.__setattr__(matrix, "resource_ids", resource_ids)
+        object.__setattr__(matrix, "cells", dict(zip(keys, dense[rows, cols].tolist())))
+        matrix._set_arrays(row_of, dense, observed)
+        return matrix
 
     def observed(self, student_id: str) -> frozenset[str]:
-        return self._index()[3].get(student_id, frozenset())
+        row = self._row_of.get(student_id)
+        if row is None:
+            return frozenset()
+        return frozenset(self.resource_ids[j] for j in np.flatnonzero(self._observed[row]).tolist())
 
     def dense(self) -> np.ndarray:
         """Unobserved-as-zero dense array, students x resources."""
-        return self._index()[0]
+        return self._dense
 
-    def _index(self):
-        """Cached (dense, norms, sid_rank, observed_by_student) structures.
+    def _popularity(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mean observed score, observed count) per resource, summed in row order."""
+        if self._popularity_cache is None:
+            counts = self._observed.sum(axis=0)
+            sums = np.cumsum(self._dense, axis=0)[-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                means = sums / counts
+            object.__setattr__(self, "_popularity_cache", (means, counts))
+        return self._popularity_cache
 
-        sid_rank ranks rows by student id string so similarity ties break
-        identically no matter how the row order was given.
-        """
-        cached = getattr(self, "_index_cache", None)
-        if cached is not None:
-            return cached
-        dense = np.zeros((len(self.student_ids), len(self.resource_ids)))
-        row_index = {sid: i for i, sid in enumerate(self.student_ids)}
-        col_index = {rid: j for j, rid in enumerate(self.resource_ids)}
-        observed: dict[str, set[str]] = {}
-        for (sid, rid), value in self.cells.items():
-            dense[row_index[sid], col_index[rid]] = value
-            observed.setdefault(sid, set()).add(rid)
-        norms = np.linalg.norm(dense, axis=1)
-        sid_rank = np.empty(len(self.student_ids), dtype=int)
-        for rank, i in enumerate(sorted(range(len(self.student_ids)), key=lambda i: self.student_ids[i])):
-            sid_rank[i] = rank
-        frozen = {sid: frozenset(rids) for sid, rids in observed.items()}
-        cached = (dense, norms, sid_rank, frozen)
-        object.__setattr__(self, "_index_cache", cached)
-        return cached
+
+def _id_indexes(
+    student_ids: Sequence[str], resource_ids: Sequence[str]
+) -> tuple[dict[str, int], dict[str, int]]:
+    """(row of each student id, column of each resource id); duplicates are rejected."""
+    indexes = []
+    for ids, what in ((student_ids, "student"), (resource_ids, "resource")):
+        index = {value: i for i, value in enumerate(ids)}
+        if len(index) != len(ids):
+            raise ValueError(f"duplicate {what} ids in interaction matrix")
+        indexes.append(index)
+    return indexes[0], indexes[1]
+
+
+def _sort_ranks(ids: Sequence[str]) -> np.ndarray:
+    """Rank of each id in string order, so ties break the same for any row order."""
+    ranks = np.empty(len(ids), dtype=np.intp)
+    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return ranks
+
+
+def _add_interactions(
+    counts: np.ndarray,
+    events: Iterable[EngagementEvent],
+    row_of: Mapping[str, int],
+    col_of: Mapping[str, int],
+) -> None:
+    """counts[student, resource] += 1 for every event that touches a resource."""
+    pairs = [(e.student_id, e.resource_id) for e in events if e.resource_id is not None]
+    try:
+        rows = [row_of[sid] for sid, _ in pairs]
+        cols = [col_of[rid] for _, rid in pairs]
+    except KeyError as exc:
+        raise ValueError(f"interaction with {exc.args[0]!r} outside declared ids") from None
+    np.add.at(counts, (rows, cols), 1)
 
 
 @dataclass(frozen=True)
@@ -144,57 +206,66 @@ def recommend_top_k(
     over voting peers that observed the resource. Students with no positive
     peer fall back to global popularity (mean observed score per resource).
     Candidates are ranked by score descending, resource id ascending.
+
+    Exactness: the result equals a scalar loop over peers and candidates
+    bit for bit. Similarities are one matrix-vector product per query (a
+    matrix-matrix product over many queries rounds differently); the
+    neighbour cut keeps every tie before the (sim, id) sort; each score's
+    sums add the peers' terms one at a time in peer order (``np.cumsum``),
+    with 0.0 for peers that did not observe the resource; popularity sums
+    each resource's observed scores in student (row) order.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if neighborhood < 1:
         raise ValueError(f"neighborhood must be >= 1, got {neighborhood}")
-    if student_id not in matrix.student_ids:
+    index = matrix._row_of.get(student_id)
+    if index is None:
         raise UnknownStudentError(f"student {student_id!r} not in interaction matrix")
 
-    dense, norms, sid_rank, observed_map = matrix._index()
-    index = matrix.student_ids.index(student_id)
-    query = dense[index]
-    observed = observed_map.get(student_id, frozenset())
-    candidates = [rid for rid in matrix.resource_ids if rid not in observed]
-    if not candidates:
+    candidates = np.flatnonzero(~matrix._observed[index])
+    if candidates.size == 0:
         return Recommendation(student_id, ())
-
-    query_norm = float(norms[index])
-    peers: list[tuple[float, str]] = []
-    if query_norm > 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sims = (dense @ query) / (norms * query_norm)
-        sims[norms == 0.0] = 0.0
-        sims[index] = 0.0  # never a peer of itself
-        positive = np.flatnonzero(sims > 0.0)
-        # rank peers by similarity descending, student id ascending
-        order = positive[np.lexsort((sid_rank[positive], -sims[positive]))]
-        peers = [(float(sims[i]), matrix.student_ids[i]) for i in order[:neighborhood]]
-
-    scored: list[tuple[str, float]] = []
-    if peers:
-        for rid in candidates:
-            numerator = 0.0
-            denominator = 0.0
-            for sim, sid in peers:
-                value = matrix.cells.get((sid, rid))
-                if value is not None:
-                    numerator += sim * value
-                    denominator += sim
-            if denominator > 0.0:
-                scored.append((rid, numerator / denominator))
+    peers, weights = _neighbours(matrix, index, neighborhood)
+    if peers.size:
+        votes = weights[:, None] * matrix._dense[peers][:, candidates]
+        voters = np.where(matrix._observed[peers][:, candidates], weights[:, None], 0.0)
+        numerators = votes.cumsum(axis=0)[-1]
+        denominators = voters.cumsum(axis=0)[-1]
+        voted = denominators > 0.0
+        candidates = candidates[voted]
+        scores = numerators[voted] / denominators[voted]
     else:
-        by_resource: dict[str, list[float]] = {}
-        for (_sid, rid), value in matrix.cells.items():
-            by_resource.setdefault(rid, []).append(value)
-        for rid in candidates:
-            values = by_resource.get(rid)
-            if values:
-                scored.append((rid, sum(values) / len(values)))
+        means, counts = matrix._popularity()
+        candidates = candidates[counts[candidates] > 0]
+        scores = means[candidates]
+    order = np.lexsort((matrix._rid_rank[candidates], -scores))[:k]
+    ranked = zip(candidates[order].tolist(), scores[order].tolist())
+    return Recommendation(student_id, tuple((matrix.resource_ids[j], score) for j, score in ranked))
 
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return Recommendation(student_id, tuple(scored[:k]))
+
+def _neighbours(
+    matrix: InteractionMatrix, index: int, neighborhood: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(peer rows, their similarities): the top ``neighborhood`` positive
+    cosine similarities to row ``index``, by similarity descending then
+    student id ascending."""
+    norms = matrix._norms
+    query_norm = float(norms[index])
+    if query_norm == 0.0:
+        return np.empty(0, dtype=np.intp), np.empty(0)
+    dense = matrix._dense
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sims = (dense @ dense[index]) / (norms * query_norm)
+    sims[norms == 0.0] = 0.0
+    sims[index] = 0.0  # never a peer of itself
+    positive = np.flatnonzero(sims > 0.0)
+    if positive.size > neighborhood:
+        kth = positive.size - neighborhood
+        cut = np.partition(sims[positive], kth)[kth]
+        positive = positive[sims[positive] >= cut]
+    peers = positive[np.lexsort((matrix._sid_rank[positive], -sims[positive]))][:neighborhood]
+    return peers, sims[peers]
 
 
 # -- performance prediction ----------------------------------------------------
@@ -342,16 +413,71 @@ def detect_learning_gap(
     slope_threshold: float = -0.01,
 ) -> list[tuple[TriggerKind, float]]:
     """Pure check of the two gap rules on one student's windowed signals."""
+    engagement, scores = _single_windows(engagement_window, score_points)
+    means, disengaged, slopes, declining = _gap_rules(
+        engagement, scores, engagement_threshold, slope_threshold
+    )
     gaps: list[tuple[TriggerKind, float]] = []
-    if engagement_window:
-        mean = sum(engagement_window) / len(engagement_window)
-        if mean < engagement_threshold:
-            gaps.append((TriggerKind.DISENGAGEMENT, mean))
-    if len(score_points) >= 2:
-        slope = least_squares_slope(list(score_points))
-        if slope < slope_threshold:
-            gaps.append((TriggerKind.PERFORMANCE_DECLINE, slope))
+    if disengaged[0]:
+        gaps.append((TriggerKind.DISENGAGEMENT, float(means[0])))
+    if declining[0]:
+        gaps.append((TriggerKind.PERFORMANCE_DECLINE, float(slopes[0])))
     return gaps
+
+
+#: One window per student, right-aligned with 0.0 on the left: (values (k, w), fill (k,)).
+EngagementWindows = tuple[np.ndarray, np.ndarray]
+#: Score windows laid out the same way: (ticks (k, w), scores (k, w), fill (k,)).
+ScoreWindows = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _single_windows(
+    engagement_window: Sequence[float], score_points: Sequence[tuple[float, float]]
+) -> tuple[EngagementWindows, ScoreWindows]:
+    """One student's window lists as one-row window arrays."""
+    engagement = np.array(list(engagement_window), dtype=float).reshape(1, -1)
+    points = np.array(list(score_points), dtype=float).reshape(-1, 2)
+    return (
+        (engagement, np.array([engagement.shape[1]])),
+        (points[None, :, 0], points[None, :, 1], np.array([len(points)])),
+    )
+
+
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    """Each row summed left to right, one column at a time, as ``sum(row)`` adds it."""
+    total = np.zeros(values.shape[0])
+    for column in values.T:
+        total += column
+    return total
+
+
+def _gap_rules(
+    engagement: EngagementWindows,
+    scores: ScoreWindows,
+    engagement_threshold: float,
+    slope_threshold: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(window mean, disengaged, score slope, declining) per student.
+
+    The mean is ``sum(window) / len(window)`` and the slope is
+    ``least_squares_slope`` of the score points, bit for bit: the left
+    padding adds 0.0 terms ahead of the window, which leave every
+    left-to-right sum unchanged.
+    """
+    values, engagement_fill = engagement
+    ticks, score_values, score_fill = scores
+    with np.errstate(divide="ignore", invalid="ignore"):
+        means = _row_sums(values) / engagement_fill
+    disengaged = (engagement_fill > 0) & (means < engagement_threshold)
+    _mean, slopes = series_mean_slope(
+        score_fill,
+        _row_sums(score_values),
+        _row_sums(ticks),
+        _row_sums(ticks * score_values),
+        _row_sums(ticks * ticks),
+    )
+    declining = (score_fill >= 2) & (slopes < slope_threshold)
+    return means, disengaged, slopes, declining
 
 
 class GapDetector:
@@ -370,17 +496,37 @@ class GapDetector:
         engagement_window: Sequence[float],
         score_points: Sequence[tuple[float, float]],
     ) -> list[GapSignal]:
-        signals = []
-        for kind, value in detect_learning_gap(
-            engagement_window,
-            score_points,
-            engagement_threshold=self.engagement_threshold,
-            slope_threshold=self.slope_threshold,
-        ):
-            last = self._last_emitted.get((student_id, kind))
-            if last is None or tick - last >= self.window_len:
-                self._last_emitted[(student_id, kind)] = tick
-                signals.append(GapSignal(kind=kind, student_id=student_id, value=value))
+        engagement, scores = _single_windows(engagement_window, score_points)
+        return self.update_many(tick, [student_id], engagement, scores)
+
+    def update_many(
+        self,
+        tick: int,
+        student_ids: Sequence[str],
+        engagement: EngagementWindows,
+        scores: ScoreWindows,
+    ) -> list[GapSignal]:
+        """Both rules and the per-(student, kind) cooldown for every student at once.
+
+        Row i of the window arrays belongs to ``student_ids[i]``. Signals
+        follow ``student_ids``, disengagement before decline.
+        """
+        means, disengaged, slopes, declining = _gap_rules(
+            engagement, scores, self.engagement_threshold, self.slope_threshold
+        )
+        signals: list[GapSignal] = []
+        for i in np.flatnonzero(disengaged | declining).tolist():
+            student_id = student_ids[i]
+            for kind, hit, values in (
+                (TriggerKind.DISENGAGEMENT, disengaged, means),
+                (TriggerKind.PERFORMANCE_DECLINE, declining, slopes),
+            ):
+                if not hit[i]:
+                    continue
+                last = self._last_emitted.get((student_id, kind))
+                if last is None or tick - last >= self.window_len:
+                    self._last_emitted[(student_id, kind)] = tick
+                    signals.append(GapSignal(kind, student_id, float(values[i])))
         return signals
 
 
@@ -401,7 +547,10 @@ class StudentAgent(Agent):
         self.top_k = top_k
         self.neighborhood = neighborhood
         self.detector: GapDetector | None = None
-        self._interaction_counts: dict[tuple[str, str], int] = {}
+        self._rows_cols = _id_indexes(cohort.student_ids, cohort.resource_ids)
+        self._interaction_counts = np.zeros(
+            (len(cohort.students), len(cohort.resources)), dtype=np.int64
+        )
         self._last_recommended: dict[str, int] = {}
         self.memory.data["gap_signals"] = 0
         self.memory.data["recommendations_issued"] = 0
@@ -415,21 +564,11 @@ class StudentAgent(Agent):
         if self.detector is None:
             # Gap and recommendation cooldowns last one window of the tracker.
             self.detector = GapDetector(window_len=tracker.window_len)
-        for event in view.events:
-            if event.resource_id is not None:
-                key = (event.student_id, event.resource_id)
-                self._interaction_counts[key] = self._interaction_counts.get(key, 0) + 1
-
-        gaps: list[GapSignal] = []
-        for sid in sorted(view.active_students):
-            gaps.extend(
-                self.detector.update(
-                    sid,
-                    view.tick,
-                    tracker.window_engagement_values(sid),
-                    tracker.window_score_points(sid),
-                )
-            )
+        _add_interactions(self._interaction_counts, view.events, *self._rows_cols)
+        active = sorted(view.active_students)
+        gaps = self.detector.update_many(
+            view.tick, active, tracker.engagement_windows(active), tracker.score_windows(active)
+        )
 
         requests: list[str] = []
         for event in percepts["inbox"]:

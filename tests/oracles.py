@@ -1,7 +1,9 @@
 """Independent reference implementations used to check the package.
 
 Everything here is written straight from the definitions (pure Python,
-no shared code with the package) so the two sides can disagree.
+no shared code with the package) so the two sides can disagree. The one
+exception is ``scalar_recommend``, which keeps numpy's matrix-vector
+product for similarity so that its floats can be compared with ``==``.
 """
 
 from __future__ import annotations
@@ -9,6 +11,18 @@ from __future__ import annotations
 import math
 from collections import deque
 from typing import Mapping, Sequence
+
+import numpy as np
+
+
+def python_cosine(u: Sequence[float], v: Sequence[float]) -> float:
+    """dot(u, v) / (|u| |v|), summed left to right; 0 when either norm is zero."""
+    dot = sum(a * b for a, b in zip(u, v))
+    nu = math.sqrt(sum(a * a for a in u))
+    nv = math.sqrt(sum(b * b for b in v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return dot / (nu * nv)
 
 
 def brute_force_recommend(
@@ -24,14 +38,6 @@ def brute_force_recommend(
     def row(sid: str) -> list[float]:
         return [cells.get((sid, rid), 0.0) for rid in resource_ids]
 
-    def cosine(u: list[float], v: list[float]) -> float:
-        dot = sum(a * b for a, b in zip(u, v))
-        nu = math.sqrt(sum(a * a for a in u))
-        nv = math.sqrt(sum(b * b for b in v))
-        if nu == 0.0 or nv == 0.0:
-            return 0.0
-        return dot / (nu * nv)
-
     query = row(student_id)
     observed = {rid for (sid, rid) in cells if sid == student_id}
     candidates = [rid for rid in resource_ids if rid not in observed]
@@ -40,7 +46,7 @@ def brute_force_recommend(
     for sid in student_ids:
         if sid == student_id:
             continue
-        sims.append((cosine(query, row(sid)), sid))
+        sims.append((python_cosine(query, row(sid)), sid))
     peers = sorted([p for p in sims if p[0] > 0.0], key=lambda p: (-p[0], p[1]))[:neighborhood]
 
     scored = []
@@ -57,6 +63,71 @@ def brute_force_recommend(
     else:
         for rid in candidates:
             values = [v for (sid, r), v in cells.items() if r == rid]
+            if values:
+                scored.append((rid, sum(values) / len(values)))
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored[:k]
+
+
+def scalar_recommend(
+    student_ids: Sequence[str],
+    resource_ids: Sequence[str],
+    cells: Mapping[tuple[str, str], float],
+    student_id: str,
+    k: int,
+    neighborhood: int,
+) -> list[tuple[str, float]]:
+    """User-based CF, one peer and one candidate at a time: the exact reference.
+
+    Similarities are numpy's ``(dense @ query) / (norms * query_norm)``,
+    as in the package; everything after that is scalar Python. Peers are
+    sorted by (-similarity, student id); each score adds ``sim * value``
+    over the peers in that order; the popularity fallback sums each
+    resource's values in ``cells`` order.
+    """
+    row_of = {sid: i for i, sid in enumerate(student_ids)}
+    col_of = {rid: j for j, rid in enumerate(resource_ids)}
+    dense = np.zeros((len(student_ids), len(resource_ids)))
+    for (sid, rid), value in cells.items():
+        dense[row_of[sid], col_of[rid]] = value
+    norms = np.linalg.norm(dense, axis=1)
+    index = row_of[student_id]
+    observed = {rid for (sid, rid) in cells if sid == student_id}
+    candidates = [rid for rid in resource_ids if rid not in observed]
+    if not candidates:
+        return []
+
+    query_norm = float(norms[index])
+    peers: list[tuple[float, str]] = []
+    if query_norm > 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sims = (dense @ dense[index]) / (norms * query_norm)
+        ranked = []
+        for i, sid in enumerate(student_ids):
+            sim = float(sims[i])
+            if i != index and norms[i] != 0.0 and sim > 0.0:
+                ranked.append((sim, sid))
+        ranked.sort(key=lambda peer: (-peer[0], peer[1]))
+        peers = ranked[:neighborhood]
+
+    scored: list[tuple[str, float]] = []
+    if peers:
+        for rid in candidates:
+            numerator = 0.0
+            denominator = 0.0
+            for sim, sid in peers:
+                value = cells.get((sid, rid))
+                if value is not None:
+                    numerator += sim * value
+                    denominator += sim
+            if denominator > 0.0:
+                scored.append((rid, numerator / denominator))
+    else:
+        by_resource: dict[str, list[float]] = {}
+        for (_sid, rid), value in cells.items():
+            by_resource.setdefault(rid, []).append(value)
+        for rid in candidates:
+            values = by_resource.get(rid)
             if values:
                 scored.append((rid, sum(values) / len(values)))
     scored.sort(key=lambda item: (-item[1], item[0]))
@@ -230,3 +301,54 @@ class DictFeatureTracker:
 
     def window_score_points(self, student_id: str) -> list[tuple[float, float]]:
         return list(self._window_scores.get(student_id, ()))
+
+
+class ScalarGapDetector:
+    """The two learning-gap rules, one student at a time, with a dict cooldown.
+
+    Disengagement: ``sum(window) / len(window)`` below the engagement
+    threshold. Performance decline: at least two score points and a
+    least-squares slope (running sums, as ``DictFeatureTracker``) below the
+    slope threshold. A (student, kind) fires at most once per
+    ``window_len`` ticks. Signals are (kind, student id, value).
+    """
+
+    def __init__(
+        self, window_len: int = 5, engagement_threshold: float = 0.33, slope_threshold: float = -0.01
+    ) -> None:
+        self.window_len = window_len
+        self.engagement_threshold = engagement_threshold
+        self.slope_threshold = slope_threshold
+        self._last_emitted: dict[tuple[str, str], int] = {}
+
+    def gaps(
+        self, engagement_window: Sequence[float], score_points: Sequence[tuple[float, float]]
+    ) -> list[tuple[str, float]]:
+        found = []
+        if engagement_window:
+            mean = sum(engagement_window) / len(engagement_window)
+            if mean < self.engagement_threshold:
+                found.append(("disengagement", mean))
+        if len(score_points) >= 2:
+            sums = [0, 0.0, 0.0, 0.0, 0.0]
+            for x, y in score_points:
+                DictFeatureTracker._add(sums, x, y)
+            _mean, slope = DictFeatureTracker._mean_slope(sums)
+            if slope < self.slope_threshold:
+                found.append(("performance_decline", slope))
+        return found
+
+    def update(
+        self,
+        student_id: str,
+        tick: int,
+        engagement_window: Sequence[float],
+        score_points: Sequence[tuple[float, float]],
+    ) -> list[tuple[str, str, float]]:
+        signals = []
+        for kind, value in self.gaps(engagement_window, score_points):
+            last = self._last_emitted.get((student_id, kind))
+            if last is None or tick - last >= self.window_len:
+                self._last_emitted[(student_id, kind)] = tick
+                signals.append((kind, student_id, value))
+        return signals

@@ -181,6 +181,51 @@ class TestCliErrors:
         assert error["error"] == "ConfigError"
         assert needle in error["message"] and "sim.json" in error["message"]
 
+    @pytest.mark.parametrize(
+        "config, needle",
+        [
+            ('{"scheduler": {"max_ticks": 1%s}}' % ("0" * 5000), "scheduler.max_ticks"),
+            ('{"scheduler": {"max_ticks": "x"}}', "max_ticks must be an integer"),
+            ('{"policy": {"alpha": "x"}}', "alpha must be a number"),
+        ],
+        ids=["digit_limit", "max_ticks_string", "alpha_string"],
+    )
+    def test_simulate_with_mistyped_config(self, tmp_path, capsys, gen_config, config, needle):
+        cohort_dir = tmp_path / "cohort"
+        run_cli(capsys, "generate", "--config", str(gen_config), "--out", str(cohort_dir))
+        path = tmp_path / "sim.json"
+        path.write_text(config)
+        code, out, err = run_cli(
+            capsys,
+            "simulate",
+            "--cohort", str(cohort_dir),
+            "--config", str(path),
+            "--out", str(tmp_path / "run"),
+        )
+        assert code == 1
+        assert out is None
+        error = json.loads(err)
+        assert error["error"] == "ConfigError"
+        assert needle in error["message"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "bad_line, needle",
+        [("1" * 5001, "line 2: invalid JSON"), ('{"type": ', "line 2: invalid JSON")],
+        ids=["digit_limit", "malformed"],
+    )
+    def test_replay_of_unparsable_transcript_line(self, tmp_path, capsys, bad_line, needle):
+        path = tmp_path / "transcript.jsonl"
+        header = json.dumps({"type": "header", "format_version": 1})
+        footer = json.dumps({"type": "checksum", "sha256": "0" * 64})
+        path.write_text("\n".join([header, bad_line, footer]) + "\n")
+        code, out, err = run_cli(capsys, "replay", "--transcript", str(path))
+        assert code == 1
+        assert out is None
+        error = json.loads(err)
+        assert error["error"] == "TranscriptError"
+        assert needle in error["message"]
+
     def test_simulate_with_non_integer_tick(self, tmp_path, capsys, gen_config):
         cohort_dir = tmp_path / "cohort"
         run_cli(capsys, "generate", "--config", str(gen_config), "--out", str(cohort_dir))

@@ -5,9 +5,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from auss.bus import TriggerKind
+from auss.domain import EngagementEvent, EventKind, StudentRecord
 from auss.errors import InsufficientDataError, UnknownStudentError, UntrainedModelError
+from auss.institution import FeatureTracker
 from auss.learners import BaggedTreeRegressor, LogisticModel
 from auss.student import (
     GapDetector,
@@ -21,8 +24,14 @@ from auss.student import (
     recommend_top_k,
 )
 
-from conftest import constant_engagement_cohort
-from oracles import brute_force_recommend
+from conftest import constant_engagement_cohort, make_cohort
+from oracles import (
+    DictFeatureTracker,
+    ScalarGapDetector,
+    brute_force_recommend,
+    python_cosine,
+    scalar_recommend,
+)
 
 
 def matrix_from_rows(rows: dict[str, list[float]], resource_ids=None) -> InteractionMatrix:
@@ -163,6 +172,107 @@ def _random_matrix(rng: random.Random, allow_empty_rows: bool = True) -> Interac
     return InteractionMatrix(student_ids, resource_ids, cells)
 
 
+_TIED_CELLS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+#: Full-mantissa values in [0, 1], whose sums depend on the order of addition.
+_ROUNDING_CELLS = st.integers(0, 2**53).map(lambda k: k / 2**53)
+_CELLS = st.one_of(st.none(), _TIED_CELLS, _ROUNDING_CELLS)  # None: unobserved
+
+
+@st.composite
+def cf_matrices(draw):
+    """(matrix, k, neighborhood) with similarity ties at the neighbourhood cut.
+
+    Every matrix holds an exact copy of some row, and may hold copies
+    halved (the same cosine to every row, other values) or with extra
+    observed 0.0 cells; at least one empty row takes the popularity
+    fallback. Ids are shuffled, so id order is not row or column order,
+    and ``cells`` is in row-major order, as ``from_counts`` builds it.
+    """
+    n_resources = draw(st.integers(1, 24))
+    row = st.lists(_CELLS, min_size=n_resources, max_size=n_resources)
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
+    for _ in range(draw(st.integers(0, 5))):
+        source = rows[draw(st.integers(0, len(rows) - 1))]
+        if draw(st.booleans()):
+            rows.append([None if v is None else v / 2 for v in source])
+        else:
+            rows.append([0.0 if v is None and draw(st.booleans()) else v for v in source])
+    rows.extend([[None] * n_resources] * draw(st.integers(1, 2)))
+    rows = draw(st.permutations(rows))
+    student_ids = tuple(f"s{i:02d}" for i in draw(st.permutations(range(len(rows)))))
+    resource_ids = tuple(f"r{j:02d}" for j in draw(st.permutations(range(n_resources))))
+    cells = {
+        (sid, rid): value
+        for sid, values in zip(student_ids, rows)
+        for rid, value in zip(resource_ids, values)
+        if value is not None
+    }
+    matrix = InteractionMatrix(student_ids, resource_ids, cells)
+    k = draw(st.integers(1, n_resources + 1))
+    neighborhood = draw(st.integers(1, len(rows)))
+    return matrix, k, neighborhood
+
+
+def _numpy_sims_equal_python_cosines(matrix: InteractionMatrix, student_id: str) -> bool:
+    """Whether the kernel's similarities to ``student_id`` equal the definition's bit for bit.
+
+    They need not: numpy's matrix-vector product may round two identical
+    rows differently, depending on where they sit in the matrix.
+    """
+    dense = matrix.dense()
+    norms = np.linalg.norm(dense, axis=1)
+    index = matrix.student_ids.index(student_id)
+    if norms[index] == 0.0:
+        return True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sims = (dense @ dense[index]) / (norms * norms[index])
+    rows = dense.tolist()
+    return all(
+        norms[i] == 0.0 or sims[i] == python_cosine(rows[index], rows[i])
+        for i in range(len(rows))
+        if i != index
+    )
+
+
+class TestRecommendMatchesScalarReference:
+    @settings(max_examples=300, deadline=None)
+    @given(cf_matrices())
+    def test_items_equal_scalar_loop_and_rankings_equal_brute_force(self, drawn):
+        matrix, k, neighborhood = drawn
+        ids, rids, cells = matrix.student_ids, matrix.resource_ids, matrix.cells
+        for sid in ids:
+            ours = recommend_top_k(matrix, sid, k, neighborhood)
+            assert list(ours.items) == scalar_recommend(ids, rids, cells, sid, k, neighborhood)
+            if _numpy_sims_equal_python_cosines(matrix, sid):
+                oracle = brute_force_recommend(ids, rids, cells, sid, k, neighborhood)
+                assert ours.resource_ids == tuple(rid for rid, _ in oracle)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 5), min_size=n, max_size=n), min_size=1, max_size=6
+            )
+        )
+    )
+    def test_from_counts_cells_are_count_over_row_max_in_row_major_order(self, counts):
+        student_ids = tuple(f"s{i}" for i in range(len(counts)))
+        resource_ids = tuple(f"r{j}" for j in range(len(counts[0])))
+        matrix = InteractionMatrix.from_counts(np.array(counts), student_ids, resource_ids)
+        expected = [
+            ((sid, rid), count / max(row))
+            for sid, row in zip(student_ids, counts)
+            for rid, count in zip(resource_ids, row)
+            if count > 0
+        ]
+        assert list(matrix.cells.items()) == expected
+        rebuilt = InteractionMatrix(student_ids, resource_ids, dict(expected))
+        for sid in student_ids:
+            assert matrix.observed(sid) == rebuilt.observed(sid)
+            assert recommend_top_k(matrix, sid, 3, 2) == recommend_top_k(rebuilt, sid, 3, 2)
+
+
 class TestInteractionMatrix:
     def test_cell_range_enforced(self):
         with pytest.raises(ValueError):
@@ -170,7 +280,7 @@ class TestInteractionMatrix:
 
     def test_from_counts_normalizes_per_student(self):
         matrix = InteractionMatrix.from_counts(
-            {("s1", "r1"): 4, ("s1", "r2"): 2, ("s2", "r1"): 1},
+            np.array([[4, 2], [1, 0]]),
             ("s1", "s2"),
             ("r1", "r2"),
         )
@@ -290,3 +400,72 @@ class TestGapDetection:
         a = detector.update("s1", 0, [0.1], [])
         b = detector.update("s2", 0, [0.1], [])
         assert len(a) == len(b) == 1
+
+
+_GAP_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5]), st.integers(0, 2**53 - 1).map(lambda k: k / 2**53)
+)
+_GAP_EVENT = st.tuples(st.sampled_from([EventKind.LOGIN, EventKind.SUBMISSION]), _GAP_VALUES)
+
+
+@st.composite
+def gap_streams(draw):
+    """(students, per-tick events, per-tick active ids) for a window of 3.
+
+    There are always students with 0, 1 and 2 score points and one with a
+    submission at every tick (more points than the window holds once there
+    are more than 3 ticks), plus random streams; each tick makes a drawn
+    subset of the students active.
+    """
+    n_ticks = draw(st.integers(1, 9))
+    ticks = range(n_ticks)
+    submission = st.tuples(st.just(EventKind.SUBMISSION), _GAP_VALUES)
+    streams = {
+        "none": {t: [(EventKind.LOGIN, draw(_GAP_VALUES))] for t in ticks},
+        "one": {draw(st.sampled_from(ticks)): [draw(submission)]},
+        "two": {t: [draw(submission)] for t in draw(st.sets(st.sampled_from(ticks), max_size=2))},
+        "many": {t: draw(st.lists(submission, min_size=1, max_size=2)) for t in ticks},
+    }
+    for i in range(draw(st.integers(0, 3))):
+        streams[f"r{i}"] = {t: draw(st.lists(_GAP_EVENT, max_size=3)) for t in ticks}
+    ids = sorted(streams)
+    students = [StudentRecord(sid, {}) for sid in draw(st.permutations(ids))]
+    events = [
+        [
+            EngagementEvent(sid, t, kind, value)
+            for sid in ids
+            for kind, value in streams[sid].get(t, ())
+        ]
+        for t in ticks
+    ]
+    active = [sorted(draw(st.sets(st.sampled_from(ids)))) for _ in ticks]
+    return students, events, active
+
+
+class TestGapPassMatchesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(gap_streams())
+    def test_update_many_equals_scalar_rules_with_dict_cooldown(self, drawn):
+        students, events, active = drawn
+        tracker = FeatureTracker(make_cohort(students=students), window_len=3)
+        oracle_tracker = DictFeatureTracker(students, window_len=3)
+        detector = GapDetector(window_len=3)
+        one_by_one = GapDetector(window_len=3)
+        oracle = ScalarGapDetector(window_len=3)
+        for tick, (tick_events, ids) in enumerate(zip(events, active)):
+            tracker.ingest(tick, tick_events)
+            oracle_tracker.ingest(tick, tick_events)
+            signals = detector.update_many(
+                tick, ids, tracker.engagement_windows(ids), tracker.score_windows(ids)
+            )
+            expected = []
+            single = []
+            for sid in ids:
+                engagement = oracle_tracker.window_engagement_values(sid)
+                points = oracle_tracker.window_score_points(sid)
+                expected.extend(oracle.update(sid, tick, engagement, points))
+                single.extend(one_by_one.update(sid, tick, engagement, points))
+                gaps = detect_learning_gap(engagement, points)
+                assert [(kind.value, value) for kind, value in gaps] == oracle.gaps(engagement, points)
+            assert [(s.kind.value, s.student_id, s.value) for s in signals] == expected
+            assert [(s.kind.value, s.student_id, s.value) for s in single] == expected
