@@ -12,6 +12,7 @@ from .domain import (
     AssessmentRecord,
     Cohort,
     EngagementEvent,
+    EventColumns,
     EventKind,
     GroundTruth,
     LearningResource,

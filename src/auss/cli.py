@@ -90,7 +90,7 @@ def cmd_generate(args: argparse.Namespace) -> dict:
         "command": "generate",
         "out": args.out,
         "students": len(cohort.students),
-        "events": len(cohort.events),
+        "events": len(cohort.event_columns),
         "assessments": len(cohort.assessments),
         "resources": len(cohort.resources),
         "dropouts": len(truth.dropped_students),

@@ -4,6 +4,8 @@ assessments.csv, and ground_truth.json.
 Column and field names are frozen (documented in FORMATS.md); unknown
 event fields and malformed values are rejected with the offending line.
 Floats are written with repr so a round-trip reproduces them exactly.
+Events are written from, and read straight into, the cohort's event
+columns; no per-event object is built.
 """
 
 from __future__ import annotations
@@ -15,10 +17,13 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, TextIO
 
+import numpy as np
+
 from .domain import (
     AssessmentRecord,
     Cohort,
-    EngagementEvent,
+    EventColumns,
+    EventColumnsBuilder,
     EventKind,
     GroundTruth,
     LearningResource,
@@ -59,21 +64,7 @@ def write_cohort(cohort: Cohort, directory: str | Path) -> None:
             writer.writerow([resource.resource_id, resource.topic_tag, repr(resource.difficulty)])
 
     with (directory / EVENTS_FILE).open("w", encoding="utf-8", newline="\n") as fh:
-        for event in cohort.events:
-            fh.write(
-                json.dumps(
-                    {
-                        "student_id": event.student_id,
-                        "tick": event.tick,
-                        "kind": event.kind.value,
-                        "value": event.value,
-                        "resource_id": event.resource_id,
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+        _write_events(fh, cohort.event_columns)
 
     with (directory / ASSESSMENTS_FILE).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -90,6 +81,38 @@ def write_cohort(cohort: Cohort, directory: str | Path) -> None:
 
     if cohort.ground_truth is not None:
         write_ground_truth(cohort.ground_truth, directory / GROUND_TRUTH_FILE)
+
+
+#: Events written per chunk, which bounds the text held in memory at once.
+_EVENT_CHUNK = 8192
+
+
+def _write_events(fh: TextIO, events: EventColumns) -> None:
+    """One JSON object per event, in stream order, keys sorted, no spaces.
+
+    The same text as ``json.dumps(record, sort_keys=True, separators=(",", ":"))``:
+    ids and kinds are encoded once per table entry, and a value is its
+    ``repr`` (``json.dumps`` spells a non-finite value its own way).
+    """
+    kinds = [json.dumps(kind.value) for kind in EventKind]
+    students = [json.dumps(sid) for sid in events.student_ids]
+    resources = [json.dumps(rid) for rid in events.resource_ids] + ["null"]  # [-1] is "none"
+    number = repr if np.isfinite(events.value).all() else json.dumps
+    for first in range(0, len(events), _EVENT_CHUNK):
+        chunk = events.take(slice(first, first + _EVENT_CHUNK))
+        fh.write(
+            "".join(
+                f'{{"kind":{kinds[k]},"resource_id":{resources[r]},'
+                f'"student_id":{students[s]},"tick":{t},"value":{number(v)}}}\n'
+                for s, t, k, v, r in zip(
+                    chunk.student.tolist(),
+                    chunk.tick.tolist(),
+                    chunk.kind.tolist(),
+                    chunk.value.tolist(),
+                    chunk.resource.tolist(),
+                )
+            )
+        )
 
 
 def write_ground_truth(truth: GroundTruth, path: str | Path) -> None:
@@ -270,7 +293,9 @@ def read_cohort(directory: str | Path) -> Cohort:
                 )
             )
 
-    events = []
+    events = EventColumnsBuilder(
+        [s.student_id for s in students], [r.resource_id for r in resources]
+    )
     events_path = directory / EVENTS_FILE
     with _utf8_file(events_path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -303,19 +328,15 @@ def read_cohort(directory: str | Path) -> Cohort:
                     f"unknown event kind {data['kind']!r}", path=str(events_path), line=line_no
                 ) from exc
             try:
-                tick = _integer(data["tick"], "tick")
-                value = _number(data["value"], "value")
+                events.append(
+                    str(data["student_id"]),
+                    _integer(data["tick"], "tick"),
+                    kind.code,
+                    _number(data["value"], "value"),
+                    None if data["resource_id"] is None else str(data["resource_id"]),
+                )
             except ValueError as exc:
                 raise CohortFormatError(str(exc), path=str(events_path), line=line_no) from exc
-            events.append(
-                EngagementEvent(
-                    student_id=str(data["student_id"]),
-                    tick=tick,
-                    kind=kind,
-                    value=value,
-                    resource_id=None if data["resource_id"] is None else str(data["resource_id"]),
-                )
-            )
 
     assessments = []
     assessments_path = directory / ASSESSMENTS_FILE
@@ -347,7 +368,7 @@ def read_cohort(directory: str | Path) -> Cohort:
 
     return Cohort(
         students=tuple(students),
-        events=tuple(events),
+        events=events.build(),
         assessments=tuple(assessments),
         resources=tuple(resources),
         ground_truth=truth,

@@ -8,9 +8,10 @@ non-negative tick. Scores and event intensities live in [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -23,6 +24,15 @@ class EventKind(str, Enum):
     SUBMISSION = "submission"
     FORUM_POST = "forum_post"
     ABSENCE = "absence"
+
+    @property
+    def code(self) -> int:
+        """Position in EventKind order: the kind column's value for this kind."""
+        return _KIND_CODES[self]
+
+
+_KINDS = tuple(EventKind)
+_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
 
 
 @dataclass(frozen=True)
@@ -50,7 +60,7 @@ class EngagementEvent:
     resource_id: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssessmentRecord:
     student_id: str
     item_id: str
@@ -85,30 +95,277 @@ class GroundTruth:
         return frozenset(s for s, t in self.dropout_ticks.items() if t is not None)
 
 
-@dataclass(frozen=True)
+_INT64 = np.iinfo(np.int64)
+
+
+class EventColumnsBuilder:
+    """Appends events one at a time into the lists an :class:`EventColumns` is built from.
+
+    The id tables start with the given ids; an id they lack is appended
+    the first time an event names it. A tick must be an integer in the
+    64-bit range and a value a real number.
+    """
+
+    def __init__(self, student_ids: Sequence = (), resource_ids: Sequence = ()):
+        self.student_ids = list(student_ids)
+        self.resource_ids = list(resource_ids)
+        self._student_row = {sid: i for i, sid in enumerate(self.student_ids)}
+        self._resource_row = {rid: j for j, rid in enumerate(self.resource_ids)}
+        self.student: list[int] = []
+        self.tick: list[int] = []
+        self.kind: list[int] = []
+        self.value: list[float] = []
+        self.resource: list[int] = []
+
+    @staticmethod
+    def _row(table: list, rows: dict, key: object) -> int:
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = len(table)
+            table.append(key)
+        return row
+
+    def append(
+        self, student_id: object, tick: int, kind_code: int, value: float, resource_id: object
+    ) -> None:
+        if not _INT64.min <= tick <= _INT64.max:
+            raise ValueError(f"tick {tick} is outside the 64-bit integer range")
+        self.student.append(self._row(self.student_ids, self._student_row, student_id))
+        self.tick.append(tick)
+        self.kind.append(kind_code)
+        self.value.append(value)
+        if resource_id is None:
+            self.resource.append(-1)
+        else:
+            self.resource.append(self._row(self.resource_ids, self._resource_row, resource_id))
+
+    def build(self) -> "EventColumns":
+        return EventColumns(
+            np.array(self.student, dtype=np.intp),
+            np.array(self.tick, dtype=np.int64),
+            np.array(self.kind, dtype=np.int8),
+            np.array(self.value, dtype=float),
+            np.array(self.resource, dtype=np.intp),
+            tuple(self.student_ids),
+            tuple(self.resource_ids),
+        )
+
+
+class EventColumns:
+    """An engagement event stream as numpy columns, one entry per event.
+
+    Columns, in stream order: ``student`` (index into ``student_ids``),
+    ``tick``, ``kind`` (the :attr:`EventKind.code`), ``value`` and
+    ``resource`` (index into ``resource_ids``, -1 for an event that
+    touches no resource). A cohort's id tables start with its own student
+    and resource ids in cohort order; an id an event names that the cohort
+    lacks follows, in first-seen order, so validation can still name it.
+    Duplicate ids in a table resolve to their last position.
+
+    A stable by-tick order with per-tick offsets is built on first use:
+    ``window`` and ``tick_slices`` hand out sub-streams that keep stream
+    order, and for a stream already sorted by tick (every
+    generated cohort) they are views, not copies.
+    """
+
+    __slots__ = (
+        "student", "tick", "kind", "value", "resource", "student_ids", "resource_ids", "_by_tick"
+    )
+
+    def __init__(
+        self,
+        student: np.ndarray,
+        tick: np.ndarray,
+        kind: np.ndarray,
+        value: np.ndarray,
+        resource: np.ndarray,
+        student_ids: tuple,
+        resource_ids: tuple,
+    ):
+        self.student = student
+        self.tick = tick
+        self.kind = kind
+        self.value = value
+        self.resource = resource
+        self.student_ids = student_ids
+        self.resource_ids = resource_ids
+        self._by_tick: tuple[np.ndarray | None, np.ndarray, np.ndarray] | None = None
+
+    @classmethod
+    def from_events(
+        cls,
+        events: Iterable[EngagementEvent],
+        student_ids: Sequence = (),
+        resource_ids: Sequence = (),
+    ) -> "EventColumns":
+        """Columns of EngagementEvent objects, with id tables that start with the given ids."""
+        builder = EventColumnsBuilder(student_ids, resource_ids)
+        for event in events:
+            if not isinstance(event.value, (int, float)):
+                raise TypeError(f"event value {event.value!r} is not a number")
+            builder.append(
+                event.student_id,
+                operator.index(event.tick),
+                EventKind(event.kind).code,
+                event.value,
+                event.resource_id,
+            )
+        return builder.build()
+
+    def __len__(self) -> int:
+        return len(self.tick)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.student, self.tick, self.kind, self.value, self.resource)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EventColumns):
+            return NotImplemented
+        return (
+            self.student_ids == other.student_ids
+            and self.resource_ids == other.resource_ids
+            and all(np.array_equal(a, b) for a, b in zip(self._columns(), other._columns()))
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def take(self, index: slice | np.ndarray) -> "EventColumns":
+        """The events at ``index`` (a slice, positions or a mask), with the same id tables."""
+        return EventColumns(
+            *(column[index] for column in self._columns()), self.student_ids, self.resource_ids
+        )
+
+    def to_events(self) -> tuple[EngagementEvent, ...]:
+        """The stream as EngagementEvent objects, in stream order."""
+        students = [self.student_ids[i] for i in self.student.tolist()]
+        kinds = [_KINDS[code] for code in self.kind.tolist()]
+        resources = [None if j < 0 else self.resource_ids[j] for j in self.resource.tolist()]
+        ticks, values = self.tick.tolist(), self.value.tolist()
+        return tuple(map(EngagementEvent, students, ticks, kinds, values, resources))
+
+    def reindexed(self, student_ids: Sequence, resource_ids: Sequence = ()) -> "EventColumns":
+        """These events with id tables that start with the given ids (self when they already do)."""
+        if (
+            self.student_ids[: len(student_ids)] == tuple(student_ids)
+            and self.resource_ids[: len(resource_ids)] == tuple(resource_ids)
+        ):
+            return self
+        return EventColumns.from_events(self.to_events(), student_ids, resource_ids)
+
+    def last_tick(self) -> int:
+        """The largest tick, or 0 for an empty stream."""
+        return int(self.tick.max()) if len(self.tick) else 0
+
+    def _tick_index(self) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+        """(stable by-tick order or None for the identity, distinct ticks, offsets)."""
+        if self._by_tick is None:
+            tick = self.tick
+            order = None
+            if np.any(tick[1:] < tick[:-1]):
+                order = np.argsort(tick, kind="stable")
+                tick = tick[order]
+            starts = np.flatnonzero(tick[1:] != tick[:-1]) + 1
+            ticks = tick[np.concatenate(([0], starts))] if len(tick) else tick
+            offsets = np.concatenate(([0], starts, [len(tick)]))
+            self._by_tick = (order, ticks, offsets)
+        return self._by_tick
+
+    def ticks(self) -> np.ndarray:
+        """The distinct ticks, ascending."""
+        return self._tick_index()[1]
+
+    def window(self, low: int, high: int) -> "EventColumns":
+        """The events with low <= tick <= high, in stream order."""
+        order, ticks, offsets = self._tick_index()
+        first = offsets[np.searchsorted(ticks, low, side="left")]
+        stop = offsets[np.searchsorted(ticks, high, side="right")]
+        if order is None:
+            return self.take(slice(first, stop))
+        return self.take(np.sort(order[first:stop]))
+
+    def tick_slices(self) -> dict[int, "EventColumns"]:
+        """Each tick's events in stream order, by tick ascending.
+
+        Within one tick the stable by-tick order already is stream order.
+        """
+        order, ticks, offsets = self._tick_index()
+        spans = zip(ticks.tolist(), offsets[:-1].tolist(), offsets[1:].tolist())
+        if order is None:
+            return {tick: self.take(slice(first, stop)) for tick, first, stop in spans}
+        return {tick: self.take(order[first:stop]) for tick, first, stop in spans}
+
+
+@dataclass(frozen=True, eq=False)
 class Cohort:
-    """Container for one dataset: students plus their behavioral streams."""
+    """Container for one dataset: students plus their behavioral streams.
+
+    ``events`` may be given as a sequence of :class:`EngagementEvent` or
+    as :class:`EventColumns`; the cohort keeps only the columns, as
+    ``event_columns``, with id tables that start with ``student_ids`` and
+    ``resource_ids`` (the ids in cohort order). ``student_rows`` holds
+    each student's row in those tables. ``cohort.events`` is a tuple view
+    of the columns, built on first access and cached; nothing in a run
+    reads it.
+
+    Order and exactness rules for everything that reads the columns:
+    events keep stream order (for a generated cohort: tick-major, then
+    student order, and within one student's tick the absence, or login,
+    view, forum post and submission). Every per-student float sum adds
+    values in stream order (``np.bincount`` and a sequential
+    ``np.cumsum`` do), per-tick means enter a least-squares slope in
+    ascending tick order, and a class-wide mean is summed in roster
+    order. So every result equals the one-event-at-a-time loop it
+    replaces bit for bit. Two cohorts are equal when their students,
+    event columns, assessments, resources and ground truth are.
+    """
 
     students: tuple[StudentRecord, ...]
-    events: tuple[EngagementEvent, ...]
+    events: Sequence[EngagementEvent] | EventColumns = field(repr=False)
     assessments: tuple[AssessmentRecord, ...] = ()
     resources: tuple[LearningResource, ...] = ()
     ground_truth: GroundTruth | None = None
 
     def __post_init__(self) -> None:
         # Accept any sequence at construction, store as tuples.
-        for name in ("students", "events", "assessments", "resources"):
+        for name in ("students", "assessments", "resources"):
             value = getattr(self, name)
             if not isinstance(value, tuple):
                 object.__setattr__(self, name, tuple(value))
+        student_ids = tuple(s.student_id for s in self.students)
+        resource_ids = tuple(r.resource_id for r in self.resources)
+        events = vars(self).pop("events")
+        if isinstance(events, EventColumns):
+            columns = events.reindexed(student_ids, resource_ids)
+        else:
+            columns = EventColumns.from_events(events, student_ids, resource_ids)
+        row_of = {sid: i for i, sid in enumerate(student_ids)}
+        object.__setattr__(self, "student_ids", student_ids)
+        object.__setattr__(self, "resource_ids", resource_ids)
+        object.__setattr__(self, "event_columns", columns)
+        object.__setattr__(
+            self,
+            "student_rows",
+            np.fromiter((row_of[sid] for sid in student_ids), np.intp, len(student_ids)),
+        )
 
-    @property
-    def student_ids(self) -> tuple[str, ...]:
-        return tuple(s.student_id for s in self.students)
+    def __getattr__(self, name: str):
+        # Only reached for attributes not set on the instance: build the
+        # events view once.
+        if name != "events":
+            raise AttributeError(name)
+        events = self.event_columns.to_events()
+        object.__setattr__(self, "events", events)
+        return events
 
-    @property
-    def resource_ids(self) -> tuple[str, ...]:
-        return tuple(r.resource_id for r in self.resources)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name)
+            for name in ("students", "event_columns", "assessments", "resources", "ground_truth")
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 @dataclass(frozen=True)
@@ -124,10 +381,63 @@ def _is_finite(x: float) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
 
 
+def _event_violations(cohort: Cohort) -> list[Violation]:
+    """The event rules over the columns, event by event and in rule order per event."""
+    events = cohort.event_columns
+    student, tick, value = events.student, events.tick, events.value
+    # The previous tick of the same student, in stream order.
+    order = np.argsort(student, kind="stable")
+    same_student = student[order][1:] == student[order][:-1]
+    back = np.flatnonzero(same_student & (tick[order][1:] < tick[order][:-1]))
+    previous = np.zeros(len(events), dtype=np.int64)
+    previous[order[back + 1]] = tick[order][back]
+    regress = np.zeros(len(events), dtype=bool)
+    regress[order[back + 1]] = True
+    flags = np.column_stack(
+        [
+            student >= len(cohort.students),
+            events.resource >= len(cohort.resources),
+            tick < 0,
+            ~(np.isfinite(value) & (value >= 0.0) & (value <= 1.0)),
+            regress,
+        ]
+    )
+    violations = []
+    for i, rule in zip(*(axis.tolist() for axis in np.nonzero(flags))):
+        sid = events.student_ids[student[i]]
+        if rule == 0:
+            violations.append(Violation(sid, "unknown_student", "event references unknown student"))
+        elif rule == 1:
+            violations.append(
+                Violation(
+                    events.resource_ids[events.resource[i]],
+                    "unknown_resource",
+                    "event references unknown resource",
+                )
+            )
+        elif rule == 2:
+            violations.append(Violation(sid, "event_tick_nonnegative", f"tick {tick[i]} < 0"))
+        elif rule == 3:
+            violations.append(
+                Violation(sid, "event_value_range", f"value {float(value[i])!r} outside [0, 1]")
+            )
+        else:
+            violations.append(
+                Violation(
+                    sid,
+                    "event_tick_order",
+                    f"tick {tick[i]} after tick {previous[i]} for the same student",
+                )
+            )
+    return violations
+
+
 def validate_cohort(cohort: Cohort) -> list[Violation]:
     """Check every cohort invariant; an empty list means the data is clean.
 
     Violations are data, not errors: callers decide whether to proceed.
+    Events are checked with array predicates over the columns; their
+    violations come event by event, in rule order within one event.
     """
     violations: list[Violation] = []
     seen_ids: set[str] = set()
@@ -160,40 +470,7 @@ def validate_cohort(cohort: Cohort) -> list[Violation]:
                 )
             )
 
-    last_tick: dict[str, int] = {}
-    for event in cohort.events:
-        if event.student_id not in student_ids:
-            violations.append(
-                Violation(event.student_id, "unknown_student", "event references unknown student")
-            )
-        if event.resource_id is not None and event.resource_id not in resource_ids:
-            violations.append(
-                Violation(
-                    event.resource_id, "unknown_resource", "event references unknown resource"
-                )
-            )
-        if event.tick < 0:
-            violations.append(
-                Violation(event.student_id, "event_tick_nonnegative", f"tick {event.tick} < 0")
-            )
-        if not (_is_finite(event.value) and 0.0 <= event.value <= 1.0):
-            violations.append(
-                Violation(
-                    event.student_id,
-                    "event_value_range",
-                    f"value {event.value!r} outside [0, 1]",
-                )
-            )
-        prev = last_tick.get(event.student_id)
-        if prev is not None and event.tick < prev:
-            violations.append(
-                Violation(
-                    event.student_id,
-                    "event_tick_order",
-                    f"tick {event.tick} after tick {prev} for the same student",
-                )
-            )
-        last_tick[event.student_id] = event.tick
+    violations.extend(_event_violations(cohort))
 
     for assessment in cohort.assessments:
         if assessment.student_id not in student_ids:
@@ -215,8 +492,9 @@ def validate_cohort(cohort: Cohort) -> list[Violation]:
 
     truth = cohort.ground_truth
     if truth is not None:
+        all_resources = sorted(resource_ids)
         for student_id, ranking in truth.preference_rankings.items():
-            if sorted(ranking) != sorted(resource_ids):
+            if sorted(ranking) != all_resources:
                 violations.append(
                     Violation(
                         student_id,
@@ -303,48 +581,62 @@ def feature_window_labels() -> list[str]:
     return labels
 
 
-def window_features(
-    events: Sequence[EngagementEvent], tick: int, window_len: int
-) -> list[float]:
-    """Lag features from one student's events over (tick - window_len, tick].
+def window_feature_rows(events: EventColumns, tick: int, window_len: int) -> np.ndarray:
+    """Lag features over (tick - window_len, tick], one row per entry of ``events.student_ids``.
 
     Per event kind, in enum order: event count, mean event value, and the
     least-squares slope of per-tick mean values against tick. Ticks without
     events contribute nothing; an empty window yields all zeros.
+
+    Exactness: each value sum runs in stream order (``np.bincount`` over
+    the window's events), and each slope's running sums add the per-tick
+    means in ascending tick order, so every entry equals the scalar
+    per-student computation bit for bit.
     """
     if window_len < 1:
         raise ValueError(f"window_len must be >= 1, got {window_len}")
-    low = tick - window_len  # exclusive
-    per_kind: dict[EventKind, list[EngagementEvent]] = {k: [] for k in EventKind}
-    for event in events:
-        if low < event.tick <= tick:
-            per_kind[event.kind].append(event)
+    n_kinds = len(EventKind)
+    size = len(events.student_ids) * n_kinds
+    window = events.window(tick - window_len + 1, tick)
+    group = window.student * n_kinds + window.kind
+    count = np.bincount(group, minlength=size)
+    total = np.bincount(group, weights=window.value, minlength=size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = np.where(count > 0, total / np.maximum(count, 1), 0.0)
 
-    features: list[float] = []
-    for kind in EventKind:
-        kind_events = per_kind[kind]
-        count = float(len(kind_events))
-        mean = sum(e.value for e in kind_events) / len(kind_events) if kind_events else 0.0
-        by_tick: dict[int, list[float]] = {}
-        for e in kind_events:
-            by_tick.setdefault(e.tick, []).append(e.value)
-        points = [(float(t), sum(vs) / len(vs)) for t, vs in sorted(by_tick.items())]
-        features.extend([count, mean, least_squares_slope(points)])
-    return features
+    # One point per (group, tick): lexsort is stable, so each point's events
+    # stay in stream order and the points of a group in ascending tick order.
+    order = np.lexsort((window.tick, group))
+    group, point_tick = group[order], window.tick[order]
+    new_point = np.ones(len(order), dtype=bool)
+    new_point[1:] = (group[1:] != group[:-1]) | (point_tick[1:] != point_tick[:-1])
+    point = np.cumsum(new_point) - 1
+    point_sum = np.bincount(point, weights=window.value[order])
+    point_count = np.bincount(point)
+    y = point_sum / point_count
+    x = point_tick[new_point].astype(float)
+    point_group = group[new_point]
+    _mean, slope = series_mean_slope(
+        np.bincount(point_group, minlength=size),
+        *(np.bincount(point_group, weights=w, minlength=size) for w in (y, x, x * y, x * x)),
+    )
+    rows = np.stack([count.astype(float), mean, slope], axis=1)
+    return rows.reshape(len(events.student_ids), FEATURE_WINDOW_LENGTH)
 
 
 def feature_window(
     cohort: Cohort, student_id: str, tick: int, window_len: int
 ) -> list[float]:
-    """Lag features for one cohort student; see :func:`window_features`.
+    """Lag features for one cohort student; see :func:`window_feature_rows`.
 
     Raises UnknownStudentError for ids outside the cohort, which signals an
     ingestion bug rather than an empty history (those yield zeros).
     """
-    known = {s.student_id for s in cohort.students}
-    if student_id not in known:
+    if student_id not in cohort.student_ids:
         raise UnknownStudentError(
             f"student {student_id!r} not in cohort (ingestion bug upstream?)"
         )
-    own = [e for e in cohort.events if e.student_id == student_id]
-    return window_features(own, tick, window_len)
+    events = cohort.event_columns
+    row = cohort.student_rows[cohort.student_ids.index(student_id)]
+    own = events.take(events.student == row)
+    return window_feature_rows(own, tick, window_len)[row].tolist()

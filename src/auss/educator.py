@@ -10,10 +10,11 @@ from __future__ import annotations
 import ast
 import random
 import re
-import statistics
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .bus import AgentName, Event, TriggerKind
 from .domain import AssessmentRecord, Cohort, EventKind
@@ -46,7 +47,7 @@ class AnswerKey:
             raise ConfigError(f"non-numeric item {self.item_id!r} must not set tolerance")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GradeResult:
     student_id: str
     item_id: str
@@ -122,21 +123,10 @@ def grading_match_rate(
 
 
 @dataclass(frozen=True)
-class StudentSummary:
-    student_id: str
-    mean_score: float | None
-    engagement_mean: float | None
-    at_risk: bool
-
-
-@dataclass(frozen=True)
 class ClassReport:
-    class_id: str
     window_start: int
     window_end: int
-    per_student: tuple[StudentSummary, ...]
     class_mean: float | None
-    class_median: float | None
     at_risk_count: int
 
 
@@ -144,55 +134,34 @@ def generate_class_report(
     cohort: Cohort,
     window: tuple[int, int],
     *,
-    class_id: str = "all",
-    rosters: Mapping[str, Sequence[str]] | None = None,
     risk_flags: frozenset[str] | set[str] = frozenset(),
 ) -> ClassReport:
-    """Aggregate scores and engagement over a tick window (both ends inclusive).
+    """Aggregate scores over a tick window (both ends inclusive).
 
-    Scores come from submission events; engagement from every non-absence
-    event. Class aggregates cover students with at least one score.
+    Scores come from submission events, read from the window's slice of
+    the cohort's event columns. The class mean covers the roster's
+    students with at least one score: each student's mean sums their
+    scores in stream order (``np.bincount``), and the class mean sums the
+    student means in roster order. ``at_risk_count`` counts roster
+    students in ``risk_flags``.
     """
     start, end = window
     if start > end or end < 0:
         raise MetricInputError(f"window {window} is empty")
-    if rosters is None:
-        rosters = {"all": list(cohort.student_ids)}
-    if class_id not in rosters:
-        raise MetricInputError(f"unknown class id {class_id!r}")
-    roster = list(rosters[class_id])
-
-    scores: dict[str, list[float]] = {sid: [] for sid in roster}
-    engagement: dict[str, list[float]] = {sid: [] for sid in roster}
-    for event in cohort.events:
-        if event.student_id not in scores or not start <= event.tick <= end:
-            continue
-        if event.kind is EventKind.ABSENCE:
-            continue
-        engagement[event.student_id].append(event.value)
-        if event.kind is EventKind.SUBMISSION:
-            scores[event.student_id].append(event.value)
-
-    per_student = tuple(
-        StudentSummary(
-            student_id=sid,
-            mean_score=sum(scores[sid]) / len(scores[sid]) if scores[sid] else None,
-            engagement_mean=(
-                sum(engagement[sid]) / len(engagement[sid]) if engagement[sid] else None
-            ),
-            at_risk=sid in risk_flags,
-        )
-        for sid in roster
-    )
-    student_means = [s.mean_score for s in per_student if s.mean_score is not None]
+    roster = cohort.student_ids
+    events = cohort.event_columns.window(start, end)
+    submitted = events.kind == EventKind.SUBMISSION.code
+    rows = events.student[submitted]
+    size = len(events.student_ids)
+    counts = np.bincount(rows, minlength=size)[cohort.student_rows]
+    sums = np.bincount(rows, weights=events.value[submitted], minlength=size)[cohort.student_rows]
+    scored = counts > 0
+    student_means = (sums[scored] / counts[scored]).tolist()
     return ClassReport(
-        class_id=class_id,
         window_start=start,
         window_end=end,
-        per_student=per_student,
         class_mean=sum(student_means) / len(student_means) if student_means else None,
-        class_median=statistics.median(student_means) if student_means else None,
-        at_risk_count=sum(1 for s in per_student if s.at_risk),
+        at_risk_count=sum(1 for sid in roster if sid in risk_flags),
     )
 
 
@@ -331,9 +300,10 @@ class EducatorAgent(Agent):
             elif event.kind is TriggerKind.INTERVENTION_REQUEST:
                 if event.payload.get("action") in ("send_alert", "escalate_to_educator"):
                     self.memory.data["alerts_received"] += 1
-        submissions = [
-            (e.student_id, e.value) for e in view.events if e.kind is EventKind.SUBMISSION
-        ]
+        events = view.events
+        submitted = events.kind == EventKind.SUBMISSION.code
+        rows, values = events.student[submitted].tolist(), events.value[submitted].tolist()
+        submissions = [(events.student_ids[i], value) for i, value in zip(rows, values)]
         report = None
         if self.report_every > 0 and (view.tick + 1) % self.report_every == 0:
             window = (max(0, view.tick - self.report_every + 1), view.tick)

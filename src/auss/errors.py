@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Mapping
+
 
 class AussError(Exception):
     """Base class for all errors raised by this package."""
@@ -9,6 +11,34 @@ class AussError(Exception):
 
 class ConfigError(AussError):
     """A configuration value is missing, unknown, or out of range."""
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_config_types(
+    section: str, data: Mapping[str, object], defaults: Mapping[str, object]
+) -> None:
+    """ConfigError naming the first key of ``data`` whose value has the wrong type.
+
+    Each key's default decides: an integer default takes an integer, a
+    float default any number, a list default a list of numbers. A boolean
+    is neither an integer nor a number here.
+    """
+    for key, value in data.items():
+        default = defaults[key]
+        if isinstance(default, (list, tuple)):
+            valid = isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)
+            expected = "a list of numbers"
+        elif isinstance(default, int):
+            valid = isinstance(value, int) and not isinstance(value, bool)
+            expected = "an integer"
+        else:
+            valid = _is_number(value)
+            expected = "a number"
+        if not valid:
+            raise ConfigError(f"{section} config {key} must be {expected}, got {value!r}")
 
 
 class UnknownStudentError(AussError):

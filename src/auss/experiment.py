@@ -28,7 +28,13 @@ from .educator import (
     generate_quiz,
     grading_match_rate,
 )
-from .errors import ConfigError, MetricInputError, StageError, TranscriptError
+from .errors import (
+    ConfigError,
+    MetricInputError,
+    StageError,
+    TranscriptError,
+    check_config_types,
+)
 from .institution import (
     FeatureTracker,
     InstitutionAgent,
@@ -107,10 +113,11 @@ class EvaluationConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "EvaluationConfig":
-        known = set(cls().to_dict())
-        unknown = set(data) - known
+        defaults = cls().to_dict()
+        unknown = set(data) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown evaluation config keys: {sorted(unknown)}")
+        check_config_types("evaluation", data, defaults)
         return cls(**data)  # type: ignore[arg-type]
 
 
@@ -380,7 +387,7 @@ def evaluate_risk(
 ) -> tuple[float, float, float]:
     """Held-out precision/recall/F1 of the fitted dropout-risk model."""
     truth = _require_truth(cohort)
-    last_tick = max((e.tick for e in cohort.events), default=0)
+    last_tick = cohort.event_columns.last_tick()
     features = aggregate_features(cohort, last_tick)
     labels = {sid: truth.dropped(sid) for sid in cohort.student_ids}
     rng = np.random.default_rng(derive_seed(seed, "risk-split"))
@@ -463,7 +470,7 @@ def evaluate_metrics(
         "scheduler_seed": spec.scheduler.rng_seed,
         "policy_seed": spec.policy.rng_seed,
         "n_students": len(cohort.students),
-        "n_events": len(cohort.events),
+        "n_events": len(cohort.event_columns),
         "max_ticks": spec.scheduler.max_ticks,
         "metrics": list(spec.metrics),
         "package_version": PACKAGE_VERSION,

@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .bus import AgentName, Event, TriggerKind
-from .domain import Cohort, EngagementEvent, EventKind, series_mean_slope
+from .domain import Cohort, EngagementEvent, EventColumns, EventKind, series_mean_slope
 from .errors import (
     InsufficientDataError,
     MetricInputError,
@@ -113,8 +113,6 @@ class _Windows:
         return self.window[row, width - self.fill[row]:].tolist()
 
 
-_KIND_CODES = {kind: code for code, kind in enumerate(EventKind)}
-
 #: Sentinel for "no event yet" in the last-event-tick column.
 _NO_EVENT = np.iinfo(np.int64).min
 
@@ -149,7 +147,8 @@ class FeatureTracker:
     def __init__(self, cohort: Cohort, window_len: int = 5, monitor: LogisticModel | None = None):
         self.window_len = window_len
         self.monitor = monitor if monitor is not None else monitor_model()
-        self._row = {s.student_id: i for i, s in enumerate(cohort.students)}
+        self._ids = cohort.student_ids
+        self._row = {sid: i for i, sid in enumerate(self._ids)}
         n = len(cohort.students)
         self._enrollment = np.array([s.enrollment_tick for s in cohort.students], dtype=np.int64)
         self._credits = np.array(
@@ -172,14 +171,22 @@ class FeatureTracker:
         except KeyError as exc:
             raise UnknownStudentError(f"student {exc.args[0]!r} is not in the cohort") from None
 
-    def ingest(self, tick: int, events: Sequence[EngagementEvent]) -> None:
-        if not events:
+    def ingest(self, tick: int, events: EventColumns | Sequence[EngagementEvent]) -> None:
+        """Fold one tick's events (a tick slice of the cohort's columns, or event objects) in."""
+        if not len(events):
             return
-        rows = self._rows([event.student_id for event in events])
-        kinds = np.fromiter([_KIND_CODES[event.kind] for event in events], np.intp, len(events))
-        values = np.fromiter([event.value for event in events], float, len(events))
-        absent = kinds == _KIND_CODES[EventKind.ABSENCE]
-        submission = kinds == _KIND_CODES[EventKind.SUBMISSION]
+        if isinstance(events, EventColumns):
+            events = events.reindexed(self._ids)
+        else:
+            events = EventColumns.from_events(events, self._ids)
+        rows = events.student
+        unknown = np.flatnonzero(rows >= len(self._ids))
+        if unknown.size:
+            sid = events.student_ids[rows[unknown[0]]]
+            raise UnknownStudentError(f"student {sid!r} is not in the cohort")
+        values = events.value
+        absent = events.kind == EventKind.ABSENCE.code
+        submission = events.kind == EventKind.SUBMISSION.code
 
         self._last_event_tick[rows] = np.maximum(self._last_event_tick[rows], tick)
         self._absence_ticks[np.unique(rows[absent])] += 1
@@ -275,12 +282,10 @@ def aggregate_features(cohort: Cohort, tick: int) -> list[InstitutionalFeatures]
     FeatureTracker tick by tick and reading features at ``tick``.
     """
     tracker = FeatureTracker(cohort, window_len=1)
-    by_tick: dict[int, list[EngagementEvent]] = {}
-    for event in cohort.events:
-        if event.tick <= tick:
-            by_tick.setdefault(event.tick, []).append(event)
-    for t in sorted(by_tick):
-        tracker.ingest(t, by_tick[t])
+    for t, events in cohort.event_columns.tick_slices().items():
+        if t > tick:
+            break
+        tracker.ingest(t, events)
     ids = cohort.student_ids
     rows = tracker.feature_matrix(ids).tolist()
     return [InstitutionalFeatures(sid, *row) for sid, row in zip(ids, rows)]

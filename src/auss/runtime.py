@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 import numpy as np
 
 from .bus import AgentName, Event, EventBus, Subscription, TriggerKind
-from .domain import Cohort, EngagementEvent
+from .domain import Cohort, EventColumns
 from .errors import (
     AgentPhaseError,
     ConfigError,
@@ -87,12 +87,12 @@ class SchedulerConfig:
         integers = {}
         for key, default in (("max_ticks", None), ("rng_seed", 0)):
             value = data.get(key, default)
-            try:
-                integers[key] = int(value)  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"scheduler config {key} must be an integer, got {type(value).__name__}"
-                ) from None
+            # As for cohort ticks: a float with no fractional part is that integer.
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"scheduler config {key} must be an integer, got {value!r}")
+            integers[key] = value
         return cls(
             agent_order=tuple(data.get("agent_order", DEFAULT_AGENT_ORDER)),  # type: ignore[arg-type]
             **integers,
@@ -114,13 +114,15 @@ class AgentMemory:
 class TickView:
     """What the environment exposes to agents at one tick.
 
-    ``newly_dropped`` holds students who had events before this tick but
-    none at it (the observable form of a dropout). ``tracker`` is the run's
-    feature tracker, already fed this tick's events.
+    ``events`` is this tick's slice of the cohort's event columns, in
+    stream order. ``newly_dropped`` holds students who had events before
+    this tick but none at it (the observable form of a dropout).
+    ``tracker`` is the run's feature tracker, already fed this tick's
+    events.
     """
 
     tick: int
-    events: tuple[EngagementEvent, ...]
+    events: EventColumns
     active_students: frozenset[str]
     newly_dropped: frozenset[str]
     cohort: Cohort
@@ -467,13 +469,6 @@ class PolicyDriver:
 # -- scheduler -----------------------------------------------------------------
 
 
-def _group_events_by_tick(cohort: Cohort) -> dict[int, list[EngagementEvent]]:
-    grouped: dict[int, list[EngagementEvent]] = {}
-    for event in cohort.events:
-        grouped.setdefault(event.tick, []).append(event)
-    return grouped
-
-
 def run(
     cohort: Cohort,
     agents: Sequence[Agent],
@@ -486,7 +481,8 @@ def run(
 ) -> SimulationTranscript:
     """Execute max_ticks scheduler iterations and return the full transcript.
 
-    Per tick: the environment exposes that tick's cohort data, the feature
+    Per tick: the environment exposes that tick's slice of the cohort's
+    event columns (taken from its per-tick offsets), the feature
     tracker (when present) ingests it, the bus delivers everything
     published earlier, each agent runs its four phases in the configured
     order, and the policy driver (when present) settles rewards and issues
@@ -496,12 +492,15 @@ def run(
     """
     if policy_driver is not None and tracker is None:
         raise ConfigError("a policy driver needs a feature tracker")
-    events_by_tick = _group_events_by_tick(cohort)
-    late = [tick for tick in events_by_tick if tick >= config.max_ticks]
-    if late:
+    columns = cohort.event_columns
+    ticks = columns.ticks()
+    late = ticks[ticks >= config.max_ticks]
+    if late.size:
         raise ConfigError(
-            f"cohort has an event at tick {min(late)}, at or past max_ticks {config.max_ticks}"
+            f"cohort has an event at tick {late[0]}, at or past max_ticks {config.max_ticks}"
         )
+    events_by_tick = columns.tick_slices()
+    no_events = columns.take(slice(0, 0))
     by_name: dict[str, Agent] = {}
     for agent in agents:
         by_name[agent.name.value] = agent
@@ -534,8 +533,9 @@ def run(
 
     for tick in range(config.max_ticks):
         transcript.append({"type": "tick_start", "tick": tick})
-        tick_events = tuple(events_by_tick.get(tick, ()))
-        active = frozenset(e.student_id for e in tick_events)
+        tick_events = events_by_tick.get(tick, no_events)
+        student_ids = tick_events.student_ids
+        active = frozenset(student_ids[i] for i in np.unique(tick_events.student).tolist())
         newly_dropped = frozenset(previously_active - active)
         previously_active |= active
         previously_active -= newly_dropped

@@ -5,17 +5,17 @@ blended performance prediction, and learning-gap detection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .bus import AgentName, Event, TriggerKind
 from .domain import (
     Cohort,
-    EngagementEvent,
+    EventColumns,
     StudentRecord,
     series_mean_slope,
-    window_features,
+    window_feature_rows,
 )
 from .errors import ConfigError, InsufficientDataError, UnknownStudentError, UntrainedModelError
 from .learners import BaggedTreeRegressor, LogisticModel, fit_logistic
@@ -59,6 +59,7 @@ class InteractionMatrix:
 
     def _set_arrays(self, row_of: dict[str, int], dense: np.ndarray, observed: np.ndarray) -> None:
         for name, value in (
+            ("_first_twin", _first_equal_rows(dense)),
             ("_row_of", row_of),
             ("_dense", dense),
             ("_observed", observed),
@@ -75,8 +76,9 @@ class InteractionMatrix:
         of events touching a resource divided by that student's maximum
         per-resource count, giving scores in (0, 1]."""
         student_ids, resource_ids = cohort.student_ids, cohort.resource_ids
+        _id_indexes(student_ids, resource_ids)  # rejects duplicate ids
         counts = np.zeros((len(student_ids), len(resource_ids)), dtype=np.int64)
-        _add_interactions(counts, cohort.events, *_id_indexes(student_ids, resource_ids))
+        _add_interactions(counts, cohort.event_columns)
         return cls.from_counts(counts, student_ids, resource_ids)
 
     @classmethod
@@ -149,6 +151,17 @@ def _id_indexes(
     return indexes[0], indexes[1]
 
 
+def _first_equal_rows(dense: np.ndarray) -> np.ndarray:
+    """Per row, the index of the first row equal to it (-0.0 counts as 0.0)."""
+    n, m = dense.shape
+    if m == 0:
+        return np.zeros(n, dtype=np.intp)
+    rows = np.ascontiguousarray(dense + 0.0)  # -0.0 + 0.0 is 0.0, so equal rows have equal bytes
+    keys = rows.view(np.dtype((np.void, rows.itemsize * m))).ravel()
+    _keys, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    return first[group]
+
+
 def _sort_ranks(ids: Sequence[str]) -> np.ndarray:
     """Rank of each id in string order, so ties break the same for any row order."""
     ranks = np.empty(len(ids), dtype=np.intp)
@@ -156,19 +169,22 @@ def _sort_ranks(ids: Sequence[str]) -> np.ndarray:
     return ranks
 
 
-def _add_interactions(
-    counts: np.ndarray,
-    events: Iterable[EngagementEvent],
-    row_of: Mapping[str, int],
-    col_of: Mapping[str, int],
-) -> None:
-    """counts[student, resource] += 1 for every event that touches a resource."""
-    pairs = [(e.student_id, e.resource_id) for e in events if e.resource_id is not None]
-    try:
-        rows = [row_of[sid] for sid, _ in pairs]
-        cols = [col_of[rid] for _, rid in pairs]
-    except KeyError as exc:
-        raise ValueError(f"interaction with {exc.args[0]!r} outside declared ids") from None
+def _add_interactions(counts: np.ndarray, events: EventColumns) -> None:
+    """counts[student, resource] += 1 for every event that touches a resource.
+
+    ``counts`` has one row per leading entry of ``events.student_ids`` and
+    one column per leading entry of ``events.resource_ids``; an event
+    outside them is a ValueError naming the id (students checked first).
+    """
+    touched = events.resource >= 0
+    rows, cols = events.student[touched], events.resource[touched]
+    for index, limit, ids in (
+        (rows, counts.shape[0], events.student_ids),
+        (cols, counts.shape[1], events.resource_ids),
+    ):
+        outside = np.flatnonzero(index >= limit)
+        if outside.size:
+            raise ValueError(f"interaction with {ids[index[outside[0]]]!r} outside declared ids")
     np.add.at(counts, (rows, cols), 1)
 
 
@@ -209,7 +225,8 @@ def recommend_top_k(
 
     Exactness: the result equals a scalar loop over peers and candidates
     bit for bit. Similarities are one matrix-vector product per query (a
-    matrix-matrix product over many queries rounds differently); the
+    matrix-matrix product over many queries rounds differently), and an
+    exact-duplicate row takes the similarity of the first row equal to it; the
     neighbour cut keeps every tie before the (sim, id) sort; each score's
     sums add the peers' terms one at a time in peer order (``np.cumsum``),
     with 0.0 for peers that did not observe the resource; popularity sums
@@ -257,6 +274,10 @@ def _neighbours(
     dense = matrix._dense
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = (dense @ dense[index]) / (norms * query_norm)
+    # The product can round identical rows differently by position; each
+    # row takes the similarity of the first row equal to it, so exact
+    # duplicates tie and break by student id.
+    sims = sims[matrix._first_twin]
     sims[norms == 0.0] = 0.0
     sims[index] = 0.0  # never a peer of itself
     positive = np.flatnonzero(sims > 0.0)
@@ -318,14 +339,10 @@ def predict_performance(
 
 
 def lag_feature_rows(cohort: Cohort, tick: int, window_len: int) -> dict[str, list[float]]:
-    """Lag-feature vectors for every student, via one pass over the events."""
-    per_student: dict[str, list] = {s.student_id: [] for s in cohort.students}
-    for event in cohort.events:
-        if event.student_id in per_student:
-            per_student[event.student_id].append(event)
-    return {
-        sid: window_features(events, tick, window_len) for sid, events in per_student.items()
-    }
+    """Lag-feature vectors for every student (see :func:`~auss.domain.feature_window`),
+    from one columnar pass over the window's events."""
+    rows = window_feature_rows(cohort.event_columns, tick, window_len)
+    return dict(zip(cohort.student_ids, rows[cohort.student_rows].tolist()))
 
 
 def fit_predictors(
@@ -357,7 +374,7 @@ def fit_predictors(
         )
 
     feature_names = tuple(sorted({name for s in labeled for name in s.static_features}))
-    last_tick = max((e.tick for e in cohort.events), default=0)
+    last_tick = cohort.event_columns.last_tick()
     lag_rows = lag_feature_rows(cohort, last_tick, window_len)
 
     x_static = np.array(
@@ -547,7 +564,7 @@ class StudentAgent(Agent):
         self.top_k = top_k
         self.neighborhood = neighborhood
         self.detector: GapDetector | None = None
-        self._rows_cols = _id_indexes(cohort.student_ids, cohort.resource_ids)
+        _id_indexes(cohort.student_ids, cohort.resource_ids)  # rejects duplicate ids
         self._interaction_counts = np.zeros(
             (len(cohort.students), len(cohort.resources)), dtype=np.int64
         )
@@ -564,7 +581,10 @@ class StudentAgent(Agent):
         if self.detector is None:
             # Gap and recommendation cooldowns last one window of the tracker.
             self.detector = GapDetector(window_len=tracker.window_len)
-        _add_interactions(self._interaction_counts, view.events, *self._rows_cols)
+        _add_interactions(
+            self._interaction_counts,
+            view.events.reindexed(self.cohort.student_ids, self.cohort.resource_ids),
+        )
         active = sorted(view.active_students)
         gaps = self.detector.update_many(
             view.tick, active, tracker.engagement_windows(active), tracker.score_windows(active)

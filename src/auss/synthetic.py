@@ -31,14 +31,14 @@ from .cohort_files import read_cohort, write_cohort
 from .domain import (
     AssessmentRecord,
     Cohort,
-    EngagementEvent,
+    EventColumns,
     EventKind,
     GroundTruth,
     LearningResource,
     StudentRecord,
     series_mean_slope,
 )
-from .errors import ConfigError
+from .errors import ConfigError, check_config_types
 from .institution import FEATURE_ORDER
 from .learners import sigmoid
 
@@ -109,10 +109,11 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorConfig":
-        known = set(cls().to_dict())
-        unknown = set(data) - known
+        defaults = cls().to_dict()
+        unknown = set(data) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown generator config keys: {sorted(unknown)}")
+        check_config_types("generator", data, defaults)
         kwargs = dict(data)
         if "hazard_weights" in kwargs:
             kwargs["hazard_weights"] = tuple(kwargs["hazard_weights"])
@@ -198,14 +199,74 @@ def generate_cohort(config: GeneratorConfig) -> tuple[Cohort, GroundTruth]:
 
     # Per-tick engagement mean over the non-absence events a tick will emit:
     # login + view always, forum when drawn, submission on assessment ticks.
-    n_parts = 2.0 + forum.astype(float) + (assess_tick[None, :] & ~absent).astype(float)
-    value_sum = engagement * (2.0 + forum.astype(float)) + np.where(
-        assess_tick[None, :] & ~absent, scores, 0.0
-    )
+    submits = assess_tick[None, :] & ~absent
+    n_parts = 2.0 + forum.astype(float) + submits.astype(float)
+    value_sum = engagement * (2.0 + forum.astype(float)) + np.where(submits, scores, 0.0)
     tick_mean = np.where(~absent, value_sum / n_parts, 0.0)
 
+    del noise, u_absent, u_forum, u_view, score_noise  # every draw is used up
+    dropout_tick = _dropout_ticks(config, tick_mean, scores, absent, submits, credits, u_drop)
+    del tick_mean, u_drop
+
+    events = _event_columns(
+        absent,
+        forum,
+        submits,
+        (dropout_tick[:, None] == -1) | (np.arange(t_max)[None, :] < dropout_tick[:, None]),
+        engagement,
+        scores,
+        view_choice,
+        tuple(student_ids),
+        tuple(r.resource_id for r in resources),
+    )
+    submitted = events.kind == EventKind.SUBMISSION.code
+    assessments = tuple(
+        AssessmentRecord(student_ids[i], f"exam-{t:03d}", f"{score:.4f}", score)
+        for i, t, score in zip(
+            events.student[submitted].tolist(),
+            events.tick[submitted].tolist(),
+            events.value[submitted].tolist(),
+        )
+    )
+
+    # Rank resources by (|difficulty - ability|, resource id), per student.
+    rid_rank = np.argsort(np.argsort(np.array(events.resource_ids), kind="stable"))
+    distance = np.abs(difficulties[None, :] - ability[:, None])
+    order = np.lexsort((np.broadcast_to(rid_rank, distance.shape), distance))
+    ranked_ids = np.array(events.resource_ids, dtype=object)[order].tolist()
+    rankings = {student_ids[i]: tuple(ranked_ids[i]) for i in range(n)}
+    truth = GroundTruth(
+        abilities={student_ids[i]: float(ability[i]) for i in range(n)},
+        preference_rankings=rankings,
+        dropout_ticks={
+            student_ids[i]: (None if dropout_tick[i] == -1 else int(dropout_tick[i]))
+            for i in range(n)
+        },
+    )
+
+    cohort = Cohort(
+        students=students,
+        events=events,
+        assessments=assessments,
+        resources=resources,
+        ground_truth=truth,
+    )
+    return cohort, truth
+
+
+def _dropout_ticks(
+    config: GeneratorConfig,
+    tick_mean: np.ndarray,
+    scores: np.ndarray,
+    absent: np.ndarray,
+    scored: np.ndarray,
+    credits: np.ndarray,
+    u_drop: np.ndarray,
+) -> np.ndarray:
+    """Per student, the tick the hazard model drops them at, or -1 for never."""
+    n, t_max = absent.shape
     engagement_stats = _cumulative_series_stats(tick_mean, ~absent)
-    score_stats = _cumulative_series_stats(scores, assess_tick[None, :] & ~absent)
+    score_stats = _cumulative_series_stats(scores, scored)
     absent_cum = np.cumsum(absent, axis=1)
 
     hazard_w = np.array(config.hazard_weights)
@@ -229,54 +290,46 @@ def generate_cohort(config: GeneratorConfig) -> tuple[Cohort, GroundTruth]:
         dropout_tick[dropping] = t
         active &= ~dropping
 
-    events: list[EngagementEvent] = []
-    assessments: list[AssessmentRecord] = []
-    for t in range(t_max):
-        for i in range(n):
-            if dropout_tick[i] != -1 and t >= dropout_tick[i]:
-                continue
-            sid = student_ids[i]
-            e_value = float(engagement[i, t])
-            if absent[i, t]:
-                events.append(EngagementEvent(sid, t, EventKind.ABSENCE, e_value))
-                continue
-            events.append(EngagementEvent(sid, t, EventKind.LOGIN, e_value))
-            events.append(
-                EngagementEvent(
-                    sid, t, EventKind.RESOURCE_VIEW, e_value,
-                    resource_id=resources[view_choice[i, t]].resource_id,
-                )
-            )
-            if forum[i, t]:
-                events.append(EngagementEvent(sid, t, EventKind.FORUM_POST, e_value))
-            if assess_tick[t]:
-                score = float(scores[i, t])
-                events.append(EngagementEvent(sid, t, EventKind.SUBMISSION, score))
-                assessments.append(
-                    AssessmentRecord(sid, f"exam-{t:03d}", f"{score:.4f}", score)
-                )
+    return dropout_tick
 
-    rankings = {}
-    for i in range(n):
-        order = sorted(resources, key=lambda r: (abs(r.difficulty - ability[i]), r.resource_id))
-        rankings[student_ids[i]] = tuple(r.resource_id for r in order)
-    truth = GroundTruth(
-        abilities={student_ids[i]: float(ability[i]) for i in range(n)},
-        preference_rankings=rankings,
-        dropout_ticks={
-            student_ids[i]: (None if dropout_tick[i] == -1 else int(dropout_tick[i]))
-            for i in range(n)
-        },
-    )
 
-    cohort = Cohort(
-        students=students,
-        events=tuple(events),
-        assessments=tuple(assessments),
-        resources=resources,
-        ground_truth=truth,
-    )
-    return cohort, truth
+def _event_columns(
+    absent: np.ndarray,
+    forum: np.ndarray,
+    submits: np.ndarray,
+    alive: np.ndarray,
+    engagement: np.ndarray,
+    scores: np.ndarray,
+    view_choice: np.ndarray,
+    student_ids: tuple[str, ...],
+    resource_ids: tuple[str, ...],
+) -> EventColumns:
+    """The event stream of the (student, tick) masks and values, straight into columns.
+
+    Tick-major, then student order; within one student's tick the absence
+    alone, or login, view, forum post (when drawn) and submission (on
+    assessment ticks). Nothing is emitted where ``alive`` is False.
+    """
+    n = absent.shape[0]
+    # Cells in stream order: cell t * n + i holds student i at tick t.
+    absent, forum = absent.T.ravel(), forum.T.ravel()
+    counts = np.where(absent, 1, 2 + forum + submits.T.ravel()) * alive.T.ravel()
+    cell = np.repeat(np.arange(len(counts)), counts)
+    position = np.arange(len(cell)) - (np.cumsum(counts) - counts)[cell]
+    kind = np.full(len(cell), EventKind.SUBMISSION.code, dtype=np.int8)
+    kind[(position == 2) & forum[cell]] = EventKind.FORUM_POST.code
+    kind[position == 1] = EventKind.RESOURCE_VIEW.code
+    kind[position == 0] = EventKind.LOGIN.code
+    kind[absent[cell]] = EventKind.ABSENCE.code
+    del position
+    value = engagement.T.ravel()[cell]
+    submitted = kind == EventKind.SUBMISSION.code
+    value[submitted] = scores.T.ravel()[cell[submitted]]
+    resource = np.full(len(cell), -1, dtype=np.intp)
+    viewed = kind == EventKind.RESOURCE_VIEW.code
+    resource[viewed] = view_choice.T.ravel()[cell[viewed]]
+    tick, student = np.divmod(cell, n)
+    return EventColumns(student, tick, kind, value, resource, student_ids, resource_ids)
 
 
 def export_cohort(cohort: Cohort, directory: str | Path) -> None:

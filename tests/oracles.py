@@ -80,7 +80,8 @@ def scalar_recommend(
     """User-based CF, one peer and one candidate at a time: the exact reference.
 
     Similarities are numpy's ``(dense @ query) / (norms * query_norm)``,
-    as in the package; everything after that is scalar Python. Peers are
+    as in the package, and each row takes the similarity of the first row
+    equal to it; everything after that is scalar Python. Peers are
     sorted by (-similarity, student id); each score adds ``sim * value``
     over the peers in that order; the popularity fallback sums each
     resource's values in ``cells`` order.
@@ -102,9 +103,10 @@ def scalar_recommend(
     if query_norm > 0.0:
         with np.errstate(divide="ignore", invalid="ignore"):
             sims = (dense @ dense[index]) / (norms * query_norm)
+        first_equal: dict[tuple[float, ...], int] = {}
         ranked = []
         for i, sid in enumerate(student_ids):
-            sim = float(sims[i])
+            sim = float(sims[first_equal.setdefault(tuple(dense[i].tolist()), i)])
             if i != index and norms[i] != 0.0 and sim > 0.0:
                 ranked.append((sim, sid))
         ranked.sort(key=lambda peer: (-peer[0], peer[1]))
@@ -352,3 +354,88 @@ class ScalarGapDetector:
                 self._last_emitted[(student_id, kind)] = tick
                 signals.append((kind, student_id, value))
         return signals
+
+
+# -- event streams, one event object at a time ----------------------------------
+
+
+def group_events_by_tick(events: Sequence) -> dict[int, list]:
+    """Events per tick in stream order, ticks in first-seen order."""
+    grouped: dict[int, list] = {}
+    for event in events:
+        grouped.setdefault(event.tick, []).append(event)
+    return grouped
+
+
+def window_features(events: Sequence, tick: int, window_len: int, kinds: Sequence) -> list[float]:
+    """Lag features from one student's events over (tick - window_len, tick].
+
+    Per kind, in the order given: event count, mean event value, and the
+    least-squares slope (running sums, as ``DictFeatureTracker``) of
+    per-tick mean values against tick, ticks ascending. An empty window
+    yields all zeros.
+    """
+    if window_len < 1:
+        raise ValueError(f"window_len must be >= 1, got {window_len}")
+    features: list[float] = []
+    for kind in kinds:
+        values: list[float] = []
+        values_by_tick: dict[int, list[float]] = {}
+        for event in events:
+            if event.kind is kind and tick - window_len < event.tick <= tick:
+                values.append(event.value)
+                values_by_tick.setdefault(event.tick, []).append(event.value)
+        sums = [0, 0.0, 0.0, 0.0, 0.0]
+        for t in sorted(values_by_tick):
+            DictFeatureTracker._add(sums, float(t), sum(values_by_tick[t]) / len(values_by_tick[t]))
+        _mean, slope = DictFeatureTracker._mean_slope(sums)
+        features.extend([float(len(values)), sum(values) / len(values) if values else 0.0, slope])
+    return features
+
+
+def scalar_validate_events(
+    student_ids: Sequence[str], resource_ids: Sequence[str], events: Sequence
+) -> list[tuple[str, str, str]]:
+    """The event rules, one event at a time: (entity id, rule, message) per violation."""
+    students, resources = set(student_ids), set(resource_ids)
+    found = []
+    last_tick: dict[str, int] = {}
+    for event in events:
+        if event.student_id not in students:
+            found.append((event.student_id, "unknown_student", "event references unknown student"))
+        if event.resource_id is not None and event.resource_id not in resources:
+            found.append(
+                (event.resource_id, "unknown_resource", "event references unknown resource")
+            )
+        if event.tick < 0:
+            found.append((event.student_id, "event_tick_nonnegative", f"tick {event.tick} < 0"))
+        if not (math.isfinite(event.value) and 0.0 <= event.value <= 1.0):
+            found.append(
+                (event.student_id, "event_value_range", f"value {event.value!r} outside [0, 1]")
+            )
+        previous = last_tick.get(event.student_id)
+        if previous is not None and event.tick < previous:
+            found.append(
+                (
+                    event.student_id,
+                    "event_tick_order",
+                    f"tick {event.tick} after tick {previous} for the same student",
+                )
+            )
+        last_tick[event.student_id] = event.tick
+    return found
+
+
+def scalar_class_report(
+    roster: Sequence[str], events: Sequence, window: tuple[int, int], risk_flags
+) -> tuple[float | None, int]:
+    """(class mean, at-risk count): mean of per-student mean submission scores in the window."""
+    start, end = window
+    scores: dict[str, list[float]] = {sid: [] for sid in roster}
+    for event in events:
+        if event.student_id in scores and start <= event.tick <= end:
+            if event.kind.value == "submission":
+                scores[event.student_id].append(event.value)
+    means = [sum(scores[sid]) / len(scores[sid]) for sid in roster if scores[sid]]
+    mean = sum(means) / len(means) if means else None
+    return mean, sum(1 for sid in roster if sid in risk_flags)

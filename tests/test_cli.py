@@ -187,8 +187,27 @@ class TestCliErrors:
             ('{"scheduler": {"max_ticks": 1%s}}' % ("0" * 5000), "scheduler.max_ticks"),
             ('{"scheduler": {"max_ticks": "x"}}', "max_ticks must be an integer"),
             ('{"policy": {"alpha": "x"}}', "alpha must be a number"),
+            ('{"generator": {"n_students": "x"}}', "generator config n_students must be"),
+            ('{"evaluation": {"quiz_items": "x"}}', "evaluation config quiz_items must be"),
+            ('{"scheduler": {"max_ticks": 12.7}}', "max_ticks must be an integer, got 12.7"),
+            ('{"scheduler": {"max_ticks": "12"}}', "max_ticks must be an integer, got '12'"),
+            ('{"scheduler": {"max_ticks": true}}', "max_ticks must be an integer, got True"),
+            (
+                '{"scheduler": {"max_ticks": 12, "rng_seed": 1.5}}',
+                "rng_seed must be an integer, got 1.5",
+            ),
         ],
-        ids=["digit_limit", "max_ticks_string", "alpha_string"],
+        ids=[
+            "digit_limit",
+            "max_ticks_string",
+            "alpha_string",
+            "generator_string",
+            "evaluation_string",
+            "max_ticks_fraction",
+            "max_ticks_numeric_string",
+            "max_ticks_boolean",
+            "rng_seed_fraction",
+        ],
     )
     def test_simulate_with_mistyped_config(self, tmp_path, capsys, gen_config, config, needle):
         cohort_dir = tmp_path / "cohort"
@@ -208,6 +227,19 @@ class TestCliErrors:
         assert error["error"] == "ConfigError"
         assert needle in error["message"]
         assert not (tmp_path / "run").exists()
+
+    def test_generate_with_mistyped_config(self, tmp_path, capsys):
+        config = tmp_path / "gen.json"
+        config.write_text('{"n_students": "x"}')
+        code, out, err = run_cli(
+            capsys, "generate", "--config", str(config), "--out", str(tmp_path / "cohort")
+        )
+        assert code == 1
+        assert out is None
+        error = json.loads(err)
+        assert error["error"] == "ConfigError"
+        assert "generator config n_students must be an integer, got 'x'" in error["message"]
+        assert not (tmp_path / "cohort").exists()
 
     @pytest.mark.parametrize(
         "bad_line, needle",

@@ -95,6 +95,18 @@ def test_json_beyond_python_limits_rejected(tmp_path, cohort_bytes, raw, needle)
     assert exc_info.value.line == 3
 
 
+@pytest.mark.parametrize("tick", [2**63, -(2**63) - 1])
+def test_tick_outside_64_bits_rejected(tmp_path, cohort_bytes, tick):
+    record = json.loads(cohort_bytes[EVENTS_FILE].split(b"\n")[2])
+    line = json.dumps(dict(record, tick=tick)).encode()
+    events = _replace_line(cohort_bytes[EVENTS_FILE], 2, line)
+    _write(tmp_path, dict(cohort_bytes, **{EVENTS_FILE: events}))
+    with pytest.raises(CohortFormatError, match="outside the 64-bit integer range") as exc_info:
+        read_cohort(tmp_path)
+    assert exc_info.value.path == str(tmp_path / EVENTS_FILE)
+    assert exc_info.value.line == 3
+
+
 # -- fuzzing -------------------------------------------------------------------
 
 json_values = st.recursive(

@@ -16,6 +16,7 @@ from auss.student import (
     GapDetector,
     InteractionMatrix,
     PerformanceModel,
+    _neighbours,
     cosine_similarity,
     detect_learning_gap,
     fit_predictors,
@@ -271,6 +272,52 @@ class TestRecommendMatchesScalarReference:
         for sid in student_ids:
             assert matrix.observed(sid) == rebuilt.observed(sid)
             assert recommend_top_k(matrix, sid, 3, 2) == recommend_top_k(rebuilt, sid, 3, 2)
+
+
+@st.composite
+def matrices_with_planted_twins(draw):
+    """(matrix, twin row indexes): one row copied to two to four drawn positions.
+
+    The other rows are random; values are tied or full-mantissa, so the
+    per-query product has room to round the copies differently.
+    """
+    n_resources = draw(st.integers(2, 24))
+    row = st.lists(_CELLS, min_size=n_resources, max_size=n_resources)
+    twin = draw(row.filter(lambda values: any(values)))
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    twins = []
+    for position in sorted(draw(st.lists(st.integers(0, len(rows)), min_size=2, max_size=4))):
+        rows.insert(position + len(twins), list(twin))
+        twins.append(position + len(twins))
+    student_ids = tuple(f"s{i:02d}" for i in draw(st.permutations(range(len(rows)))))
+    resource_ids = tuple(f"r{j:02d}" for j in range(n_resources))
+    cells = {
+        (sid, rid): value
+        for sid, values in zip(student_ids, rows)
+        for rid, value in zip(resource_ids, values)
+        if value is not None
+    }
+    return InteractionMatrix(student_ids, resource_ids, cells), twins
+
+
+class TestDuplicateRowsTie:
+    @settings(max_examples=300, deadline=None)
+    @given(matrices_with_planted_twins())
+    def test_exact_duplicates_get_equal_similarities_and_break_by_student_id(self, drawn):
+        matrix, twins = drawn
+        ids = matrix.student_ids
+        for index, sid in enumerate(ids):
+            peers, sims = _neighbours(matrix, index, len(ids))
+            sim_of = dict(zip(peers.tolist(), sims.tolist()))
+            twin_peers = [i for i in peers.tolist() if i in twins]
+            assert len({sim_of[i] for i in twin_peers}) <= 1
+            assert twin_peers == sorted(twin_peers, key=ids.__getitem__)
+            if twin_peers:
+                assert len(twin_peers) == len([i for i in twins if i != index])
+            ours = recommend_top_k(matrix, sid, 3, 2)
+            assert list(ours.items) == scalar_recommend(
+                ids, matrix.resource_ids, matrix.cells, sid, 3, 2
+            )
 
 
 class TestInteractionMatrix:
