@@ -64,28 +64,33 @@ def normalize_answer(text: str) -> str:
     return _WHITESPACE.sub(" ", text.strip()).casefold()
 
 
+def grade_response(response: str, key: AnswerKey) -> tuple[bool, str | None]:
+    """The grading rule: whether ``response`` matches ``key``, and a note.
+
+    Numeric items match within |response - answer| <= tolerance; an
+    unparsable numeric response does not match, and the note says so.
+    Other kinds match on :func:`normalize_answer` equality.
+    """
+    if key.kind is ItemKind.NUMERIC:
+        try:
+            response_value = float(response.strip())
+        except ValueError:
+            return False, "unparsable numeric response"
+        return abs(response_value - float(key.answer)) <= (key.tolerance or 0.0), None
+    return normalize_answer(response) == normalize_answer(key.answer), None
+
+
 def auto_grade(submission: AssessmentRecord, key: AnswerKey) -> GradeResult:
     """Grade one objective submission against its key (all-or-nothing).
 
-    Numeric items match within |response - answer| <= tolerance; an
-    unparsable numeric response scores zero with the failure noted rather
-    than raising.
+    The rule is :func:`grade_response`; an unparsable numeric response
+    scores zero with the failure noted rather than raising.
     """
     if submission.item_id != key.item_id:
         raise MetricInputError(
             f"submission item {submission.item_id!r} does not match key {key.item_id!r}"
         )
-    note = None
-    if key.kind is ItemKind.NUMERIC:
-        try:
-            response_value = float(submission.response.strip())
-        except ValueError:
-            matched = False
-            note = "unparsable numeric response"
-        else:
-            matched = abs(response_value - float(key.answer)) <= (key.tolerance or 0.0)
-    else:
-        matched = normalize_answer(submission.response) == normalize_answer(key.answer)
+    matched, note = grade_response(submission.response, key)
     return GradeResult(
         student_id=submission.student_id,
         item_id=key.item_id,

@@ -19,15 +19,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .domain import AssessmentRecord, Cohort, validate_cohort
-from .educator import (
-    ARITHMETIC_TEMPLATE,
-    EducatorAgent,
-    GradeResult,
-    auto_grade,
-    generate_quiz,
-    grading_match_rate,
-)
+from .domain import Cohort, validate_cohort
+from .educator import ARITHMETIC_TEMPLATE, EducatorAgent, generate_quiz, grade_response
 from .errors import (
     ConfigError,
     MetricInputError,
@@ -351,12 +344,21 @@ def evaluate_grading(
     to the student's ability. Correct answers are sometimes (sloppy rate)
     written with a unit suffix the reference grader accepts but the
     numeric parser cannot; those are the mismatches this metric surfaces.
+
+    One pass counts the agreements as it draws, building no grade objects.
+    It is exact against grading each response with :func:`auto_grade` and
+    comparing with :func:`grading_match_rate`: the same draws in the same
+    order (students in sorted order, then quiz items), the same rule
+    (:func:`grade_response`), and the same division, agreements over
+    (student, item) pairs. A pair agrees when the two awarded points are
+    equal; as points are > 0, that is when ``matched == is_correct``.
     """
     truth = _require_truth(cohort)
+    if not truth.abilities:
+        raise MetricInputError("match rate over empty grade lists is undefined")
     quiz = generate_quiz(ARITHMETIC_TEMPLATE, derive_seed(seed, "quiz"), quiz_items)
     rng = random.Random(derive_seed(seed, "responses"))
-    auto: list[GradeResult] = []
-    reference: list[GradeResult] = []
+    agreed = 0
     for sid in sorted(truth.abilities):
         ability = truth.abilities[sid]
         for _question, key in quiz:
@@ -366,20 +368,12 @@ def evaluate_grading(
                 if rng.random() < sloppy_answer_rate:
                     response = f"{key.answer} points"
                 else:
-                    response = rng.choice([key.answer, f" {key.answer} ", f"{canonical:.1f}"])
+                    response = rng.choice((key.answer, f" {key.answer} ", f"{canonical:.1f}"))
             else:
                 response = repr(canonical + (key.tolerance or 0.0) + 1.0 + rng.random())
-            submission = AssessmentRecord(sid, key.item_id, response)
-            auto.append(auto_grade(submission, key))
-            reference.append(
-                GradeResult(
-                    student_id=sid,
-                    item_id=key.item_id,
-                    awarded=key.points if is_correct else 0.0,
-                    matched=is_correct,
-                )
-            )
-    return grading_match_rate(auto, reference)
+            matched, _note = grade_response(response, key)
+            agreed += matched == is_correct
+    return agreed / (len(truth.abilities) * len(quiz))
 
 
 def evaluate_risk(

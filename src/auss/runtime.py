@@ -93,10 +93,14 @@ class SchedulerConfig:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"scheduler config {key} must be an integer, got {value!r}")
             integers[key] = value
-        return cls(
-            agent_order=tuple(data.get("agent_order", DEFAULT_AGENT_ORDER)),  # type: ignore[arg-type]
-            **integers,
-        )
+        agent_order = data.get("agent_order", DEFAULT_AGENT_ORDER)
+        if not isinstance(agent_order, (list, tuple)) or not all(
+            isinstance(name, str) for name in agent_order
+        ):
+            raise ConfigError(
+                f"scheduler config agent_order must be a list of strings, got {agent_order!r}"
+            )
+        return cls(agent_order=tuple(agent_order), **integers)
 
 
 class AgentMemory:
@@ -201,8 +205,15 @@ class Agent(ABC):
 # -- transcript --------------------------------------------------------------
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _canonical(record: Mapping[str, object]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(record)
+
+
+#: Records encoded, hashed and written at a time by ``to_jsonl``.
+_WRITE_CHUNK = 1024
 
 
 _TIMING_KEYS = ("wall_ns",)
@@ -272,11 +283,22 @@ class SimulationTranscript:
     # -- file round-trip ----------------------------------------------------
 
     def to_jsonl(self, path: str | Path) -> str:
-        """Write records plus a trailing checksum line; returns the digest."""
-        body = "".join(_canonical(r) + "\n" for r in self.records)
-        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-        footer = _canonical({"type": "checksum", "sha256": digest}) + "\n"
-        Path(path).write_text(body + footer, encoding="utf-8", newline="\n")
+        """Write records plus a trailing checksum line; returns the digest.
+
+        Records are encoded in chunks, each hashed and written before the
+        next, so the whole text is never held at once.
+        """
+        sha = hashlib.sha256()
+        records = self.records
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            for start in range(0, len(records), _WRITE_CHUNK):
+                chunk = "".join(
+                    _canonical(r) + "\n" for r in records[start : start + _WRITE_CHUNK]
+                )
+                sha.update(chunk.encode("utf-8"))
+                fh.write(chunk)
+            digest = sha.hexdigest()
+            fh.write(_canonical({"type": "checksum", "sha256": digest}) + "\n")
         return digest
 
     @classmethod

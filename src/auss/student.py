@@ -33,6 +33,10 @@ class InteractionMatrix:
     and still be observed. Construction validates the cells and builds the
     dense arrays the CF kernel reads: scores, observed mask, row norms and
     the id ranks that break ties.
+
+    A matrix from :meth:`from_counts` holds only the dense arrays. Its
+    ``cells`` are built from them on first access: the observed pairs in
+    row-major order, each valued at its dense score.
     """
 
     student_ids: tuple[str, ...]
@@ -88,8 +92,8 @@ class InteractionMatrix:
         """Matrix of an (n_students, n_resources) integer count array.
 
         A cell is observed where its count is positive; its value is the
-        count over the row's maximum count. ``cells`` is built in row-major
-        order. Values lie in (0, 1] by construction.
+        count over the row's maximum count. Values lie in (0, 1] by
+        construction. ``cells`` is built on first access.
         """
         student_ids, resource_ids = tuple(student_ids), tuple(resource_ids)
         row_of, _col_of = _id_indexes(student_ids, resource_ids)
@@ -105,17 +109,26 @@ class InteractionMatrix:
         row_max = counts.max(axis=1, initial=0)
         dense = np.zeros(counts.shape)
         np.divide(counts, row_max[:, None], out=dense, where=observed)
-        rows, cols = np.nonzero(observed)
-        keys = zip(
-            [student_ids[i] for i in rows.tolist()], [resource_ids[j] for j in cols.tolist()]
-        )
         # Skip __post_init__: its per-cell checks hold by construction here.
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "student_ids", student_ids)
         object.__setattr__(matrix, "resource_ids", resource_ids)
-        object.__setattr__(matrix, "cells", dict(zip(keys, dense[rows, cols].tolist())))
         matrix._set_arrays(row_of, dense, observed)
         return matrix
+
+    def __getattr__(self, name: str):
+        # Only reached for attributes not set on the instance: build the
+        # cells of a from_counts matrix once.
+        if name != "cells":
+            raise AttributeError(name)
+        rows, cols = np.nonzero(self._observed)
+        keys = zip(
+            [self.student_ids[i] for i in rows.tolist()],
+            [self.resource_ids[j] for j in cols.tolist()],
+        )
+        cells = dict(zip(keys, self._dense[rows, cols].tolist()))
+        object.__setattr__(self, "cells", cells)
+        return cells
 
     def observed(self, student_id: str) -> frozenset[str]:
         row = self._row_of.get(student_id)

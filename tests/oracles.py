@@ -1,18 +1,31 @@
 """Independent reference implementations used to check the package.
 
 Everything here is written straight from the definitions (pure Python,
-no shared code with the package) so the two sides can disagree. The one
-exception is ``scalar_recommend``, which keeps numpy's matrix-vector
-product for similarity so that its floats can be compared with ``==``.
+no shared code with the package) so the two sides can disagree. Two
+exceptions: ``scalar_recommend`` keeps numpy's matrix-vector product for
+similarity so that its floats can be compared with ``==``, and
+``object_grading_rate`` grades through the package's public grading
+objects, which the fast evaluator no longer builds.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from auss.domain import AssessmentRecord
+from auss.educator import (
+    ARITHMETIC_TEMPLATE,
+    GradeResult,
+    auto_grade,
+    generate_quiz,
+    grading_match_rate,
+)
+from auss.experiment import derive_seed
 
 
 def python_cosine(u: Sequence[float], v: Sequence[float]) -> float:
@@ -207,6 +220,41 @@ def match_rate_oracle(
 ) -> float:
     agreed = sum(1 for pair in ours if ours[pair] == theirs[pair])
     return agreed / len(ours)
+
+
+def object_grading_rate(
+    abilities: Mapping[str, float], quiz_items: int, sloppy_answer_rate: float, seed: int
+) -> float:
+    """Grading match rate with one ``AssessmentRecord`` and two ``GradeResult``s
+    per (student, item), compared by ``grading_match_rate``: the object-based
+    form of ``experiment.evaluate_grading``."""
+    quiz = generate_quiz(ARITHMETIC_TEMPLATE, derive_seed(seed, "quiz"), quiz_items)
+    rng = random.Random(derive_seed(seed, "responses"))
+    auto: list[GradeResult] = []
+    reference: list[GradeResult] = []
+    for sid in sorted(abilities):
+        ability = abilities[sid]
+        for _question, key in quiz:
+            canonical = float(key.answer)
+            is_correct = rng.random() < ability
+            if is_correct:
+                if rng.random() < sloppy_answer_rate:
+                    response = f"{key.answer} points"
+                else:
+                    response = rng.choice([key.answer, f" {key.answer} ", f"{canonical:.1f}"])
+            else:
+                response = repr(canonical + (key.tolerance or 0.0) + 1.0 + rng.random())
+            submission = AssessmentRecord(sid, key.item_id, response)
+            auto.append(auto_grade(submission, key))
+            reference.append(
+                GradeResult(
+                    student_id=sid,
+                    item_id=key.item_id,
+                    awarded=key.points if is_correct else 0.0,
+                    matched=is_correct,
+                )
+            )
+    return grading_match_rate(auto, reference)
 
 
 class DictFeatureTracker:

@@ -196,6 +196,22 @@ class TestCliErrors:
                 '{"scheduler": {"max_ticks": 12, "rng_seed": 1.5}}',
                 "rng_seed must be an integer, got 1.5",
             ),
+            (
+                '{"scheduler": {"max_ticks": 12, "agent_order": "abc"}}',
+                "agent_order must be a list of strings, got 'abc'",
+            ),
+            (
+                '{"scheduler": {"max_ticks": 12, "agent_order": "student_agent"}}',
+                "agent_order must be a list of strings, got 'student_agent'",
+            ),
+            (
+                '{"scheduler": {"max_ticks": 12, "agent_order": 7}}',
+                "agent_order must be a list of strings, got 7",
+            ),
+            (
+                '{"scheduler": {"max_ticks": 12, "agent_order": ["student_agent", 1]}}',
+                "agent_order must be a list of strings, got ['student_agent', 1]",
+            ),
         ],
         ids=[
             "digit_limit",
@@ -207,6 +223,10 @@ class TestCliErrors:
             "max_ticks_numeric_string",
             "max_ticks_boolean",
             "rng_seed_fraction",
+            "agent_order_string",
+            "agent_order_agent_name",
+            "agent_order_integer",
+            "agent_order_non_string_entry",
         ],
     )
     def test_simulate_with_mistyped_config(self, tmp_path, capsys, gen_config, config, needle):

@@ -7,14 +7,24 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import auss.experiment as experiment_module
-from auss.errors import ConfigError, StageError, TranscriptChecksumError, TranscriptError
+from auss.domain import Cohort, GroundTruth
+from auss.educator import GradeResult
+from auss.errors import (
+    ConfigError,
+    MetricInputError,
+    StageError,
+    TranscriptChecksumError,
+    TranscriptError,
+)
 from auss.experiment import (
     EvaluationConfig,
     ExperimentSpec,
     MetricsReport,
     derive_seed,
+    evaluate_grading,
     load_experiment_cohort,
     replay,
     run_experiment,
@@ -23,7 +33,10 @@ from auss.experiment import (
 )
 from auss.policy import PolicyConfig
 from auss.runtime import SchedulerConfig
+from auss.student import InteractionMatrix
 from auss.synthetic import GeneratorConfig
+
+from oracles import object_grading_rate
 
 #: A 40-student, 6-resource, 12-tick run at seed 3, written by an earlier build.
 COMMITTED_TRANSCRIPT = Path(__file__).parent / "data" / "transcript_40x6x12_seed3.jsonl"
@@ -132,6 +145,64 @@ class TestRunExperiment:
     def test_spec_requires_cohort_source(self):
         with pytest.raises(ConfigError):
             ExperimentSpec(generator=None, cohort_dir=None)
+
+
+def test_a_run_builds_no_grade_objects_and_no_matrix_cells(monkeypatch):
+    def no_grade(self, *args, **kwargs):
+        raise AssertionError("a GradeResult was constructed")
+
+    built = []
+    from_counts = InteractionMatrix.from_counts.__func__
+
+    def recording_from_counts(cls, *args, **kwargs):
+        matrix = from_counts(cls, *args, **kwargs)
+        built.append(matrix)
+        return matrix
+
+    monkeypatch.setattr(GradeResult, "__init__", no_grade)
+    monkeypatch.setattr(InteractionMatrix, "from_counts", classmethod(recording_from_counts))
+    report, _transcript = run_experiment(small_spec())
+    assert report.grading_match_rate is not None
+    assert built
+    assert not [matrix for matrix in built if "cells" in vars(matrix)]
+
+
+def _graded_cohort(abilities) -> Cohort:
+    return Cohort(students=(), events=(), ground_truth=GroundTruth(abilities, {}, {}))
+
+
+#: Abilities with ties and the ends of [0, 1] as well as full-mantissa values.
+_ABILITIES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestGradingMatchesObjectOracle:
+    """The counting evaluator equals grading every response into objects."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.dictionaries(
+            st.text("ab019", min_size=1, max_size=4), _ABILITIES, min_size=1, max_size=12
+        ),
+        st.integers(1, 30),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.integers(0, 2**32),
+    )
+    def test_rate_equals_object_oracle(self, abilities, quiz_items, sloppy, seed):
+        rate = evaluate_grading(_graded_cohort(abilities), quiz_items, sloppy, seed)
+        assert rate == object_grading_rate(abilities, quiz_items, sloppy, seed)
+
+    @pytest.mark.parametrize("ability", [0.0, 1.0, 0.1 + 0.2])
+    @pytest.mark.parametrize("sloppy", [0.0, 1.0, 0.1])
+    def test_one_student_cohort(self, ability, sloppy):
+        abilities = {"s1": ability}
+        rate = evaluate_grading(_graded_cohort(abilities), 20, sloppy, 42)
+        assert rate == object_grading_rate(abilities, 20, sloppy, 42)
+
+    def test_no_labelled_students_is_an_error(self):
+        with pytest.raises(MetricInputError):
+            object_grading_rate({}, 20, 0.1, 42)
+        with pytest.raises(MetricInputError):
+            evaluate_grading(_graded_cohort({}), 20, 0.1, 42)
 
 
 #: sha256 of the canonical records after the header of the seed-42 300x20x30

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
+
+import auss.runtime as runtime_module
 
 from auss.bus import AgentName, EventBus, TriggerKind
 from auss.errors import (
@@ -348,6 +351,15 @@ class TestTranscriptFile:
         transcript.to_jsonl(path)
         restored = SimulationTranscript.from_jsonl(path)
         assert restored.records == transcript.records
+
+    @pytest.mark.parametrize("chunk", [1, 7, 352, 1024])
+    def test_rewritten_committed_transcript_is_byte_identical(self, tmp_path, monkeypatch, chunk):
+        committed = Path(__file__).parent / "data" / "transcript_40x6x12_seed3.jsonl"
+        monkeypatch.setattr(runtime_module, "_WRITE_CHUNK", chunk)
+        path = tmp_path / "t.jsonl"
+        digest = SimulationTranscript.from_jsonl(committed).to_jsonl(path)
+        assert path.read_bytes() == committed.read_bytes()
+        assert json.loads(committed.read_text().splitlines()[-1])["sha256"] == digest
 
     def test_tampered_line_fails_checksum(self, tmp_path):
         transcript = self._transcript()
