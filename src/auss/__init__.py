@@ -71,7 +71,6 @@ from .policy import (
 )
 from .runtime import (
     Agent,
-    AgentMemory,
     SchedulerConfig,
     SimulationTranscript,
     measure_phase_latency,
@@ -81,8 +80,6 @@ from .student import (
     InteractionMatrix,
     PerformancePrediction,
     Recommendation,
-    cosine_similarity,
-    detect_learning_gap,
     fit_predictors,
     predict_performance,
     recommend_top_k,

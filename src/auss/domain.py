@@ -505,40 +505,6 @@ def validate_cohort(cohort: Cohort) -> list[Violation]:
     return violations
 
 
-class SeriesStats:
-    """Running sums for a series of (x, y) points: mean of y plus least-squares slope."""
-
-    __slots__ = ("n", "sum_y", "sum_x", "sum_xy", "sum_xx")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.sum_y = 0.0
-        self.sum_x = 0.0
-        self.sum_xy = 0.0
-        self.sum_xx = 0.0
-
-    def add(self, x: float, y: float) -> None:
-        self.n += 1
-        self.sum_y += y
-        self.sum_x += x
-        self.sum_xy += x * y
-        self.sum_xx += x * x
-
-    @property
-    def mean(self) -> float:
-        return self.sum_y / self.n if self.n else 0.0
-
-    @property
-    def slope(self) -> float:
-        """Fewer than two distinct x values yield 0 (insufficient-points convention)."""
-        if self.n < 2:
-            return 0.0
-        denom = self.n * self.sum_xx - self.sum_x * self.sum_x
-        if denom == 0.0:
-            return 0.0
-        return (self.n * self.sum_xy - self.sum_x * self.sum_y) / denom
-
-
 def series_mean_slope(
     count: np.ndarray,
     sum_y: np.ndarray,
@@ -546,10 +512,13 @@ def series_mean_slope(
     sum_xy: np.ndarray,
     sum_xx: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:attr:`SeriesStats.mean` and :attr:`SeriesStats.slope` over arrays of running sums.
+    """Mean of y and least-squares slope of y on x, from arrays of running sums.
 
-    Element by element the same operations in the same order as the
-    scalar properties, so each (mean, slope) equals theirs bit for bit.
+    Each entry is one series' ``(n, sum y, sum x, sum xy, sum xx)``, the
+    points added in series order. The mean is ``sum_y / n``, 0 for an
+    empty series. The slope is ``(n sum_xy - sum_x sum_y) / (n sum_xx -
+    sum_x**2)``, 0 for fewer than two points or a zero denominator (as
+    when every x is equal).
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         mean = np.where(count > 0, sum_y / np.maximum(count, 1), 0.0)
@@ -562,12 +531,12 @@ def series_mean_slope(
     return mean, slope
 
 
-def least_squares_slope(points: Sequence[tuple[float, float]]) -> float:
-    """Slope of the least-squares line through (x, y) points; see :attr:`SeriesStats.slope`."""
-    stats = SeriesStats()
-    for x, y in points:
-        stats.add(x, y)
-    return stats.slope
+def row_sums(values: np.ndarray) -> np.ndarray:
+    """Each row summed left to right, one column at a time, as ``sum(row)`` adds it."""
+    total = np.zeros(values.shape[0])
+    for column in values.T:
+        total += column
+    return total
 
 
 #: Output layout of feature_window: one (count, mean, slope) triple per kind.

@@ -8,6 +8,7 @@ Grading is all-or-nothing per item and limited to objective kinds
 from __future__ import annotations
 
 import ast
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 from .bus import AgentName, Event, TriggerKind
 from .domain import AssessmentRecord, Cohort, EventKind
 from .errors import ConfigError, MetricInputError
-from .runtime import Action, Agent, Publisher, TickOutcome, TickView
+from .runtime import Action, Agent, Publisher, TickView
 
 
 class ItemKind(str, Enum):
@@ -37,11 +38,14 @@ class AnswerKey:
     points: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.points <= 0:
-            raise ConfigError(f"points must be > 0, got {self.points}")
+        if not 0 < self.points < math.inf:
+            raise ConfigError(f"points must be a finite number > 0, got {self.points}")
         if self.kind is ItemKind.NUMERIC:
-            if self.tolerance is None or self.tolerance < 0:
-                raise ConfigError(f"numeric item {self.item_id!r} needs tolerance >= 0")
+            if self.tolerance is None or not 0 <= self.tolerance < math.inf:
+                raise ConfigError(
+                    f"numeric item {self.item_id!r} needs a finite tolerance >= 0, "
+                    f"got {self.tolerance}"
+                )
             float(self.answer)  # must itself be parseable
         elif self.tolerance is not None:
             raise ConfigError(f"non-numeric item {self.item_id!r} must not set tolerance")
@@ -276,6 +280,8 @@ class EducatorAgent(Agent):
     """Posts grades for incoming submissions and periodic class reports."""
 
     name = AgentName.EDUCATOR
+    # Only at-risk flags are read; the other kinds still decide the run's
+    # delivery records and load counts.
     subscriptions = frozenset(
         {
             TriggerKind.DISENGAGEMENT,
@@ -286,13 +292,9 @@ class EducatorAgent(Agent):
     )
 
     def __init__(self, cohort: Cohort, *, report_every: int = 10):
-        super().__init__()
         self.cohort = cohort
         self.report_every = report_every
         self.flagged: set[str] = set()
-        self.memory.data["grades_posted"] = 0
-        self.memory.data["reports_generated"] = 0
-        self.memory.data["alerts_received"] = 0
 
     def perceive(self, view: TickView, inbox: Sequence[Event]) -> dict:
         return {"view": view, "inbox": tuple(inbox)}
@@ -302,9 +304,6 @@ class EducatorAgent(Agent):
         for event in percepts["inbox"]:
             if event.kind is TriggerKind.AT_RISK_FLAG:
                 self.flagged.add(event.payload.get("student_id"))
-            elif event.kind is TriggerKind.INTERVENTION_REQUEST:
-                if event.payload.get("action") in ("send_alert", "escalate_to_educator"):
-                    self.memory.data["alerts_received"] += 1
         events = view.events
         submitted = events.kind == EventKind.SUBMISSION.code
         rows, values = events.student[submitted].tolist(), events.value[submitted].tolist()
@@ -341,10 +340,3 @@ class EducatorAgent(Agent):
             publish.publish(TriggerKind.REPORT_READY, payload)
             actions.append(Action(kind="publish_report", detail=payload))
         return actions
-
-    def evaluate(self, outcome: TickOutcome) -> None:
-        for action in outcome.actions:
-            if action.kind == "post_grades":
-                self.memory.data["grades_posted"] += action.detail["count"]
-            elif action.kind == "publish_report":
-                self.memory.data["reports_generated"] += 1

@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .bus import AgentName, Event, TriggerKind
-from .domain import Cohort, EngagementEvent, EventColumns, EventKind, series_mean_slope
+from .domain import Cohort, EngagementEvent, EventColumns, EventKind, row_sums, series_mean_slope
 from .errors import (
     InsufficientDataError,
     MetricInputError,
@@ -18,7 +18,7 @@ from .errors import (
     UnknownStudentError,
 )
 from .learners import LogisticModel, fit_logistic
-from .runtime import Action, Agent, Publisher, SimulationTranscript, TickOutcome, TickView
+from .runtime import Action, Agent, Publisher, SimulationTranscript, TickView
 
 #: Canonical ordering of the aggregate feature vector.
 FEATURE_ORDER = (
@@ -70,7 +70,10 @@ class LoadReport:
 
 
 class _SeriesColumns:
-    """One :class:`~auss.domain.SeriesStats` per student, as one array per running sum."""
+    """Running sums (n, sum y, sum x, sum xy, sum xx) of one (x, y) series per student.
+
+    One array per sum; :func:`~auss.domain.series_mean_slope` reads them.
+    """
 
     def __init__(self, n: int):
         self.count = np.zeros(n, dtype=np.int64)
@@ -80,7 +83,7 @@ class _SeriesColumns:
         self.sum_xx = np.zeros(n)
 
     def add(self, rows: np.ndarray, x: float, y: np.ndarray) -> None:
-        """SeriesStats.add(x, y[i]) for each student rows[i]; rows are distinct."""
+        """Add the point (x, y[i]) to student rows[i]'s series; rows are distinct."""
         self.count[rows] += 1
         self.sum_y[rows] += y
         self.sum_x[rows] += x
@@ -108,10 +111,6 @@ class _Windows:
         self.window[rows, -1] = values
         self.fill[rows] = np.minimum(self.fill[rows] + 1, width)
 
-    def values(self, row: int) -> list[float]:
-        width = self.window.shape[1]
-        return self.window[row, width - self.fill[row]:].tolist()
-
 
 #: Sentinel for "no event yet" in the last-event-tick column.
 _NO_EVENT = np.iinfo(np.int64).min
@@ -132,11 +131,10 @@ class FeatureTracker:
     The windows are right-aligned ``(n, window_len)`` arrays plus a fill
     count per student: the newest value sits in the last column and the
     unfilled columns on the left hold 0.0. A left-to-right sum over a
-    padded row therefore equals ``sum()`` of the window list bit for bit
-    (0.0 + 0.0 stays 0.0, and 0.0 + v is v), which is what lets the gap
-    rules run over all students at once. ``window_engagement_values``,
-    ``window_engagement_mean`` and ``window_score_points`` read one
-    student's filled columns as lists.
+    padded row therefore equals ``sum()`` of its filled columns bit for
+    bit (0.0 + 0.0 stays 0.0, and 0.0 + v is v), which is what lets the
+    gap rules run over all students at once. ``engagement_windows`` and
+    ``score_windows`` hand out the padded rows with their fill counts.
 
     A simulation run has one tracker: the scheduler ingests each tick into
     it and the agents and the policy driver read it from the TickView.
@@ -233,25 +231,6 @@ class FeatureTracker:
         """Monitor risk per student, each equal to ``monitor.predict_proba_one`` of its row."""
         return self.monitor.predict_proba_rows(self.feature_matrix(student_ids))
 
-    def features(self, student_id: str) -> InstitutionalFeatures:
-        return InstitutionalFeatures(student_id, *self.feature_matrix([student_id])[0].tolist())
-
-    def window_engagement_values(self, student_id: str) -> list[float]:
-        row = self._row.get(student_id)
-        return [] if row is None else self._window_engagement.values(row)
-
-    def window_engagement_mean(self, student_id: str) -> float:
-        window = self.window_engagement_values(student_id)
-        if not window:
-            return 0.0
-        return sum(window) / len(window)
-
-    def window_score_points(self, student_id: str) -> list[tuple[float, float]]:
-        row = self._row.get(student_id)
-        if row is None:
-            return []
-        return list(zip(self._window_score_ticks.values(row), self._window_scores.values(row)))
-
     def engagement_windows(self, student_ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """(padded engagement windows, fill counts), one row per student in the order given."""
         rows = self._rows(student_ids)
@@ -269,10 +248,17 @@ class FeatureTracker:
         )
 
     def policy_signals(self, student_id: str) -> tuple[float, float, float]:
-        """(windowed engagement mean, cumulative score slope, monitor risk)."""
-        score_slope = self.features(student_id).score_slope
-        risk = float(self.risks([student_id])[0])
-        return self.window_engagement_mean(student_id), score_slope, risk
+        """(windowed engagement mean, cumulative score slope, monitor risk).
+
+        The mean is the padded engagement row summed left to right over
+        its fill count, 0.0 for an empty window.
+        """
+        features = self.feature_matrix([student_id])
+        [risk] = self.monitor.predict_proba_rows(features).tolist()
+        values, fill = self.engagement_windows([student_id])
+        [total], [count] = row_sums(values).tolist(), fill.tolist()
+        mean = total / count if count else 0.0
+        return mean, float(features[0, FEATURE_ORDER.index("score_slope")]), risk
 
 
 def aggregate_features(cohort: Cohort, tick: int) -> list[InstitutionalFeatures]:
@@ -460,12 +446,9 @@ class InstitutionAgent(Agent):
     subscriptions = frozenset(TriggerKind)
 
     def __init__(self, *, risk_every: int = 5, risk_threshold: float = 0.5):
-        super().__init__()
         self.risk_every = risk_every
         self.risk_threshold = risk_threshold
         self.flagged: set[str] = set()
-        self.memory.data["events_processed"] = 0
-        self.memory.data["flags_raised"] = 0
 
     def perceive(self, view: TickView, inbox: Sequence[Event]) -> dict:
         return {"view": view, "inbox": tuple(inbox)}
@@ -473,7 +456,6 @@ class InstitutionAgent(Agent):
     def reason(self, percepts: dict) -> dict:
         view: TickView = percepts["view"]
         tracker = view.tracker
-        self.memory.data["events_processed"] += len(percepts["inbox"])
         decisions: dict = {"tick": view.tick, "new_flags": []}
         if (view.tick + 1) % self.risk_every == 0:
             seen = [s for s in sorted(tracker.student_ids()) if s not in self.flagged]
@@ -494,6 +476,3 @@ class InstitutionAgent(Agent):
             publish.publish(event.kind, event.payload)
             actions.append(Action(kind="flag_at_risk", student_id=sid, detail=event.payload))
         return actions
-
-    def evaluate(self, outcome: TickOutcome) -> None:
-        self.memory.data["flags_raised"] += len(outcome.actions)

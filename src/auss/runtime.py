@@ -103,17 +103,6 @@ class SchedulerConfig:
         return cls(agent_order=tuple(agent_order), **integers)
 
 
-class AgentMemory:
-    """Key-value model state; the version counter bumps once per evaluate."""
-
-    def __init__(self) -> None:
-        self.data: dict[str, Any] = {}
-        self.version = 0
-
-    def bump_version(self) -> None:
-        self.version += 1
-
-
 @dataclass(frozen=True)
 class TickView:
     """What the environment exposes to agents at one tick.
@@ -177,13 +166,10 @@ class Publisher:
 
 
 class Agent(ABC):
-    """Four-phase agent contract. Subclasses keep state in ``self.memory``."""
+    """Four-phase agent contract. Subclasses keep their own state as attributes."""
 
     name: AgentName
     subscriptions: frozenset[TriggerKind] = frozenset()
-
-    def __init__(self) -> None:
-        self.memory = AgentMemory()
 
     @abstractmethod
     def perceive(self, view: TickView, inbox: Sequence[Event]) -> Any:
@@ -191,15 +177,14 @@ class Agent(ABC):
 
     @abstractmethod
     def reason(self, percepts: Any) -> Any:
-        """Turn percepts plus memory into a decision set."""
+        """Turn percepts plus agent state into a decision set."""
 
     @abstractmethod
     def act(self, decisions: Any, publish: Publisher) -> list[Action]:
         """Execute decisions; the only phase allowed to publish events."""
 
-    @abstractmethod
     def evaluate(self, outcome: TickOutcome) -> None:
-        """Fold observed outcomes back into memory."""
+        """Fold observed outcomes back into state; by default, nothing."""
 
 
 # -- transcript --------------------------------------------------------------
@@ -607,7 +592,6 @@ def run(
             except Exception as exc:  # noqa: BLE001
                 raise AgentPhaseError(agent_name, tick, "evaluate", exc) from exc
             t_evaluate = time.perf_counter_ns()
-            agent.memory.bump_version()
 
             transcript.record_phase(tick, agent_name, "perceive", t_perceive - start)
             transcript.record_phase(tick, agent_name, "reason", t_reason - t_perceive)

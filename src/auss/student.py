@@ -14,12 +14,13 @@ from .domain import (
     Cohort,
     EventColumns,
     StudentRecord,
+    row_sums,
     series_mean_slope,
     window_feature_rows,
 )
 from .errors import ConfigError, InsufficientDataError, UnknownStudentError, UntrainedModelError
 from .learners import BaggedTreeRegressor, LogisticModel, fit_logistic
-from .runtime import Action, Agent, Publisher, TickOutcome, TickView
+from .runtime import Action, Agent, Publisher, TickView
 
 # -- interaction matrix and collaborative filtering ---------------------------
 
@@ -209,19 +210,6 @@ class Recommendation:
     @property
     def resource_ids(self) -> tuple[str, ...]:
         return tuple(rid for rid, _ in self.items)
-
-
-def cosine_similarity(u: Sequence[float], v: Sequence[float]) -> float:
-    """dot(u, v) / (|u| |v|); defined as 0 when either norm is zero."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"vector lengths differ: {u.shape} vs {v.shape}")
-    norm_u = float(np.linalg.norm(u))
-    norm_v = float(np.linalg.norm(v))
-    if norm_u == 0.0 or norm_v == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (norm_u * norm_v))
 
 
 def recommend_top_k(
@@ -435,50 +423,10 @@ class GapSignal:
     value: float
 
 
-def detect_learning_gap(
-    engagement_window: Sequence[float],
-    score_points: Sequence[tuple[float, float]],
-    *,
-    engagement_threshold: float = 0.33,
-    slope_threshold: float = -0.01,
-) -> list[tuple[TriggerKind, float]]:
-    """Pure check of the two gap rules on one student's windowed signals."""
-    engagement, scores = _single_windows(engagement_window, score_points)
-    means, disengaged, slopes, declining = _gap_rules(
-        engagement, scores, engagement_threshold, slope_threshold
-    )
-    gaps: list[tuple[TriggerKind, float]] = []
-    if disengaged[0]:
-        gaps.append((TriggerKind.DISENGAGEMENT, float(means[0])))
-    if declining[0]:
-        gaps.append((TriggerKind.PERFORMANCE_DECLINE, float(slopes[0])))
-    return gaps
-
-
 #: One window per student, right-aligned with 0.0 on the left: (values (k, w), fill (k,)).
 EngagementWindows = tuple[np.ndarray, np.ndarray]
 #: Score windows laid out the same way: (ticks (k, w), scores (k, w), fill (k,)).
 ScoreWindows = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _single_windows(
-    engagement_window: Sequence[float], score_points: Sequence[tuple[float, float]]
-) -> tuple[EngagementWindows, ScoreWindows]:
-    """One student's window lists as one-row window arrays."""
-    engagement = np.array(list(engagement_window), dtype=float).reshape(1, -1)
-    points = np.array(list(score_points), dtype=float).reshape(-1, 2)
-    return (
-        (engagement, np.array([engagement.shape[1]])),
-        (points[None, :, 0], points[None, :, 1], np.array([len(points)])),
-    )
-
-
-def _row_sums(values: np.ndarray) -> np.ndarray:
-    """Each row summed left to right, one column at a time, as ``sum(row)`` adds it."""
-    total = np.zeros(values.shape[0])
-    for column in values.T:
-        total += column
-    return total
 
 
 def _gap_rules(
@@ -489,22 +437,23 @@ def _gap_rules(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(window mean, disengaged, score slope, declining) per student.
 
-    The mean is ``sum(window) / len(window)`` and the slope is
-    ``least_squares_slope`` of the score points, bit for bit: the left
-    padding adds 0.0 terms ahead of the window, which leave every
-    left-to-right sum unchanged.
+    The mean is ``sum(window) / len(window)`` of the filled columns, and
+    the slope is :func:`~auss.domain.series_mean_slope` of the score
+    points' running sums added oldest first, bit for bit: the left padding
+    adds 0.0 terms ahead of the window, which leave every left-to-right
+    sum unchanged.
     """
     values, engagement_fill = engagement
     ticks, score_values, score_fill = scores
     with np.errstate(divide="ignore", invalid="ignore"):
-        means = _row_sums(values) / engagement_fill
+        means = row_sums(values) / engagement_fill
     disengaged = (engagement_fill > 0) & (means < engagement_threshold)
     _mean, slopes = series_mean_slope(
         score_fill,
-        _row_sums(score_values),
-        _row_sums(ticks),
-        _row_sums(ticks * score_values),
-        _row_sums(ticks * ticks),
+        row_sums(score_values),
+        row_sums(ticks),
+        row_sums(ticks * score_values),
+        row_sums(ticks * ticks),
     )
     declining = (score_fill >= 2) & (slopes < slope_threshold)
     return means, disengaged, slopes, declining
@@ -518,16 +467,6 @@ class GapDetector:
         self.engagement_threshold = engagement_threshold
         self.slope_threshold = slope_threshold
         self._last_emitted: dict[tuple[str, TriggerKind], int] = {}
-
-    def update(
-        self,
-        student_id: str,
-        tick: int,
-        engagement_window: Sequence[float],
-        score_points: Sequence[tuple[float, float]],
-    ) -> list[GapSignal]:
-        engagement, scores = _single_windows(engagement_window, score_points)
-        return self.update_many(tick, [student_id], engagement, scores)
 
     def update_many(
         self,
@@ -572,7 +511,6 @@ class StudentAgent(Agent):
     )
 
     def __init__(self, cohort: Cohort, *, top_k: int = 3, neighborhood: int = 10):
-        super().__init__()
         self.cohort = cohort
         self.top_k = top_k
         self.neighborhood = neighborhood
@@ -582,8 +520,6 @@ class StudentAgent(Agent):
             (len(cohort.students), len(cohort.resources)), dtype=np.int64
         )
         self._last_recommended: dict[str, int] = {}
-        self.memory.data["gap_signals"] = 0
-        self.memory.data["recommendations_issued"] = 0
 
     def perceive(self, view: TickView, inbox: Sequence[Event]) -> dict:
         return {"view": view, "inbox": tuple(inbox)}
@@ -645,9 +581,3 @@ class StudentAgent(Agent):
                 publish.publish(TriggerKind.RECOMMENDATION_ISSUED, payload)
                 actions.append(Action(kind="recommend", student_id=sid, detail=payload))
         return actions
-
-    def evaluate(self, outcome: TickOutcome) -> None:
-        gaps = sum(1 for a in outcome.actions if a.kind != "recommend")
-        recs = sum(1 for a in outcome.actions if a.kind == "recommend")
-        self.memory.data["gap_signals"] += gaps
-        self.memory.data["recommendations_issued"] += recs

@@ -63,6 +63,9 @@ class GeneratorConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hazard_weights", tuple(float(w) for w in self.hazard_weights))
+        for name, value in self.to_dict().items():
+            if isinstance(value, (float, list)) and not np.isfinite(value).all():
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         for name in ("n_students", "n_resources", "n_ticks"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,13 +12,23 @@ from auss.domain import (
     FEATURE_WINDOW_LENGTH,
     feature_window,
     feature_window_labels,
-    least_squares_slope,
+    series_mean_slope,
     validate_cohort,
 )
 from auss.errors import UnknownStudentError
 
 from conftest import make_cohort, make_student
 from oracles import polyfit_slope
+
+
+def least_squares_slope(points) -> float:
+    """``series_mean_slope`` of one series' running sums, the points added in order."""
+    sums = [0, 0.0, 0.0, 0.0, 0.0]  # n, sum y, sum x, sum xy, sum xx
+    for x, y in points:
+        for i, term in enumerate((1, y, x, x * y, x * x)):
+            sums[i] += term
+    _mean, slope = series_mean_slope(*(np.array([total]) for total in sums))
+    return float(slope[0])
 
 
 class TestValidateCohort:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -68,6 +69,15 @@ class TestAutoGrade:
             AnswerKey("q1", ItemKind.SHORT_TEXT, "x", tolerance=0.1)
         with pytest.raises(ConfigError):
             AnswerKey("q1", ItemKind.SHORT_TEXT, "x", points=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_key_rejects_non_finite_points_and_tolerance(self, bad):
+        with pytest.raises(ConfigError, match="points"):
+            AnswerKey("q1", ItemKind.NUMERIC, "3", tolerance=0.0, points=bad)
+        with pytest.raises(ConfigError, match="tolerance"):
+            AnswerKey("q1", ItemKind.NUMERIC, "3", tolerance=bad)
+        with pytest.raises(ConfigError, match="points"):
+            AnswerKey("q1", ItemKind.SHORT_TEXT, "x", points=bad)
 
     def test_normalize_answer(self):
         assert normalize_answer("  A  B\tC ") == "a b c"

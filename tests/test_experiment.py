@@ -26,11 +26,13 @@ from auss.experiment import (
     derive_seed,
     evaluate_grading,
     load_experiment_cohort,
+    reference_spec,
     replay,
     run_experiment,
     run_sweep,
     simulate,
 )
+from auss.institution import load_report
 from auss.policy import PolicyConfig
 from auss.runtime import SchedulerConfig
 from auss.student import InteractionMatrix
@@ -242,6 +244,47 @@ class TestCanonicalTranscriptDigest:
             assert _canonical_sha256(transcript) != PINNED_CANONICAL_SHA256
         finally:
             record["payload"]["value"] = value
+
+
+def test_reference_agent_activity_from_transcript():
+    """Per-agent activity of the seed-42 reference run, counted from its
+    ``action``, ``event`` and ``delivery`` records."""
+    spec = reference_spec()
+    transcript = simulate(load_experiment_cohort(spec), spec)
+    actions = transcript.of_type("action")
+    events = {r["event_id"]: r for r in transcript.of_type("event")}
+    delivered = {}
+    for record in transcript.of_type("delivery"):
+        delivered.setdefault(record["subscriber"], []).extend(record["event_ids"])
+
+    def count(agent, kinds):
+        return sum(1 for r in actions if r["agent"] == agent and r["kind"] in kinds)
+
+    alerts = [
+        event_id
+        for event_id in delivered["educator_agent"]
+        if events[event_id]["kind"] == "intervention_request"
+        and events[event_id]["payload"]["action"] in ("send_alert", "escalate_to_educator")
+    ]
+    activity = {
+        "gap_signals": count("student_agent", {"disengagement", "performance_decline"}),
+        "recommendations_issued": count("student_agent", {"recommend"}),
+        "grades_posted": sum(r["detail"]["count"] for r in actions if r["kind"] == "post_grades"),
+        "reports_generated": count("educator_agent", {"publish_report"}),
+        "alerts_received": len(alerts),
+        "events_processed": len(delivered["institution_agent"]),
+        "flags_raised": count("institution_agent", {"flag_at_risk"}),
+    }
+    assert activity == {
+        "gap_signals": 1446,
+        "recommendations_issued": 674,
+        "grades_posted": 5513,
+        "reports_generated": 5,
+        "alerts_received": 29,
+        "events_processed": 2857,
+        "flags_raised": 690,
+    }
+    assert activity["events_processed"] == load_report(transcript).counts["institution_agent"]
 
 
 class TestReplay:

@@ -1,8 +1,11 @@
-"""Every module-level import in ``src/auss`` is used by its module.
+"""Every module-level import and private helper in ``src/auss`` is used by its module.
 
 ``__init__.py`` is exempt: its imports are the package's public re-exports.
 A name counts as used when the module loads it anywhere; the modules use
-``from __future__ import annotations``, so annotations need no quotes.
+``from __future__ import annotations``, so annotations need no quotes. A
+private helper is a module-level function or class whose name starts with
+one underscore; nothing outside its module should need it, so one that its
+own module never loads is dead code.
 """
 
 from __future__ import annotations
@@ -43,3 +46,22 @@ def test_module_uses_every_import(path):
         if name not in used
     )
     assert not unused, f"unused imports: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_private_helper(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    loaded = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    unused = sorted(
+        f"{path.name}:{node.lineno} {node.name}"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in loaded
+    )
+    assert not unused, f"private helpers never loaded: {unused}"

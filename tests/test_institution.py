@@ -112,15 +112,18 @@ class TestAggregateFeatures:
                     events.append(EngagementEvent(s.student_id, t, kind, rng.random()))
         cohort = make_cohort(students=students, events=events)
         tracker = FeatureTracker(cohort, window_len=3)
+        oracle = DictFeatureTracker(students, window_len=3)
         by_tick: dict[int, list] = {}
         for e in events:
             by_tick.setdefault(e.tick, []).append(e)
         for t in sorted(by_tick):
             tracker.ingest(t, by_tick[t])
-        batch = aggregate_features(cohort, 9)
-        for feats in batch:
-            incremental = tracker.features(feats.student_id)
-            assert incremental == feats
+            oracle.ingest(t, by_tick[t])
+        ids = cohort.student_ids
+        rows = [tuple(row) for row in tracker.feature_matrix(ids).tolist()]
+        assert rows == [tuple(feats.as_vector()) for feats in aggregate_features(cohort, 9)]
+        assert rows == [oracle.features(sid) for sid in ids]
+        assert filled_windows(tracker, ids) == oracle_windows(oracle, ids)
 
     def test_feature_matrix_rows_follow_the_requested_order(self):
         events = [
@@ -196,6 +199,23 @@ def tracked_cohorts(draw):
     return students, ticks
 
 
+def filled_windows(tracker, ids):
+    """Per student, (engagement window, score points): the filled columns as lists."""
+    values, fill = tracker.engagement_windows(ids)
+    ticks, scores, score_fill = tracker.score_windows(ids)
+    width = tracker.window_len
+    windows = []
+    for i in range(len(ids)):
+        first, first_score = width - fill[i], width - score_fill[i]
+        points = zip(ticks[i, first_score:].tolist(), scores[i, first_score:].tolist())
+        windows.append((values[i, first:].tolist(), list(points)))
+    return windows
+
+
+def oracle_windows(oracle, ids):
+    return [(oracle.window_engagement_values(sid), oracle.window_score_points(sid)) for sid in ids]
+
+
 class TestTrackerMatchesOracle:
     @settings(max_examples=150, deadline=None)
     @given(tracked_cohorts())
@@ -212,12 +232,15 @@ class TestTrackerMatchesOracle:
             rows = [oracle.features(sid) for sid in ids]
             assert [tuple(row) for row in tracker.feature_matrix(ids).tolist()] == rows
             assert tracker.risks(ids).tolist() == [monitor.predict_proba_one(row) for row in rows]
-            for sid in ids:
-                assert tracker.window_engagement_values(sid) == oracle.window_engagement_values(sid)
-                assert tracker.window_score_points(sid) == oracle.window_score_points(sid)
+            assert filled_windows(tracker, ids) == oracle_windows(oracle, ids)
+            for sid, row in zip(ids, rows):
+                window = oracle.window_engagement_values(sid)
+                mean = sum(window) / len(window) if window else 0.0
+                slope = row[FEATURE_ORDER.index("score_slope")]
+                assert tracker.policy_signals(sid) == (mean, slope, monitor.predict_proba_one(row))
         risks = dict(zip(ids, tracker.risks(ids).tolist()))
         assert risks["twin"] == risks["r0"]
-        assert tracker.features("silent").absence_rate == 0.0
+        assert tracker.feature_matrix(["silent"])[0, FEATURE_ORDER.index("absence_rate")] == 0.0
 
 
 class TestRiskModel:

@@ -35,6 +35,8 @@ from conftest import make_cohort, make_student
 
 
 class NoOpAgent(Agent):
+    """Keeps the base class's no-op evaluate."""
+
     subscriptions = frozenset()
 
     def __init__(self, name: AgentName):
@@ -49,9 +51,6 @@ class NoOpAgent(Agent):
 
     def act(self, decisions, publish):
         return []
-
-    def evaluate(self, outcome):
-        return None
 
 
 def noop_agents():
@@ -120,11 +119,6 @@ class TestRunBasics:
                 noop_agents(),
                 SchedulerConfig(max_ticks=1, agent_order=("student_agent",)),
             )
-
-    def test_memory_version_bumps_once_per_tick(self):
-        agents = noop_agents()
-        run(make_cohort(), agents, SchedulerConfig(max_ticks=4))
-        assert [a.memory.version for a in agents] == [4, 4, 4]
 
     def test_event_past_max_ticks_rejected(self):
         events = [

@@ -17,8 +17,6 @@ from auss.student import (
     InteractionMatrix,
     PerformanceModel,
     _neighbours,
-    cosine_similarity,
-    detect_learning_gap,
     fit_predictors,
     lag_feature_rows,
     predict_performance,
@@ -43,36 +41,6 @@ def matrix_from_rows(rows: dict[str, list[float]], resource_ids=None) -> Interac
             if value != 0.0:
                 cells[(sid, rid)] = value
     return InteractionMatrix(tuple(rows), tuple(resource_ids), cells)
-
-
-class TestCosine:
-    def test_identical_vectors(self):
-        assert cosine_similarity([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == pytest.approx(1.0)
-
-    def test_orthogonal_vectors(self):
-        assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_hand_computed_value(self):
-        # dot=4, norms sqrt(5) each: 4/5
-        assert cosine_similarity([1, 2, 0], [2, 1, 0]) == pytest.approx(0.8, abs=1e-12)
-
-    def test_zero_norm_convention(self):
-        assert cosine_similarity([0.0, 0.0], [1.0, 2.0]) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            cosine_similarity([1.0], [1.0, 2.0])
-
-    def test_symmetry_and_bounds(self):
-        rng = random.Random(13)
-        for _ in range(100):
-            n = rng.randint(1, 6)
-            u = [rng.uniform(-2, 2) for _ in range(n)]
-            v = [rng.uniform(-2, 2) for _ in range(n)]
-            ab = cosine_similarity(u, v)
-            ba = cosine_similarity(v, u)
-            assert ab == pytest.approx(ba, abs=1e-12)
-            assert -1.0 - 1e-12 <= ab <= 1.0 + 1e-12
 
 
 class TestRecommend:
@@ -421,32 +389,61 @@ class TestPrediction:
             fit_predictors(cohort, split=0.5, seed=0)
 
 
+def tracked_gaps(ticks, window_len=5):
+    """GapDetector.update_many signals per tick, on tracker windows fed one tick at a time.
+
+    ``ticks`` lists each tick's events; every student with an event is active.
+    """
+    ids = sorted({e.student_id for events in ticks for e in events})
+    students = [StudentRecord(sid, {}) for sid in ids]
+    tracker = FeatureTracker(make_cohort(students=students), window_len)
+    detector = GapDetector(window_len=window_len)
+    signals = []
+    for tick, events in enumerate(ticks):
+        tracker.ingest(tick, events)
+        active = sorted({e.student_id for e in events})
+        windows = tracker.engagement_windows(active), tracker.score_windows(active)
+        signals.append(detector.update_many(tick, active, *windows))
+    return signals
+
+
+def logins(student_id, values):
+    return [[EngagementEvent(student_id, t, EventKind.LOGIN, v)] for t, v in enumerate(values)]
+
+
 class TestGapDetection:
     def test_healthy_engagement_is_quiet(self):
-        assert detect_learning_gap([0.9, 0.9, 0.9], []) == []
+        assert tracked_gaps(logins("s1", [0.9, 0.9, 0.9])) == [[], [], []]
 
     def test_low_engagement_triggers_disengagement(self):
-        gaps = detect_learning_gap([0.2, 0.1, 0.1], [])
-        assert [kind for kind, _ in gaps] == [TriggerKind.DISENGAGEMENT]
+        # Window means 0.5, 0.35, then (0.5 + 0.2 + 0.1) / 3 below 0.33.
+        signals = tracked_gaps(logins("s1", [0.5, 0.2, 0.1]))
+        assert signals[:2] == [[], []]
+        assert [(s.kind, s.value) for s in signals[2]] == [
+            (TriggerKind.DISENGAGEMENT, (0.5 + 0.2 + 0.1) / 3)
+        ]
 
     def test_falling_scores_trigger_decline(self):
-        points = [(0.0, 0.8), (1.0, 0.6), (2.0, 0.4)]
-        gaps = detect_learning_gap([0.9], points)
-        assert [kind for kind, _ in gaps] == [TriggerKind.PERFORMANCE_DECLINE]
-        assert gaps[0][1] == pytest.approx(-0.2, abs=1e-12)
+        # Score slopes 0 over two points, then -0.15 over three.
+        ticks = [
+            [EngagementEvent("s1", t, EventKind.SUBMISSION, v)]
+            for t, v in enumerate([0.6, 0.6, 0.3])
+        ]
+        signals = tracked_gaps(ticks)
+        assert signals[:2] == [[], []]
+        assert [s.kind for s in signals[2]] == [TriggerKind.PERFORMANCE_DECLINE]
+        assert signals[2][0].value == pytest.approx(-0.15, abs=1e-12)
 
     def test_detector_cooldown_once_per_window(self):
-        detector = GapDetector(window_len=5)
-        emitted = []
-        for tick in range(10):
-            emitted.extend(detector.update("s1", tick, [0.1, 0.1], []))
-        assert len(emitted) == 2  # ticks 0 and 5 only
+        signals = tracked_gaps(logins("s1", [0.1] * 10), window_len=5)
+        assert [tick for tick, emitted in enumerate(signals) if emitted] == [0, 5]
 
     def test_detector_tracks_students_independently(self):
-        detector = GapDetector(window_len=5)
-        a = detector.update("s1", 0, [0.1], [])
-        b = detector.update("s2", 0, [0.1], [])
-        assert len(a) == len(b) == 1
+        [signals] = tracked_gaps([logins("s1", [0.1])[0] + logins("s2", [0.1])[0]])
+        assert [(s.kind, s.student_id) for s in signals] == [
+            (TriggerKind.DISENGAGEMENT, "s1"),
+            (TriggerKind.DISENGAGEMENT, "s2"),
+        ]
 
 
 _GAP_VALUES = st.one_of(
@@ -497,22 +494,20 @@ class TestGapPassMatchesOracle:
         tracker = FeatureTracker(make_cohort(students=students), window_len=3)
         oracle_tracker = DictFeatureTracker(students, window_len=3)
         detector = GapDetector(window_len=3)
-        one_by_one = GapDetector(window_len=3)
         oracle = ScalarGapDetector(window_len=3)
         for tick, (tick_events, ids) in enumerate(zip(events, active)):
             tracker.ingest(tick, tick_events)
             oracle_tracker.ingest(tick, tick_events)
-            signals = detector.update_many(
-                tick, ids, tracker.engagement_windows(ids), tracker.score_windows(ids)
-            )
+            windows = tracker.engagement_windows(ids), tracker.score_windows(ids)
+            signals = detector.update_many(tick, ids, *windows)
+            # A fresh detector has no cooldown: it applies the bare rules.
+            uncooled = GapDetector(window_len=3).update_many(tick, ids, *windows)
             expected = []
-            single = []
+            rules = []
             for sid in ids:
                 engagement = oracle_tracker.window_engagement_values(sid)
                 points = oracle_tracker.window_score_points(sid)
                 expected.extend(oracle.update(sid, tick, engagement, points))
-                single.extend(one_by_one.update(sid, tick, engagement, points))
-                gaps = detect_learning_gap(engagement, points)
-                assert [(kind.value, value) for kind, value in gaps] == oracle.gaps(engagement, points)
+                rules.extend((kind, sid, value) for kind, value in oracle.gaps(engagement, points))
             assert [(s.kind.value, s.student_id, s.value) for s in signals] == expected
-            assert [(s.kind.value, s.student_id, s.value) for s in single] == expected
+            assert [(s.kind.value, s.student_id, s.value) for s in uncooled] == rules

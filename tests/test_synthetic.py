@@ -137,6 +137,17 @@ class TestGenerate:
         with pytest.raises(ConfigError, match="unknown"):
             GeneratorConfig.from_dict({"n_studentz": 5})
 
+    @pytest.mark.parametrize(
+        "key",
+        [k for k, v in GeneratorConfig().to_dict().items() if isinstance(v, (float, list))],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_is_rejected_by_name(self, key, bad):
+        default = GeneratorConfig().to_dict()[key]
+        value = [*default[:-1], bad] if isinstance(default, list) else bad
+        with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+            GeneratorConfig.from_dict({key: value})
+
 
 class TestRoundTrip:
     def test_export_import_identity(self, tmp_path):
