@@ -18,7 +18,6 @@ from .domain import (
     LearningResource,
     StudentRecord,
     Violation,
-    feature_window,
     validate_cohort,
 )
 from .educator import (
@@ -43,10 +42,7 @@ from .experiment import (
     simulate,
 )
 from .institution import (
-    InstitutionalFeatures,
     LoadReport,
-    RiskAssessment,
-    RiskModel,
     aggregate_features,
     assess_risk,
     f1_score,
@@ -78,10 +74,8 @@ from .runtime import (
 )
 from .student import (
     InteractionMatrix,
-    PerformancePrediction,
     Recommendation,
     fit_predictors,
-    predict_performance,
     recommend_top_k,
 )
 from .synthetic import GeneratorConfig, export_cohort, generate_cohort, import_cohort

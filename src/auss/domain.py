@@ -15,8 +15,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import UnknownStudentError
-
 
 class EventKind(str, Enum):
     LOGIN = "login"
@@ -539,15 +537,8 @@ def row_sums(values: np.ndarray) -> np.ndarray:
     return total
 
 
-#: Output layout of feature_window: one (count, mean, slope) triple per kind.
+#: Output layout of window_feature_rows: one (count, mean, slope) triple per kind.
 FEATURE_WINDOW_LENGTH = 3 * len(EventKind)
-
-
-def feature_window_labels() -> list[str]:
-    labels = []
-    for kind in EventKind:
-        labels.extend([f"{kind.value}_count", f"{kind.value}_mean", f"{kind.value}_slope"])
-    return labels
 
 
 def window_feature_rows(events: EventColumns, tick: int, window_len: int) -> np.ndarray:
@@ -591,21 +582,3 @@ def window_feature_rows(events: EventColumns, tick: int, window_len: int) -> np.
     )
     rows = np.stack([count.astype(float), mean, slope], axis=1)
     return rows.reshape(len(events.student_ids), FEATURE_WINDOW_LENGTH)
-
-
-def feature_window(
-    cohort: Cohort, student_id: str, tick: int, window_len: int
-) -> list[float]:
-    """Lag features for one cohort student; see :func:`window_feature_rows`.
-
-    Raises UnknownStudentError for ids outside the cohort, which signals an
-    ingestion bug rather than an empty history (those yield zeros).
-    """
-    if student_id not in cohort.student_ids:
-        raise UnknownStudentError(
-            f"student {student_id!r} not in cohort (ingestion bug upstream?)"
-        )
-    events = cohort.event_columns
-    row = cohort.student_rows[cohort.student_ids.index(student_id)]
-    own = events.take(events.student == row)
-    return window_feature_rows(own, tick, window_len)[row].tolist()

@@ -33,8 +33,8 @@ from .institution import (
     InstitutionAgent,
     aggregate_features,
     assess_risk,
-    f1_score,
     fit_risk_model,
+    flags_f1,
     load_report,
 )
 from .policy import PolicyConfig
@@ -49,6 +49,7 @@ from .runtime import (
 from .student import (
     InteractionMatrix,
     StudentAgent,
+    _holdout_split,
     fit_predictors,
     recommend_top_k,
 )
@@ -151,6 +152,14 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ExperimentSpec":
+        """Spec of a JSON object; a missing key takes its default, a present one is used as given."""
+        if not isinstance(data, Mapping):
+            raise ConfigError(f"experiment spec must be a JSON object, got {data!r}")
+        metrics = data.get("metrics", METRIC_NAMES)
+        if not isinstance(metrics, (list, tuple)) or not all(
+            isinstance(name, str) for name in metrics
+        ):
+            raise ConfigError(f"experiment spec metrics must be a list of strings, got {metrics!r}")
         known = {
             "generator",
             "scheduler",
@@ -176,7 +185,7 @@ class ExperimentSpec:
                 scheduler=SchedulerConfig.from_dict(dict(scheduler)),
                 policy=PolicyConfig(**policy_data),
                 evaluation=EvaluationConfig.from_dict(dict(data.get("evaluation") or {})),
-                metrics=tuple(data.get("metrics") or METRIC_NAMES),  # type: ignore[arg-type]
+                metrics=tuple(metrics),
                 cohort_dir=data.get("cohort_dir"),  # type: ignore[arg-type]
                 output_dir=data.get("output_dir"),  # type: ignore[arg-type]
             )
@@ -381,19 +390,12 @@ def evaluate_risk(
 ) -> tuple[float, float, float]:
     """Held-out precision/recall/F1 of the fitted dropout-risk model."""
     truth = _require_truth(cohort)
-    last_tick = cohort.event_columns.last_tick()
-    features = aggregate_features(cohort, last_tick)
-    labels = {sid: truth.dropped(sid) for sid in cohort.student_ids}
-    rng = np.random.default_rng(derive_seed(seed, "risk-split"))
-    order = rng.permutation(len(features))
-    n_train = min(len(features) - 1, max(1, int(round(split * len(features)))))
-    train = [features[i] for i in order[:n_train]]
-    test = [features[i] for i in order[n_train:]]
-    model = fit_risk_model(train, labels, seed=derive_seed(seed, "risk-fit"))
-    assessments, _events = assess_risk(model, test, threshold)
-    predicted = {a.student_id: a.flagged for a in assessments}
-    actual = {a.student_id: labels[a.student_id] for a in assessments}
-    result = f1_score(predicted, actual)
+    features = aggregate_features(cohort, cohort.event_columns.last_tick())
+    dropped = np.array([truth.dropped(sid) for sid in cohort.student_ids], dtype=bool)
+    train, test = _holdout_split(len(dropped), split, derive_seed(seed, "risk-split"))
+    model = fit_risk_model(features[train], dropped[train])
+    _scores, flagged = assess_risk(model, features[test], threshold)
+    result = flags_f1(flagged, dropped[test])
     return result.precision, result.recall, result.f1
 
 
@@ -422,17 +424,16 @@ def evaluate_metrics(
             lambda: evaluate_recommendations(cohort, evaluation.recommend_neighborhood),
         )
     if "prediction" in spec.metrics:
-        def _prediction() -> float:
-            _model, accuracy = fit_predictors(
+        report.prediction_accuracy = timed(
+            "prediction",
+            lambda: fit_predictors(
                 cohort,
                 split=evaluation.predictor_split,
                 seed=derive_seed(seed, "prediction"),
                 window_len=evaluation.predictor_window_len,
                 blend_weight=evaluation.blend_weight,
-            )
-            return accuracy
-
-        report.prediction_accuracy = timed("prediction", _prediction)
+            ),
+        )
     if "grading" in spec.metrics:
         report.grading_match_rate = timed(
             "grading",

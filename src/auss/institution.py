@@ -32,29 +32,6 @@ FEATURE_ORDER = (
 
 
 @dataclass(frozen=True)
-class InstitutionalFeatures:
-    """Per-student aggregates over the full history up to a tick."""
-
-    student_id: str
-    mean_engagement: float
-    engagement_slope: float
-    mean_score: float
-    score_slope: float
-    absence_rate: float
-    credits_attempted: float
-
-    def as_vector(self) -> list[float]:
-        return [getattr(self, name) for name in FEATURE_ORDER]
-
-
-@dataclass(frozen=True)
-class RiskAssessment:
-    student_id: str
-    risk_score: float
-    flagged: bool
-
-
-@dataclass(frozen=True)
 class LoadReport:
     """Events processed per agent, as counts and fractional shares."""
 
@@ -261,20 +238,18 @@ class FeatureTracker:
         return mean, float(features[0, FEATURE_ORDER.index("score_slope")]), risk
 
 
-def aggregate_features(cohort: Cohort, tick: int) -> list[InstitutionalFeatures]:
+def aggregate_features(cohort: Cohort, tick: int) -> np.ndarray:
     """Batch aggregates over every event with event.tick <= tick.
 
-    Output order follows cohort.students. Equivalent to feeding a
-    FeatureTracker tick by tick and reading features at ``tick``.
+    One FEATURE_ORDER row per student, in cohort.students order. Equivalent
+    to feeding a FeatureTracker tick by tick and reading features at ``tick``.
     """
     tracker = FeatureTracker(cohort, window_len=1)
     for t, events in cohort.event_columns.tick_slices().items():
         if t > tick:
             break
         tracker.ingest(t, events)
-    ids = cohort.student_ids
-    rows = tracker.feature_matrix(ids).tolist()
-    return [InstitutionalFeatures(sid, *row) for sid, row in zip(ids, rows)]
+    return tracker.feature_matrix(cohort.student_ids)
 
 
 # -- risk model ---------------------------------------------------------------
@@ -295,92 +270,38 @@ def monitor_model() -> LogisticModel:
     )
 
 
-@dataclass(frozen=True)
-class RiskModel:
-    """Fitted dropout-risk scorer over the FEATURE_ORDER vector."""
-
-    logistic: LogisticModel
-    feature_names: tuple[str, ...]
-    seed: int
-
-    def score(self, features: InstitutionalFeatures) -> float:
-        vector = features.as_vector()
-        if len(vector) != len(self.logistic.weights):
-            raise MetricInputError(
-                f"feature length {len(vector)} does not match model ({len(self.logistic.weights)})"
-            )
-        return float(self.logistic.predict_proba_one(vector))
-
-
-def fit_risk_model(
-    features: Sequence[InstitutionalFeatures],
-    labels: Mapping[str, bool],
-    seed: int = 0,
-    *,
-    learning_rate: float = 0.5,
-    n_iterations: int = 500,
-) -> RiskModel:
-    """Logistic regression on aggregate features against dropout labels.
+def fit_risk_model(x: np.ndarray, y: np.ndarray) -> LogisticModel:
+    """Logistic regression of dropout labels ``y`` on FEATURE_ORDER rows ``x``.
 
     Deterministic: zero-initialized batch gradient descent with a fixed
-    iteration budget; the seed is recorded for provenance.
+    iteration budget (:func:`~auss.learners.fit_logistic`'s defaults). A
+    single-class ``y`` is an InsufficientDataError.
     """
-    labeled = [f for f in features if f.student_id in labels]
-    if len(labeled) < 10:
+    if len(x) < 10:
         raise InsufficientDataError(
-            f"need at least 10 labeled students to fit a risk model, got {len(labeled)}"
+            f"need at least 10 labeled students to fit a risk model, got {len(x)}"
         )
-    x = np.array([f.as_vector() for f in labeled])
-    y = np.array([1.0 if labels[f.student_id] else 0.0 for f in labeled])
-    if len(np.unique(y)) < 2:
-        raise InsufficientDataError("labels contain a single class; need both outcomes")
-    logistic = fit_logistic(x, y, learning_rate=learning_rate, n_iterations=n_iterations)
-    return RiskModel(logistic=logistic, feature_names=FEATURE_ORDER, seed=seed)
+    return fit_logistic(x, y)
 
 
 def assess_risk(
-    model: RiskModel | LogisticModel,
-    features: Sequence[InstitutionalFeatures],
-    threshold: float = 0.5,
-    *,
-    already_flagged: frozenset[str] | set[str] = frozenset(),
-    tick: int = 0,
-) -> tuple[list[RiskAssessment], list[Event]]:
-    """Score students and flag those at or above the threshold.
+    model: LogisticModel, x: np.ndarray, threshold: float = 0.5
+) -> tuple[np.ndarray, np.ndarray]:
+    """(risk scores, flags) for FEATURE_ORDER rows ``x``, one of each per row.
 
-    Returns the assessments plus one at_risk_flag event per newly flagged
-    student (students in ``already_flagged`` never produce another event).
+    Each score equals ``model.predict_proba_one`` of its row bit for bit; a
+    row is flagged when its score is at or above the threshold.
     """
-    scorer = model if isinstance(model, RiskModel) else RiskModel(model, FEATURE_ORDER, seed=0)
-    scores = [(feats.student_id, scorer.score(feats)) for feats in features]
-    return _flag_risks(scores, threshold, already_flagged=already_flagged, tick=tick)
-
-
-def _flag_risks(
-    scores: Iterable[tuple[str, float]],
-    threshold: float,
-    *,
-    already_flagged: frozenset[str] | set[str] = frozenset(),
-    tick: int = 0,
-) -> tuple[list[RiskAssessment], list[Event]]:
-    """Assessments and new at_risk_flag events for (student_id, risk score) pairs."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    assessments: list[RiskAssessment] = []
-    events: list[Event] = []
-    for student_id, score in scores:
-        flagged = score >= threshold
-        assessments.append(RiskAssessment(student_id, score, flagged))
-        if flagged and student_id not in already_flagged:
-            events.append(
-                Event(
-                    tick=tick,
-                    source_agent=AgentName.INSTITUTION,
-                    kind=TriggerKind.AT_RISK_FLAG,
-                    payload={"student_id": student_id, "risk_score": score},
-                )
-            )
-    return assessments, events
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != len(model.weights):
+        raise MetricInputError(
+            f"feature rows of shape {x.shape} do not match the model's "
+            f"{len(model.weights)} weights"
+        )
+    scores = model.predict_proba_rows(x)
+    return scores, scores >= threshold
 
 
 # -- metrics -------------------------------------------------------------------
@@ -406,11 +327,24 @@ def f1_score(predicted: Mapping[str, bool], actual: Mapping[str, bool]) -> F1Res
     if set(predicted) != set(actual):
         missing = sorted(set(actual) ^ set(predicted))
         raise MetricInputError(f"prediction/truth student sets differ: {missing[:10]}")
-    if not predicted:
+    students = list(predicted)
+    return flags_f1(
+        np.array([bool(predicted[s]) for s in students], dtype=bool),
+        np.array([bool(actual[s]) for s in students], dtype=bool),
+    )
+
+
+def flags_f1(predicted: np.ndarray, actual: np.ndarray) -> F1Result:
+    """:func:`f1_score` over aligned boolean arrays, one entry per student."""
+    if predicted.shape != actual.shape:
+        raise MetricInputError(
+            f"prediction/truth flag shapes differ: {predicted.shape} and {actual.shape}"
+        )
+    if not predicted.size:
         raise MetricInputError("cannot score empty label sets")
-    tp = sum(1 for s, p in predicted.items() if p and actual[s])
-    fp = sum(1 for s, p in predicted.items() if p and not actual[s])
-    fn = sum(1 for s, p in predicted.items() if not p and actual[s])
+    tp = int(np.count_nonzero(predicted & actual))
+    fp = int(np.count_nonzero(predicted & ~actual))
+    fn = int(np.count_nonzero(~predicted & actual))
     if tp + fp == 0 and tp + fn == 0:
         return F1Result(1.0, 1.0, 1.0, tp, fp, fn)
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
@@ -446,6 +380,8 @@ class InstitutionAgent(Agent):
     subscriptions = frozenset(TriggerKind)
 
     def __init__(self, *, risk_every: int = 5, risk_threshold: float = 0.5):
+        if not 0.0 < risk_threshold < 1.0:
+            raise ValueError(f"risk_threshold must be in (0, 1), got {risk_threshold}")
         self.risk_every = risk_every
         self.risk_threshold = risk_threshold
         self.flagged: set[str] = set()
@@ -454,25 +390,24 @@ class InstitutionAgent(Agent):
         return {"view": view, "inbox": tuple(inbox)}
 
     def reason(self, percepts: dict) -> dict:
+        """Every ``risk_every`` ticks, one at_risk_flag payload per newly flagged student."""
         view: TickView = percepts["view"]
         tracker = view.tracker
         decisions: dict = {"tick": view.tick, "new_flags": []}
         if (view.tick + 1) % self.risk_every == 0:
             seen = [s for s in sorted(tracker.student_ids()) if s not in self.flagged]
-            _, events = _flag_risks(
-                zip(seen, tracker.risks(seen).tolist()),
-                self.risk_threshold,
-                already_flagged=self.flagged,
-                tick=view.tick,
-            )
-            decisions["new_flags"] = events
+            decisions["new_flags"] = [
+                {"student_id": sid, "risk_score": risk}
+                for sid, risk in zip(seen, tracker.risks(seen).tolist())
+                if risk >= self.risk_threshold
+            ]
         return decisions
 
     def act(self, decisions: dict, publish: Publisher) -> list[Action]:
         actions: list[Action] = []
-        for event in decisions["new_flags"]:
-            sid = event.payload["student_id"]
+        for payload in decisions["new_flags"]:
+            sid = payload["student_id"]
             self.flagged.add(sid)
-            publish.publish(event.kind, event.payload)
-            actions.append(Action(kind="flag_at_risk", student_id=sid, detail=event.payload))
+            publish.publish(TriggerKind.AT_RISK_FLAG, payload)
+            actions.append(Action(kind="flag_at_risk", student_id=sid, detail=payload))
         return actions

@@ -153,10 +153,6 @@ class BaggedTreeRegressor:
             self.trees.append(tree)
         return self
 
-    @property
-    def is_fitted(self) -> bool:
-        return bool(self.trees)
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         if not self.trees:
             raise UntrainedModelError("ensemble is not fitted; call fit first")
@@ -165,11 +161,6 @@ class BaggedTreeRegressor:
         for tree in self.trees:
             acc += tree.predict(x)
         return acc / len(self.trees)
-
-    def predict_one(self, row: Sequence[float]) -> float:
-        if not self.trees:
-            raise UntrainedModelError("ensemble is not fitted; call fit first")
-        return sum(t.predict_one(row) for t in self.trees) / len(self.trees)
 
 
 # -- logistic regression -----------------------------------------------------

@@ -13,13 +13,12 @@ from .bus import AgentName, Event, TriggerKind
 from .domain import (
     Cohort,
     EventColumns,
-    StudentRecord,
     row_sums,
     series_mean_slope,
     window_feature_rows,
 )
-from .errors import ConfigError, InsufficientDataError, UnknownStudentError, UntrainedModelError
-from .learners import BaggedTreeRegressor, LogisticModel, fit_logistic
+from .errors import ConfigError, InsufficientDataError, UnknownStudentError
+from .learners import BaggedTreeRegressor, fit_logistic
 from .runtime import Action, Agent, Publisher, TickView
 
 # -- interaction matrix and collaborative filtering ---------------------------
@@ -293,57 +292,11 @@ def _neighbours(
 # -- performance prediction ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PerformancePrediction:
-    student_id: str
-    predicted_score: float
-    static_score: float
-    temporal_score: float
-    blend_weight: float
-
-
-@dataclass
-class PerformanceModel:
-    """Blend of a bagged-tree static model and a logistic temporal model."""
-
-    static_model: BaggedTreeRegressor
-    temporal_model: LogisticModel
-    blend_weight: float
-    static_feature_names: tuple[str, ...]
-    window_len: int
-
-    def static_vector(self, record: StudentRecord) -> list[float]:
-        return [float(record.static_features.get(name, 0.0)) for name in self.static_feature_names]
-
-    def predict(self, record: StudentRecord, lag_features: Sequence[float]) -> PerformancePrediction:
-        if not self.static_model.is_fitted:
-            raise UntrainedModelError("performance model is not fitted; call fit_predictors first")
-        static_score = float(np.clip(self.static_model.predict_one(self.static_vector(record)), 0.0, 1.0))
-        temporal_score = float(self.temporal_model.predict_proba_one(lag_features))
-        w = self.blend_weight
-        blended = float(np.clip(w * static_score + (1.0 - w) * temporal_score, 0.0, 1.0))
-        return PerformancePrediction(
-            student_id=record.student_id,
-            predicted_score=blended,
-            static_score=static_score,
-            temporal_score=temporal_score,
-            blend_weight=w,
-        )
-
-
-def predict_performance(
-    model: PerformanceModel | None, record: StudentRecord, lag_features: Sequence[float]
-) -> PerformancePrediction:
-    if model is None:
-        raise UntrainedModelError("no performance model available; call fit_predictors first")
-    return model.predict(record, lag_features)
-
-
-def lag_feature_rows(cohort: Cohort, tick: int, window_len: int) -> dict[str, list[float]]:
-    """Lag-feature vectors for every student (see :func:`~auss.domain.feature_window`),
-    from one columnar pass over the window's events."""
-    rows = window_feature_rows(cohort.event_columns, tick, window_len)
-    return dict(zip(cohort.student_ids, rows[cohort.student_rows].tolist()))
+def _holdout_split(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(train rows, test rows) of a seeded permutation of range(n); each side keeps >= 1 row."""
+    order = np.random.default_rng(seed).permutation(n)
+    n_train = min(n - 1, max(1, int(round(train_fraction * n))))
+    return order[:n_train], order[n_train:]
 
 
 def fit_predictors(
@@ -353,13 +306,14 @@ def fit_predictors(
     *,
     window_len: int = 10,
     blend_weight: float = 0.5,
-    n_trees: int = 25,
-    max_depth: int = 4,
-    bootstrap_fraction: float = 0.8,
-) -> tuple[PerformanceModel, float]:
-    """Fit both sub-models on a deterministic train split; report held-out
-    accuracy of the blended score thresholded at 0.5 against the binarized
-    ability label (ability >= 0.5).
+) -> float:
+    """Held-out accuracy of a blend of a bagged-tree static model and a
+    logistic temporal model, both fitted on a deterministic train split.
+
+    The static model reads the students' static features, the temporal
+    model their lag features (:func:`~auss.domain.window_feature_rows`)
+    at the last event tick. The blended score, thresholded at 0.5, is
+    scored against the binarized ability label (ability >= 0.5).
     """
     if not 0.0 < split < 1.0:
         raise ConfigError(f"train fraction must be in (0, 1), got {split}")
@@ -368,49 +322,31 @@ def fit_predictors(
     truth = cohort.ground_truth
     if truth is None or not truth.abilities:
         raise InsufficientDataError("cohort has no ground-truth performance labels")
-    labeled = [s for s in cohort.students if s.student_id in truth.abilities]
+    labeled = [i for i, s in enumerate(cohort.students) if s.student_id in truth.abilities]
     if len(labeled) < 10:
         raise InsufficientDataError(
             f"need at least 10 labeled students to fit predictors, got {len(labeled)}"
         )
 
-    feature_names = tuple(sorted({name for s in labeled for name in s.static_features}))
-    last_tick = cohort.event_columns.last_tick()
-    lag_rows = lag_feature_rows(cohort, last_tick, window_len)
-
+    students = [cohort.students[i] for i in labeled]
+    feature_names = sorted({name for s in students for name in s.static_features})
     x_static = np.array(
-        [[float(s.static_features.get(name, 0.0)) for name in feature_names] for s in labeled]
+        [[float(s.static_features.get(name, 0.0)) for name in feature_names] for s in students]
     )
-    x_lag = np.array([lag_rows[s.student_id] for s in labeled])
-    ability = np.array([truth.abilities[s.student_id] for s in labeled])
+    lag_rows = window_feature_rows(
+        cohort.event_columns, cohort.event_columns.last_tick(), window_len
+    )
+    x_lag = lag_rows[cohort.student_rows[labeled]]
+    ability = np.array([truth.abilities[s.student_id] for s in students])
     binary = (ability >= 0.5).astype(float)
+    train, test = _holdout_split(len(labeled), split, seed)
 
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(labeled))
-    n_train = min(len(labeled) - 1, max(1, int(round(split * len(labeled)))))
-    train, test = order[:n_train], order[n_train:]
-
-    static_model = BaggedTreeRegressor(
-        n_trees=n_trees,
-        max_depth=max_depth,
-        bootstrap_fraction=bootstrap_fraction,
-        seed=seed,
-    ).fit(x_static[train], ability[train])
+    static_model = BaggedTreeRegressor(seed=seed).fit(x_static[train], ability[train])
     temporal_model = fit_logistic(x_lag[train], binary[train])
-
-    model = PerformanceModel(
-        static_model=static_model,
-        temporal_model=temporal_model,
-        blend_weight=blend_weight,
-        static_feature_names=feature_names,
-        window_len=window_len,
-    )
-
     static_pred = np.clip(static_model.predict(x_static[test]), 0.0, 1.0)
     temporal_pred = temporal_model.predict_proba(x_lag[test])
     blended = blend_weight * static_pred + (1.0 - blend_weight) * temporal_pred
-    accuracy = float(np.mean((blended >= 0.5) == (binary[test] == 1.0)))
-    return model, accuracy
+    return float(np.mean((blended >= 0.5) == (binary[test] == 1.0)))
 
 
 # -- learning-gap detection ------------------------------------------------------

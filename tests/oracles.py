@@ -3,9 +3,11 @@
 Everything here is written straight from the definitions (pure Python,
 no shared code with the package) so the two sides can disagree. Two
 exceptions: ``scalar_recommend`` keeps numpy's matrix-vector product for
-similarity so that its floats can be compared with ``==``, and
+similarity so that its floats can be compared with ``==``;
 ``object_grading_rate`` grades through the package's public grading
-objects, which the fast evaluator no longer builds.
+objects, which the fast evaluator no longer builds; and
+``object_risk_evaluation`` fits with the package's ``fit_logistic`` and
+scores with its dict-based ``f1_score``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from auss.educator import (
     grading_match_rate,
 )
 from auss.experiment import derive_seed
+from auss.institution import f1_score
+from auss.learners import fit_logistic
 
 
 def python_cosine(u: Sequence[float], v: Sequence[float]) -> float:
@@ -255,6 +259,36 @@ def object_grading_rate(
                 )
             )
     return grading_match_rate(auto, reference)
+
+
+def object_risk_evaluation(
+    cohort, split: float, threshold: float, seed: int
+) -> tuple[float, float, float]:
+    """Held-out dropout-risk precision/recall/F1 one student at a time: the
+    object form of ``experiment.evaluate_risk``.
+
+    Feature rows come from a ``DictFeatureTracker`` fed every event; the
+    test students are scored one ``predict_proba_one`` call each, and their
+    flags and labels go to ``f1_score`` as dicts.
+    """
+    tracker = DictFeatureTracker(cohort.students, window_len=1)
+    grouped = group_events_by_tick(cohort.events)
+    for tick in sorted(grouped):
+        tracker.ingest(tick, grouped[tick])
+    ids = [s.student_id for s in cohort.students]
+    features = {sid: tracker.features(sid) for sid in ids}
+    dropped = {sid: cohort.ground_truth.dropped(sid) for sid in ids}
+    order = np.random.default_rng(derive_seed(seed, "risk-split")).permutation(len(ids))
+    n_train = min(len(ids) - 1, max(1, int(round(split * len(ids)))))
+    train = [ids[i] for i in order[:n_train].tolist()]
+    test = [ids[i] for i in order[n_train:].tolist()]
+    model = fit_logistic(
+        np.array([features[sid] for sid in train]),
+        np.array([1.0 if dropped[sid] else 0.0 for sid in train]),
+    )
+    predicted = {sid: model.predict_proba_one(features[sid]) >= threshold for sid in test}
+    result = f1_score(predicted, {sid: dropped[sid] for sid in test})
+    return result.precision, result.recall, result.f1
 
 
 class DictFeatureTracker:

@@ -9,12 +9,10 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from auss.bus import EventBus
 from auss.domain import AssessmentRecord
 from auss.educator import ARITHMETIC_TEMPLATE, auto_grade, generate_quiz, match_fraction
-from auss.errors import MetricInputError
 from auss.experiment import (
     MetricsReport,
     reference_spec,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from auss.cli import main
+from auss.runtime import SimulationTranscript
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, dict | None, str]:
@@ -212,6 +213,8 @@ class TestCliErrors:
                 '{"scheduler": {"max_ticks": 12, "agent_order": ["student_agent", 1]}}',
                 "agent_order must be a list of strings, got ['student_agent', 1]",
             ),
+            ('{"metrics": "risk"}', "metrics must be a list of strings, got 'risk'"),
+            ('{"metrics": ["risk", 1]}', "metrics must be a list of strings, got ['risk', 1]"),
         ],
         ids=[
             "digit_limit",
@@ -227,6 +230,8 @@ class TestCliErrors:
             "agent_order_agent_name",
             "agent_order_integer",
             "agent_order_non_string_entry",
+            "metrics_string",
+            "metrics_non_string_entry",
         ],
     )
     def test_simulate_with_mistyped_config(self, tmp_path, capsys, gen_config, config, needle):
@@ -277,6 +282,21 @@ class TestCliErrors:
         error = json.loads(err)
         assert error["error"] == "TranscriptError"
         assert needle in error["message"]
+
+    @pytest.mark.parametrize(
+        "spec", [["generator"], 7, "abc"], ids=["list", "integer", "string"]
+    )
+    def test_replay_of_non_object_experiment_spec(self, tmp_path, capsys, spec):
+        path = tmp_path / "transcript.jsonl"
+        SimulationTranscript({"type": "header", "format_version": 1, "experiment": spec}).to_jsonl(
+            path
+        )
+        code, out, err = run_cli(capsys, "replay", "--transcript", str(path))
+        assert code == 1
+        assert out is None
+        error = json.loads(err)
+        assert error["error"] == "ConfigError"
+        assert f"experiment spec must be a JSON object, got {spec!r}" in error["message"]
 
     def test_simulate_with_non_integer_tick(self, tmp_path, capsys, gen_config):
         cohort_dir = tmp_path / "cohort"

@@ -17,8 +17,8 @@ from auss.domain import (
     EventKind,
     LearningResource,
     StudentRecord,
-    feature_window,
     validate_cohort,
+    window_feature_rows,
 )
 from auss.educator import generate_class_report
 from auss.errors import UnknownStudentError
@@ -26,7 +26,6 @@ from auss.experiment import ExperimentSpec, run_experiment
 from auss.institution import aggregate_features
 from auss.policy import PolicyConfig
 from auss.runtime import SchedulerConfig
-from auss.student import lag_feature_rows
 from auss.synthetic import GeneratorConfig, export_cohort, generate_cohort
 
 from oracles import (
@@ -171,13 +170,10 @@ class TestColumnsMatchObjects:
     def test_lag_features_equal_scalar_windows(self, drawn, tick, window_len):
         students, resources, events = drawn
         cohort = Cohort(students, events, resources=resources)
-        rows = lag_feature_rows(cohort, tick, window_len)
-        assert list(rows) == list(cohort.student_ids)
-        for sid in cohort.student_ids:
+        rows = window_feature_rows(cohort.event_columns, tick, window_len)
+        for sid, row in zip(cohort.student_ids, rows[cohort.student_rows].tolist()):
             own = [e for e in events if e.student_id == sid]
-            expected = window_features(own, tick, window_len, list(EventKind))
-            assert rows[sid] == expected
-            assert feature_window(cohort, sid, tick, window_len) == expected
+            assert row == window_features(own, tick, window_len, list(EventKind))
 
     @settings(max_examples=200, deadline=None)
     @given(event_streams(), st.integers(0, 8))
@@ -194,9 +190,9 @@ class TestColumnsMatchObjects:
         for t in sorted(grouped):
             if t <= tick:
                 oracle.ingest(t, grouped[t])
-        assert [
-            (f.student_id, *f.as_vector()) for f in aggregate_features(cohort, tick)
-        ] == [(sid, *oracle.features(sid)) for sid in cohort.student_ids]
+        assert [tuple(row) for row in aggregate_features(cohort, tick).tolist()] == [
+            oracle.features(sid) for sid in cohort.student_ids
+        ]
 
     @settings(max_examples=50, deadline=None)
     @given(drawn=event_streams(valid_values=False))

@@ -4,27 +4,32 @@ import csv
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import auss.experiment as experiment_module
+from auss.bus import Event
 from auss.domain import Cohort, GroundTruth
 from auss.educator import GradeResult
 from auss.errors import (
     ConfigError,
+    InsufficientDataError,
     MetricInputError,
     StageError,
     TranscriptChecksumError,
     TranscriptError,
 )
 from auss.experiment import (
+    METRIC_NAMES,
     EvaluationConfig,
     ExperimentSpec,
     MetricsReport,
     derive_seed,
     evaluate_grading,
+    evaluate_risk,
     load_experiment_cohort,
     reference_spec,
     replay,
@@ -36,9 +41,9 @@ from auss.institution import load_report
 from auss.policy import PolicyConfig
 from auss.runtime import SchedulerConfig
 from auss.student import InteractionMatrix
-from auss.synthetic import GeneratorConfig
+from auss.synthetic import GeneratorConfig, generate_cohort
 
-from oracles import object_grading_rate
+from oracles import object_grading_rate, object_risk_evaluation
 
 #: A 40-student, 6-resource, 12-tick run at seed 3, written by an earlier build.
 COMMITTED_TRANSCRIPT = Path(__file__).parent / "data" / "transcript_40x6x12_seed3.jsonl"
@@ -207,6 +212,60 @@ class TestGradingMatchesObjectOracle:
             evaluate_grading(_graded_cohort({}), 20, 0.1, 42)
 
 
+class TestRiskMatchesObjectOracle:
+    """The array evaluator equals scoring the held-out students one at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(15, 60),
+        st.integers(3, 15),
+        st.integers(1, 3),
+        st.integers(0, 2**16),
+        # no dropouts, some, and nearly everyone
+        st.sampled_from([-4.0, 2.0, 4.0, 8.0]),
+        st.sampled_from([0.7, 0.8, 0.9]),
+        st.one_of(st.sampled_from([0.05, 0.5, 0.95]), st.floats(0.01, 0.99)),
+    )
+    def test_equals_object_oracle(
+        self, n_students, n_ticks, check_every, seed, hazard_bias, split, threshold
+    ):
+        cohort, _truth = generate_cohort(
+            GeneratorConfig(
+                n_students=n_students,
+                n_resources=4,
+                n_ticks=n_ticks,
+                seed=seed,
+                hazard_bias=hazard_bias,
+                dropout_check_every=check_every,
+                assess_every=1,
+            )
+        )
+        try:
+            expected = object_risk_evaluation(cohort, split, threshold, seed)
+        except InsufficientDataError:  # one class in the train split
+            with pytest.raises(InsufficientDataError):
+                evaluate_risk(cohort, split, threshold, seed)
+            return
+        assert evaluate_risk(cohort, split, threshold, seed) == expected
+
+    @pytest.mark.parametrize("seed", [42, 3, 7])
+    def test_equals_object_oracle_at_reference_size(self, seed):
+        config = GeneratorConfig(n_students=1000, n_resources=20, n_ticks=50, seed=seed)
+        cohort, _truth = generate_cohort(config)
+        assert evaluate_risk(cohort, 0.7, 0.5, seed) == object_risk_evaluation(
+            cohort, 0.7, 0.5, seed
+        )
+
+    def test_builds_no_bus_events(self, monkeypatch):
+        def no_event(self, *args, **kwargs):
+            raise AssertionError("a bus Event was constructed")
+
+        cohort = load_experiment_cohort(small_spec(n_students=200))
+        monkeypatch.setattr(Event, "__init__", no_event)
+        precision, _recall, _f1 = evaluate_risk(cohort, 0.7, 0.5, 5)
+        assert precision > 0.0
+
+
 #: sha256 of the canonical records after the header of the seed-42 300x20x30
 #: run below, as written before the student level moved to numpy arrays.
 #: The header is left out because it carries the output directory.
@@ -362,6 +421,19 @@ class TestSpecSerialization:
     def test_round_trip(self):
         spec = small_spec(out_dir="/tmp/x")
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+
+    def test_round_trip_keeps_an_empty_metric_list(self):
+        spec = replace(small_spec(), metrics=())
+        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+        assert ExperimentSpec.from_dict({"cohort_dir": "."}).metrics == METRIC_NAMES
+
+    def test_run_with_no_metrics_replays(self, tmp_path):
+        out = tmp_path / "run"
+        spec = replace(small_spec(out_dir=out, seed=3, n_students=40), metrics=())
+        report, _transcript = run_experiment(spec)
+        replayed = replay(out / "transcript.jsonl")
+        assert replayed.metadata["metrics"] == report.metadata["metrics"] == []
+        assert replayed.risk_f1 is None
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):

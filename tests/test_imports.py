@@ -1,4 +1,5 @@
-"""Every module-level import and private helper in ``src/auss`` is used by its module.
+"""Every module-level import and private helper in ``src/auss`` is used by its module,
+and so is every module-level import in ``tests``.
 
 ``__init__.py`` is exempt: its imports are the package's public re-exports.
 A name counts as used when the module loads it anywhere; the modules use
@@ -15,8 +16,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "auss"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "auss"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def _module_imports(tree: ast.Module) -> dict[str, int]:
@@ -36,7 +39,7 @@ def _module_imports(tree: ast.Module) -> dict[str, int]:
     return bound
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -13,11 +13,11 @@ from auss.errors import (
     TranscriptError,
     UnknownStudentError,
 )
+from auss.experiment import ExperimentSpec, load_experiment_cohort, simulate
 from auss.institution import (
     FEATURE_ORDER,
     FeatureTracker,
-    InstitutionalFeatures,
-    RiskModel,
+    InstitutionAgent,
     aggregate_features,
     assess_risk,
     f1_score,
@@ -26,13 +26,16 @@ from auss.institution import (
     monitor_model,
 )
 from auss.learners import LogisticModel
-from auss.runtime import SimulationTranscript
+from auss.policy import PolicyConfig
+from auss.runtime import SchedulerConfig, SimulationTranscript
+from auss.synthetic import GeneratorConfig
 
 from conftest import make_cohort, make_student
 from oracles import DictFeatureTracker, confusion_f1
 
 
-def features(sid="s1", **overrides) -> InstitutionalFeatures:
+def features(**overrides) -> list[float]:
+    """One FEATURE_ORDER row: neutral values, with ``overrides`` by feature name."""
     values = {
         "mean_engagement": 0.5,
         "engagement_slope": 0.0,
@@ -42,26 +45,31 @@ def features(sid="s1", **overrides) -> InstitutionalFeatures:
         "credits_attempted": 12.0,
     }
     values.update(overrides)
-    return InstitutionalFeatures(student_id=sid, **values)
+    return [values[name] for name in FEATURE_ORDER]
 
 
-def zero_model() -> RiskModel:
-    logistic = LogisticModel(
+def zero_model() -> LogisticModel:
+    return LogisticModel(
         weights=np.zeros(len(FEATURE_ORDER)),
         bias=0.0,
         feature_means=np.zeros(len(FEATURE_ORDER)),
         feature_stds=np.ones(len(FEATURE_ORDER)),
     )
-    return RiskModel(logistic, FEATURE_ORDER, seed=0)
+
+
+def aggregate_row(cohort, tick) -> dict[str, float]:
+    """The one student's ``aggregate_features`` row, by feature name."""
+    [row] = aggregate_features(cohort, tick).tolist()
+    return dict(zip(FEATURE_ORDER, row))
 
 
 class TestAggregateFeatures:
     def test_no_absences_means_zero_rate(self):
         events = [EngagementEvent("s1", t, EventKind.LOGIN, 0.8) for t in range(3)]
         cohort = make_cohort(students=[make_student("s1")], events=events)
-        [feats] = aggregate_features(cohort, 2)
-        assert feats.absence_rate == 0.0
-        assert feats.mean_engagement == pytest.approx(0.8)
+        feats = aggregate_row(cohort, 2)
+        assert feats["absence_rate"] == 0.0
+        assert feats["mean_engagement"] == pytest.approx(0.8)
 
     def test_score_slope_least_squares(self):
         events = [
@@ -70,16 +78,16 @@ class TestAggregateFeatures:
             EngagementEvent("s1", 2, EventKind.SUBMISSION, 0.4),
         ]
         cohort = make_cohort(students=[make_student("s1")], events=events)
-        [feats] = aggregate_features(cohort, 2)
-        assert feats.score_slope == pytest.approx(-0.2, abs=1e-12)
-        assert feats.mean_score == pytest.approx(0.6)
+        feats = aggregate_row(cohort, 2)
+        assert feats["score_slope"] == pytest.approx(-0.2, abs=1e-12)
+        assert feats["mean_score"] == pytest.approx(0.6)
 
     def test_single_tick_slope_convention(self):
         events = [EngagementEvent("s1", 0, EventKind.SUBMISSION, 0.9)]
         cohort = make_cohort(students=[make_student("s1")], events=events)
-        [feats] = aggregate_features(cohort, 0)
-        assert feats.score_slope == 0.0
-        assert feats.engagement_slope == 0.0
+        feats = aggregate_row(cohort, 0)
+        assert feats["score_slope"] == 0.0
+        assert feats["engagement_slope"] == 0.0
 
     def test_absence_rate_over_elapsed_ticks(self):
         events = [
@@ -89,8 +97,8 @@ class TestAggregateFeatures:
             EngagementEvent("s1", 3, EventKind.ABSENCE, 0.5),
         ]
         cohort = make_cohort(students=[make_student("s1")], events=events)
-        [feats] = aggregate_features(cohort, 3)
-        assert feats.absence_rate == pytest.approx(0.5)
+        feats = aggregate_row(cohort, 3)
+        assert feats["absence_rate"] == pytest.approx(0.5)
 
     def test_events_after_tick_ignored(self):
         events = [
@@ -98,8 +106,8 @@ class TestAggregateFeatures:
             EngagementEvent("s1", 5, EventKind.LOGIN, 1.0),
         ]
         cohort = make_cohort(students=[make_student("s1")], events=events)
-        [feats] = aggregate_features(cohort, 1)
-        assert feats.mean_engagement == pytest.approx(0.2)
+        feats = aggregate_row(cohort, 1)
+        assert feats["mean_engagement"] == pytest.approx(0.2)
 
     def test_matches_incremental_tracker(self):
         rng = random.Random(9)
@@ -121,7 +129,7 @@ class TestAggregateFeatures:
             oracle.ingest(t, by_tick[t])
         ids = cohort.student_ids
         rows = [tuple(row) for row in tracker.feature_matrix(ids).tolist()]
-        assert rows == [tuple(feats.as_vector()) for feats in aggregate_features(cohort, 9)]
+        assert rows == [tuple(row) for row in aggregate_features(cohort, 9).tolist()]
         assert rows == [oracle.features(sid) for sid in ids]
         assert filled_windows(tracker, ids) == oracle_windows(oracle, ids)
 
@@ -147,8 +155,8 @@ class TestAggregateFeatures:
 
     def test_credits_taken_from_static_features(self):
         cohort = make_cohort(students=[make_student("s1", credits=21.0)])
-        [feats] = aggregate_features(cohort, 0)
-        assert feats.credits_attempted == 21.0
+        feats = aggregate_row(cohort, 0)
+        assert feats["credits_attempted"] == 21.0
 
 
 _TIED_VALUES = st.sampled_from([0.0, 0.25, 0.5, 1.0])
@@ -245,58 +253,49 @@ class TestTrackerMatchesOracle:
 
 class TestRiskModel:
     def _training_set(self, n=40):
-        rows = []
-        labels = {}
-        for i in range(n):
-            sid = f"s{i}"
-            engagement = 0.1 if i % 2 == 0 else 0.9
-            rows.append(features(sid, mean_engagement=engagement, mean_score=engagement))
-            labels[sid] = engagement < 0.5
-        return rows, labels
+        engagement = np.where(np.arange(n) % 2 == 0, 0.1, 0.9)
+        x = np.array([features(mean_engagement=e, mean_score=e) for e in engagement])
+        return x, engagement < 0.5
 
     def test_separable_training_accuracy(self):
-        rows, labels = self._training_set()
-        model = fit_risk_model(rows, labels, seed=0)
-        correct = sum(
-            1 for f in rows if (model.score(f) >= 0.5) == labels[f.student_id]
-        )
-        assert correct / len(rows) >= 0.95
+        x, dropped = self._training_set()
+        model = fit_risk_model(x, dropped)
+        _scores, flags = assess_risk(model, x, 0.5)
+        assert np.mean(flags == dropped) >= 0.95
 
     def test_same_seed_identical_weights(self):
-        rows, labels = self._training_set()
-        a = fit_risk_model(rows, labels, seed=1)
-        b = fit_risk_model(rows, labels, seed=1)
-        assert np.array_equal(a.logistic.weights, b.logistic.weights)
-        assert a.logistic.bias == b.logistic.bias
+        x, dropped = self._training_set()
+        a = fit_risk_model(x, dropped)
+        b = fit_risk_model(x, dropped)
+        assert np.array_equal(a.weights, b.weights)
+        assert a.bias == b.bias
 
     def test_too_few_students_rejected(self):
-        rows, labels = self._training_set(n=8)
+        x, dropped = self._training_set(n=8)
         with pytest.raises(InsufficientDataError):
-            fit_risk_model(rows, labels)
+            fit_risk_model(x, dropped)
 
     def test_single_class_rejected(self):
-        rows, _ = self._training_set()
-        labels = {f.student_id: True for f in rows}
+        x, dropped = self._training_set()
         with pytest.raises(InsufficientDataError):
-            fit_risk_model(rows, labels)
+            fit_risk_model(x, np.ones_like(dropped))
 
     def test_risk_monotonic_in_positive_weight_feature(self):
-        rows, labels = self._training_set()
-        model = fit_risk_model(rows, labels, seed=0)
-        # absence_rate carries a positive weight against dropout in this fixture?
+        x, dropped = self._training_set()
+        model = fit_risk_model(x, dropped)
         # use whichever learned weight is positive to keep the check honest.
-        idx = int(np.argmax(model.logistic.weights))
-        name = FEATURE_ORDER[idx]
-        low = features("x", **{name: 0.0})
-        high = features("x", **{name: 0.5})
-        assert model.score(high) >= model.score(low)
+        name = FEATURE_ORDER[int(np.argmax(model.weights))]
+        (low, high), _flags = assess_risk(
+            model, np.array([features(**{name: 0.0}), features(**{name: 0.5})])
+        )
+        assert high >= low
 
 
 class TestAssessRisk:
     def test_zero_weights_score_half(self):
-        assessments, _events = assess_risk(zero_model(), [features("s1"), features("s2")], 0.6)
-        assert [a.risk_score for a in assessments] == [0.5, 0.5]
-        assert not any(a.flagged for a in assessments)
+        scores, flags = assess_risk(zero_model(), np.array([features(), features()]), 0.6)
+        assert scores.tolist() == [0.5, 0.5]
+        assert not flags.any()
 
     def test_log_odds_nine_to_one(self):
         logistic = LogisticModel(
@@ -305,22 +304,29 @@ class TestAssessRisk:
             feature_means=np.zeros(6),
             feature_stds=np.ones(6),
         )
-        model = RiskModel(logistic, FEATURE_ORDER, seed=0)
-        [assessment], _ = assess_risk(model, [features("s1", mean_engagement=1.0)], 0.5)
-        assert assessment.risk_score == pytest.approx(0.9, abs=1e-12)
+        [score], _flags = assess_risk(logistic, np.array([features(mean_engagement=1.0)]), 0.5)
+        assert score == pytest.approx(0.9, abs=1e-12)
 
     def test_threshold_boundary(self):
         # score is exactly 0.5; flagged at threshold 0.5, not at 0.51
-        [at], _ = assess_risk(zero_model(), [features("s1")], 0.5)
-        assert at.flagged
-        [below], _ = assess_risk(zero_model(), [features("s1")], 0.51)
-        assert not below.flagged
+        x = np.array([features()])
+        assert assess_risk(zero_model(), x, 0.5)[1].tolist() == [True]
+        assert assess_risk(zero_model(), x, 0.51)[1].tolist() == [False]
 
-    def test_new_flags_only_once_per_run(self):
-        rows = [features("s1"), features("s2")]
-        _assessments, events = assess_risk(zero_model(), rows, 0.5, already_flagged={"s1"})
-        assert [e.payload["student_id"] for e in events] == ["s2"]
-        assert all(e.kind.value == "at_risk_flag" for e in events)
+    def test_scores_equal_one_row_predictions(self):
+        rng = np.random.default_rng(4)
+        x = rng.random((200, len(FEATURE_ORDER)))
+        model = fit_risk_model(x, x[:, 0] + rng.normal(0.0, 0.2, 200) < 0.5)
+        scores, flags = assess_risk(model, x, 0.4)
+        one_row = [model.predict_proba_one(row) for row in x]
+        assert scores.tolist() == one_row
+        assert flags.tolist() == [score >= 0.4 for score in one_row]
+
+    def test_bad_threshold_and_row_width_rejected(self):
+        with pytest.raises(ValueError, match="threshold"):
+            assess_risk(zero_model(), np.array([features()]), 1.0)
+        with pytest.raises(MetricInputError):
+            assess_risk(zero_model(), np.zeros((2, 5)), 0.5)
 
 
 class TestF1:
@@ -418,6 +424,28 @@ class TestLoadReport:
 class TestMonitor:
     def test_monitor_scores_low_engagement_higher(self):
         monitor = monitor_model()
-        risky = monitor.predict_proba_one(features("x", mean_engagement=0.1, mean_score=0.1).as_vector())
-        safe = monitor.predict_proba_one(features("x", mean_engagement=0.9, mean_score=0.9).as_vector())
+        risky = monitor.predict_proba_one(features(mean_engagement=0.1, mean_score=0.1))
+        safe = monitor.predict_proba_one(features(mean_engagement=0.9, mean_score=0.9))
         assert risky > safe
+
+
+class TestInstitutionAgent:
+    def test_new_flags_only_once_per_run(self):
+        spec = ExperimentSpec(
+            generator=GeneratorConfig(n_students=60, n_resources=6, n_ticks=30, seed=3),
+            scheduler=SchedulerConfig(max_ticks=30, rng_seed=3),
+            policy=PolicyConfig(rng_seed=3),
+        )
+        transcript = simulate(load_experiment_cohort(spec), spec)
+        students = [
+            record["payload"]["student_id"]
+            for record in transcript.of_type("event")
+            if record["kind"] == "at_risk_flag"
+        ]
+        assert students
+        assert len(set(students)) == len(students)
+
+    def test_bad_threshold_rejected_at_construction(self):
+        for threshold in (0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError, match="risk_threshold"):
+                InstitutionAgent(risk_threshold=threshold)

@@ -7,7 +7,7 @@ import pytest
 
 import auss.runtime as runtime_module
 
-from auss.bus import AgentName, EventBus, TriggerKind
+from auss.bus import AgentName, TriggerKind
 from auss.errors import (
     AgentPhaseError,
     ConfigError,

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from auss.cohort_files import EVENTS_FILE, GROUND_TRUTH_FILE, STUDENTS_FILE
-from auss.domain import EventKind, validate_cohort
+from auss.domain import validate_cohort
 from auss.errors import CohortFormatError, ConfigError
-from auss.institution import aggregate_features
+from auss.institution import FEATURE_ORDER, aggregate_features
 from auss.synthetic import (
     GeneratorConfig,
     export_cohort,
@@ -121,11 +121,11 @@ class TestGenerate:
         cohort, truth = generate_cohort(SMALL)
         last_tick = SMALL.n_ticks - 1
         batch = aggregate_features(cohort, last_tick)
-        by_sid = {f.student_id: f for f in batch}
+        by_sid = dict(zip(cohort.student_ids, batch.tolist()))
         for sid, tick in truth.dropout_ticks.items():
-            feats = by_sid[sid]
-            assert math.isfinite(feats.mean_engagement)
-            assert 0.0 <= feats.absence_rate <= 1.0
+            feats = dict(zip(FEATURE_ORDER, by_sid[sid]))
+            assert math.isfinite(feats["mean_engagement"])
+            assert 0.0 <= feats["absence_rate"] <= 1.0
 
     def test_invalid_config_names_field(self):
         with pytest.raises(ConfigError, match="n_students"):
