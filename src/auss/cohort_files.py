@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, TextIO
@@ -203,10 +204,14 @@ def read_ground_truth(path: str | Path) -> GroundTruth:
 
 
 def _number(value: object, name: str) -> float:
-    """A JSON number as a float; strings, booleans and null are rejected."""
+    """A JSON number as a float; strings, booleans, null and an integer past
+    the float range are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} {value!r} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer too large for a float") from None
 
 
 def _integer(value: object, name: str) -> int:
@@ -228,6 +233,85 @@ def _parse_float(text: str, *, path: str, line: int, column: str) -> float:
     if not math.isfinite(value):
         raise CohortFormatError(f"column {column!r}: {text!r} is not finite", path=path, line=line)
     return value
+
+
+#: An event line as ``_write_events`` spells it: keys sorted, no spaces, ids
+#: as JSON strings with no escape or control character, a tick of at most 18
+#: digits (inside the 64-bit range) and a value with a fraction or an
+#: exponent. ``json.loads`` reads such a line to the same ids, tick and float
+#: as the groups do; it would read an integer-spelled value such as ``-0`` as
+#: an int, so those take the general path. ``[0-9]``, not ``\d``, which would
+#: also match digits JSON does not have.
+_WRITER_EVENT = re.compile(
+    r'\{"kind":"([^"\\\x00-\x1f]*)",'
+    r'"resource_id":(?:null|"([^"\\\x00-\x1f]*)"),'
+    r'"student_id":"([^"\\\x00-\x1f]*)",'
+    r'"tick":(-?(?:0|[1-9][0-9]{0,17})),'
+    r'"value":(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))\}'
+)
+_KIND_CODE = {kind.value: kind.code for kind in EventKind}
+
+
+def _read_events(path: Path, events: EventColumnsBuilder) -> None:
+    """Append every event of an events.jsonl file to ``events``, in line order.
+
+    A line spelled as the writer spells it is parsed by one regular
+    expression; every other line goes through ``_append_json_event``, which
+    holds the format's rules and errors.
+    """
+    fullmatch = _WRITER_EVENT.fullmatch
+    append = events.append
+    with _utf8_file(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            match = fullmatch(line)
+            if match is not None:
+                kind, resource_id, student_id, tick, value = match.groups()
+                code = _KIND_CODE.get(kind)
+                if code is not None:
+                    append(student_id, int(tick), code, float(value), resource_id)
+                    continue
+            _append_json_event(events, line, path, line_no)
+
+
+def _append_json_event(
+    events: EventColumnsBuilder, line: str, path: Path, line_no: int
+) -> None:
+    """Append the event on one events.jsonl line, read with ``json.loads``;
+    a line that breaks the format is a CohortFormatError."""
+    try:
+        data = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise CohortFormatError(_json_error(exc), path=str(path), line=line_no) from exc
+    if not isinstance(data, dict):
+        raise CohortFormatError("an event must be a JSON object", path=str(path), line=line_no)
+    if set(data) != _EVENT_FIELDS:
+        unexpected = sorted(set(data) - _EVENT_FIELDS)
+        missing = sorted(_EVENT_FIELDS - set(data))
+        parts = []
+        if unexpected:
+            parts.append(f"unknown fields {unexpected}")
+        if missing:
+            parts.append(f"missing fields {missing}")
+        raise CohortFormatError("; ".join(parts), path=str(path), line=line_no)
+    try:
+        kind = EventKind(data["kind"])
+    except ValueError as exc:
+        raise CohortFormatError(
+            f"unknown event kind {data['kind']!r}", path=str(path), line=line_no
+        ) from exc
+    try:
+        events.append(
+            str(data["student_id"]),
+            _integer(data["tick"], "tick"),
+            kind.code,
+            _number(data["value"], "value"),
+            None if data["resource_id"] is None else str(data["resource_id"]),
+        )
+    except ValueError as exc:
+        raise CohortFormatError(str(exc), path=str(path), line=line_no) from exc
 
 
 def read_cohort(directory: str | Path) -> Cohort:
@@ -296,47 +380,7 @@ def read_cohort(directory: str | Path) -> Cohort:
     events = EventColumnsBuilder(
         [s.student_id for s in students], [r.resource_id for r in resources]
     )
-    events_path = directory / EVENTS_FILE
-    with _utf8_file(events_path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise CohortFormatError(
-                    _json_error(exc), path=str(events_path), line=line_no
-                ) from exc
-            if not isinstance(data, dict):
-                raise CohortFormatError(
-                    "an event must be a JSON object", path=str(events_path), line=line_no
-                )
-            if set(data) != _EVENT_FIELDS:
-                unexpected = sorted(set(data) - _EVENT_FIELDS)
-                missing = sorted(_EVENT_FIELDS - set(data))
-                parts = []
-                if unexpected:
-                    parts.append(f"unknown fields {unexpected}")
-                if missing:
-                    parts.append(f"missing fields {missing}")
-                raise CohortFormatError("; ".join(parts), path=str(events_path), line=line_no)
-            try:
-                kind = EventKind(data["kind"])
-            except ValueError as exc:
-                raise CohortFormatError(
-                    f"unknown event kind {data['kind']!r}", path=str(events_path), line=line_no
-                ) from exc
-            try:
-                events.append(
-                    str(data["student_id"]),
-                    _integer(data["tick"], "tick"),
-                    kind.code,
-                    _number(data["value"], "value"),
-                    None if data["resource_id"] is None else str(data["resource_id"]),
-                )
-            except ValueError as exc:
-                raise CohortFormatError(str(exc), path=str(events_path), line=line_no) from exc
+    _read_events(directory / EVENTS_FILE, events)
 
     assessments = []
     assessments_path = directory / ASSESSMENTS_FILE

@@ -93,7 +93,8 @@ class GroundTruth:
         return frozenset(s for s, t in self.dropout_ticks.items() if t is not None)
 
 
-_INT64 = np.iinfo(np.int64)
+_INT64_MIN = int(np.iinfo(np.int64).min)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class EventColumnsBuilder:
@@ -126,7 +127,7 @@ class EventColumnsBuilder:
     def append(
         self, student_id: object, tick: int, kind_code: int, value: float, resource_id: object
     ) -> None:
-        if not _INT64.min <= tick <= _INT64.max:
+        if not _INT64_MIN <= tick <= _INT64_MAX:
             raise ValueError(f"tick {tick} is outside the 64-bit integer range")
         self.student.append(self._row(self.student_ids, self._student_row, student_id))
         self.tick.append(tick)

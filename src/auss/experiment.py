@@ -8,6 +8,7 @@ so `replay` can audit a run from the transcript file alone.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import random
@@ -15,7 +16,7 @@ import shutil
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -388,11 +389,21 @@ def evaluate_grading(
 def evaluate_risk(
     cohort: Cohort, split: float, threshold: float, seed: int
 ) -> tuple[float, float, float]:
-    """Held-out precision/recall/F1 of the fitted dropout-risk model."""
+    """Held-out precision/recall/F1 of the fitted dropout-risk model.
+
+    A training split in which every student, or no student, dropped out is
+    a MetricInputError: the model needs both outcomes to fit.
+    """
     truth = _require_truth(cohort)
-    features = aggregate_features(cohort, cohort.event_columns.last_tick())
     dropped = np.array([truth.dropped(sid) for sid in cohort.student_ids], dtype=bool)
     train, test = _holdout_split(len(dropped), split, derive_seed(seed, "risk-split"))
+    n_dropped = int(dropped[train].sum())
+    if n_dropped in (0, len(train)):
+        raise MetricInputError(
+            f"{n_dropped} of the {len(train)} students in the risk training split dropped "
+            "out; risk metrics need both outcomes, dropped and retained"
+        )
+    features = aggregate_features(cohort, cohort.event_columns.last_tick())
     model = fit_risk_model(features[train], dropped[train])
     _scores, flagged = assess_risk(model, features[test], threshold)
     result = flags_f1(flagged, dropped[test])
@@ -524,9 +535,16 @@ def load_experiment_cohort(spec: ExperimentSpec) -> Cohort:
     return import_cohort(spec.cohort_dir)
 
 
-def run_experiment(spec: ExperimentSpec) -> tuple[MetricsReport, SimulationTranscript]:
+def run_experiment(
+    spec: ExperimentSpec, *, load_cohort: Callable[[], Cohort] | None = None
+) -> tuple[MetricsReport, SimulationTranscript]:
     """Full pipeline. On failure, removes any partially written outputs and
-    raises StageError naming the stage that broke."""
+    raises StageError naming the stage that broke.
+
+    ``load_cohort``, when given, stands in for reading or generating the
+    spec's cohort in the ``generate`` stage, which times and guards it
+    as it would the load.
+    """
     created: list[Path] = []
     durations: dict[str, float] = {}
 
@@ -544,7 +562,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[MetricsReport, SimulationTrans
         durations[name] = time.perf_counter() - start
         return result
 
-    cohort = stage("generate", lambda: load_experiment_cohort(spec))
+    cohort = stage("generate", load_cohort or (lambda: load_experiment_cohort(spec)))
 
     def _validate() -> None:
         violations = validate_cohort(cohort)
@@ -615,10 +633,17 @@ def run_sweep(spec: ExperimentSpec, n_runs: int) -> list[tuple[int, MetricsRepor
 
     With a generator config, each run regenerates its own cohort; with a
     file cohort, the data stays fixed and the scheduler/policy seeds vary.
+    A file cohort is read once per sweep: the first run reads it, and its
+    ``durations_s["generate"]`` is the read; every later run reuses the same
+    ``Cohort``, so its ``generate`` time is only the hand-over. A failed read
+    raises StageError naming stage ``'generate'``.
     """
     if n_runs < 1:
         raise ConfigError(f"n_runs must be >= 1, got {n_runs}")
     base = spec.generator.seed if spec.generator is not None else spec.scheduler.rng_seed
+    load_cohort = None
+    if spec.generator is None:
+        load_cohort = functools.cache(lambda: load_experiment_cohort(spec))
 
     results = []
     for seed in range(base, base + n_runs):
@@ -633,7 +658,7 @@ def run_sweep(spec: ExperimentSpec, n_runs: int) -> list[tuple[int, MetricsRepor
                 str(Path(spec.output_dir) / f"run-{seed}") if spec.output_dir else None
             ),
         )
-        report, _transcript = run_experiment(run_spec)
+        report, _transcript = run_experiment(run_spec, load_cohort=load_cohort)
         results.append((seed, report))
 
     if spec.output_dir is not None:

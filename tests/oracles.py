@@ -7,11 +7,13 @@ similarity so that its floats can be compared with ``==``;
 ``object_grading_rate`` grades through the package's public grading
 objects, which the fast evaluator no longer builds; and
 ``object_risk_evaluation`` fits with the package's ``fit_logistic`` and
-scores with its dict-based ``f1_score``.
+scores with its dict-based ``f1_score``; ``json_events_reader`` raises the
+package's ``CohortFormatError`` so that messages can be compared.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from collections import deque
@@ -19,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from auss.domain import AssessmentRecord
+from auss.domain import AssessmentRecord, EventKind
 from auss.educator import (
     ARITHMETIC_TEMPLATE,
     GradeResult,
@@ -27,6 +29,7 @@ from auss.educator import (
     generate_quiz,
     grading_match_rate,
 )
+from auss.errors import CohortFormatError
 from auss.experiment import derive_seed
 from auss.institution import f1_score
 from auss.learners import fit_logistic
@@ -521,3 +524,74 @@ def scalar_class_report(
     means = [sum(scores[sid]) / len(scores[sid]) for sid in roster if scores[sid]]
     mean = sum(means) / len(means) if means else None
     return mean, sum(1 for sid in roster if sid in risk_flags)
+
+
+def json_events_reader(
+    path, student_ids: Sequence[str], resource_ids: Sequence[str]
+) -> tuple[list[int], list[int], list[int], list[float], list[int], list, list]:
+    """The events of an events.jsonl file, one ``json.loads`` per line.
+
+    Returns the student, tick, kind-code, value and resource columns as
+    lists (-1 for no resource) and the two id tables, which start with the
+    given ids and gain an unknown id the first time a line names it. A line
+    that breaks the format raises ``CohortFormatError`` with the message and
+    line the package's reader gives; the first check that fails names it.
+    """
+    fields = {"student_id", "tick", "kind", "value", "resource_id"}
+    kinds = [kind.value for kind in EventKind]
+    students, resources = list(student_ids), list(resource_ids)
+    student_row = {sid: i for i, sid in enumerate(students)}
+    resource_row = {rid: j for j, rid in enumerate(resources)}
+    columns: tuple[list, ...] = ([], [], [], [], [])
+
+    def row(table: list, rows: dict, key) -> int:
+        if key not in rows:
+            rows[key] = len(table)
+            table.append(key)
+        return rows[key]
+
+    def fail(message: str, line_no: int):
+        raise CohortFormatError(message, path=str(path), line=line_no)
+
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                data = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                fail(f"invalid JSON: {getattr(exc, 'msg', exc)}", line_no)
+            if not isinstance(data, dict):
+                fail("an event must be a JSON object", line_no)
+            if set(data) != fields:
+                unknown, missing = sorted(set(data) - fields), sorted(fields - set(data))
+                parts = [f"unknown fields {unknown}"] if unknown else []
+                parts += [f"missing fields {missing}"] if missing else []
+                fail("; ".join(parts), line_no)
+            if data["kind"] not in kinds:
+                fail(f"unknown event kind {data['kind']!r}", line_no)
+            student = str(data["student_id"])
+            tick = data["tick"]
+            if isinstance(tick, float) and tick.is_integer():
+                tick = int(tick)
+            elif isinstance(tick, bool) or not isinstance(tick, int):
+                fail(f"tick {tick!r} is not an integer", line_no)
+            value = data["value"]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                fail(f"value {value!r} is not a number", line_no)
+            try:
+                value = float(value)
+            except OverflowError:
+                fail("value is an integer too large for a float", line_no)
+            if not -(2**63) <= tick < 2**63:
+                fail(f"tick {tick} is outside the 64-bit integer range", line_no)
+            columns[0].append(row(students, student_row, student))
+            columns[1].append(tick)
+            columns[2].append(kinds.index(data["kind"]))
+            columns[3].append(value)
+            resource = data["resource_id"]
+            if resource is not None:
+                resource = row(resources, resource_row, str(resource))
+            columns[4].append(-1 if resource is None else resource)
+    return (*columns, students, resources)

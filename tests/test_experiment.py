@@ -11,10 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import auss.experiment as experiment_module
+import auss.synthetic as synthetic_module
 from auss.bus import Event
+from auss.cli import main as cli_main
+from auss.cohort_files import read_cohort
 from auss.domain import Cohort, GroundTruth
 from auss.educator import GradeResult
 from auss.errors import (
+    CohortFormatError,
     ConfigError,
     InsufficientDataError,
     MetricInputError,
@@ -41,7 +45,7 @@ from auss.institution import load_report
 from auss.policy import PolicyConfig
 from auss.runtime import SchedulerConfig
 from auss.student import InteractionMatrix
-from auss.synthetic import GeneratorConfig, generate_cohort
+from auss.synthetic import GeneratorConfig, export_cohort, generate_cohort
 
 from oracles import object_grading_rate, object_risk_evaluation
 
@@ -243,7 +247,7 @@ class TestRiskMatchesObjectOracle:
         try:
             expected = object_risk_evaluation(cohort, split, threshold, seed)
         except InsufficientDataError:  # one class in the train split
-            with pytest.raises(InsufficientDataError):
+            with pytest.raises(MetricInputError, match="need both outcomes"):
                 evaluate_risk(cohort, split, threshold, seed)
             return
         assert evaluate_risk(cohort, split, threshold, seed) == expected
@@ -255,6 +259,20 @@ class TestRiskMatchesObjectOracle:
         assert evaluate_risk(cohort, 0.7, 0.5, seed) == object_risk_evaluation(
             cohort, 0.7, 0.5, seed
         )
+
+    def test_short_cohort_without_dropouts_names_the_split(self):
+        # The generator's first dropout check falls at tick 10 and reads only
+        # earlier ticks, so no student of a 10-tick cohort drops out.
+        spec = small_spec(seed=1, n_students=200, n_ticks=10)
+        message = (
+            "0 of the 140 students in the risk training split dropped out; "
+            "risk metrics need both outcomes"
+        )
+        with pytest.raises(MetricInputError, match=message):
+            evaluate_risk(load_experiment_cohort(spec), 0.7, 0.5, 1)
+        with pytest.raises(StageError, match=message) as exc_info:
+            run_experiment(spec)
+        assert exc_info.value.stage == "evaluate"
 
     def test_builds_no_bus_events(self, monkeypatch):
         def no_event(self, *args, **kwargs):
@@ -415,6 +433,54 @@ class TestSweep:
         (s1, r1), (s2, r2) = results
         assert s1 != s2
         assert r1.metadata["seed"] != r2.metadata["seed"]
+
+    @pytest.fixture
+    def file_spec(self, tmp_path) -> ExperimentSpec:
+        """small_spec, with its cohort exported to files and read from there."""
+        cohort_dir = tmp_path / "cohort"
+        export_cohort(load_experiment_cohort(small_spec()), cohort_dir)
+        return replace(small_spec(), generator=None, cohort_dir=str(cohort_dir))
+
+    def test_file_cohort_is_read_once(self, file_spec, monkeypatch):
+        reads = []
+
+        def counted_read(directory):
+            reads.append(directory)
+            return read_cohort(directory)
+
+        monkeypatch.setattr(synthetic_module, "read_cohort", counted_read)
+        results = run_sweep(file_spec, 3)
+        assert reads == [file_spec.cohort_dir]
+        assert [seed for seed, _ in results] == [5, 6, 7]
+        for seed, report in results:
+            separate, _transcript = run_experiment(
+                replace(
+                    file_spec,
+                    scheduler=replace(file_spec.scheduler, rng_seed=seed),
+                    policy=replace(file_spec.policy, rng_seed=seed),
+                )
+            )
+            assert report.comparable_dict() == separate.comparable_dict()
+        assert len(reads) == 4
+
+    def test_corrupt_file_cohort_fails_the_generate_stage(self, file_spec, tmp_path, capsys):
+        events = Path(file_spec.cohort_dir) / "events.jsonl"
+        events.write_text(events.read_text() + "{not json\n")
+        with pytest.raises(CohortFormatError) as read_error:
+            read_cohort(file_spec.cohort_dir)
+        with pytest.raises(StageError) as exc_info:
+            run_sweep(file_spec, 2)
+        assert exc_info.value.stage == "generate"
+        assert str(exc_info.value) == f"stage 'generate' failed: {read_error.value}"
+
+        argv = ["simulate", "--cohort", file_spec.cohort_dir, "--runs", "2"]
+        assert cli_main([*argv, "--out", str(tmp_path / "sweep")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "StageError",
+            "message": f"stage 'generate' failed: {read_error.value}",
+        }
 
 
 class TestSpecSerialization:
