@@ -250,30 +250,52 @@ _WRITER_EVENT = re.compile(
     r'"value":(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))\}'
 )
 _KIND_CODE = {kind.value: kind.code for kind in EventKind}
+#: Writer-spelled lines parsed before they are handed to the builder in one
+#: call; bounded, so the pending groups stay small next to the columns.
+_CHUNK_LINES = 4096
 
 
 def _read_events(path: Path, events: EventColumnsBuilder) -> None:
     """Append every event of an events.jsonl file to ``events``, in line order.
 
     A line spelled as the writer spells it is parsed by one regular
-    expression; every other line goes through ``_append_json_event``, which
-    holds the format's rules and errors.
+    expression, and up to ``_CHUNK_LINES`` such lines go to the builder in
+    one ``extend``. Every other line goes through ``_append_json_event``,
+    which holds the format's rules and errors; the lines pending before it
+    are added first, so stream order and id first-seen order are those of
+    the file.
     """
     fullmatch = _WRITER_EVENT.fullmatch
-    append = events.append
+    pending: list[tuple[str, ...]] = []
     with _utf8_file(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             match = fullmatch(line)
-            if match is not None:
-                kind, resource_id, student_id, tick, value = match.groups()
-                code = _KIND_CODE.get(kind)
-                if code is not None:
-                    append(student_id, int(tick), code, float(value), resource_id)
-                    continue
+            if match is not None and match[1] in _KIND_CODE:
+                pending.append(match.groups())
+                if len(pending) == _CHUNK_LINES:
+                    _extend_writer_events(events, pending)
+                    pending = []
+                continue
+            _extend_writer_events(events, pending)
+            pending = []
             _append_json_event(events, line, path, line_no)
+    _extend_writer_events(events, pending)
+
+
+def _extend_writer_events(events: EventColumnsBuilder, groups: list[tuple[str, ...]]) -> None:
+    """Append the events of ``_WRITER_EVENT`` match groups, in order."""
+    if groups:
+        kinds, resource_ids, student_ids, ticks, values = zip(*groups)
+        events.extend(
+            student_ids,
+            list(map(int, ticks)),
+            [_KIND_CODE[kind] for kind in kinds],
+            list(map(float, values)),
+            resource_ids,
+        )
 
 
 def _append_json_event(

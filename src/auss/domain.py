@@ -98,7 +98,7 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class EventColumnsBuilder:
-    """Appends events one at a time into the lists an :class:`EventColumns` is built from.
+    """Appends events into the lists an :class:`EventColumns` is built from.
 
     The id tables start with the given ids; an id they lack is appended
     the first time an event names it. A tick must be an integer in the
@@ -110,6 +110,7 @@ class EventColumnsBuilder:
         self.resource_ids = list(resource_ids)
         self._student_row = {sid: i for i, sid in enumerate(self.student_ids)}
         self._resource_row = {rid: j for j, rid in enumerate(self.resource_ids)}
+        self._resource_row[None] = -1  # an event that touches no resource
         self.student: list[int] = []
         self.tick: list[int] = []
         self.kind: list[int] = []
@@ -124,6 +125,14 @@ class EventColumnsBuilder:
             table.append(key)
         return row
 
+    @classmethod
+    def _rows(cls, table: list, rows: dict, keys: Sequence) -> list[int]:
+        """``_row`` of each key in order, with one C-level lookup pass when every key is known."""
+        found = list(map(rows.get, keys))
+        if None in found:
+            found = [cls._row(table, rows, key) for key in keys]
+        return found
+
     def append(
         self, student_id: object, tick: int, kind_code: int, value: float, resource_id: object
     ) -> None:
@@ -133,10 +142,30 @@ class EventColumnsBuilder:
         self.tick.append(tick)
         self.kind.append(kind_code)
         self.value.append(value)
-        if resource_id is None:
-            self.resource.append(-1)
-        else:
-            self.resource.append(self._row(self.resource_ids, self._resource_row, resource_id))
+        self.resource.append(self._row(self.resource_ids, self._resource_row, resource_id))
+
+    def extend(
+        self,
+        student_ids: Sequence,
+        ticks: Sequence[int],
+        kind_codes: Sequence[int],
+        values: Sequence[float],
+        resource_ids: Sequence,
+    ) -> None:
+        """``append`` of many events, given as equal-length columns in stream order.
+
+        Ids enter the tables in the order ``append`` would add them. A tick
+        outside the 64-bit range is a ValueError, and then no event of the
+        call is added.
+        """
+        if ticks and not (_INT64_MIN <= min(ticks) and max(ticks) <= _INT64_MAX):
+            tick = next(t for t in ticks if not _INT64_MIN <= t <= _INT64_MAX)
+            raise ValueError(f"tick {tick} is outside the 64-bit integer range")
+        self.student.extend(self._rows(self.student_ids, self._student_row, student_ids))
+        self.tick.extend(ticks)
+        self.kind.extend(kind_codes)
+        self.value.extend(values)
+        self.resource.extend(self._rows(self.resource_ids, self._resource_row, resource_ids))
 
     def build(self) -> "EventColumns":
         return EventColumns(

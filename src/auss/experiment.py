@@ -320,29 +320,35 @@ def _require_truth(cohort: Cohort):
 
 def evaluate_recommendations(cohort: Cohort, neighborhood: int) -> float:
     """Top-1 accuracy: the top recommendation matches the ground-truth
-    most-preferred unobserved resource, over students with candidates."""
+    most-preferred unobserved resource, over students with candidates.
+
+    A preference-ranking id that is not a matrix resource counts as
+    unobserved. Every evaluated student is one ``recommend_top_k`` query
+    of a single call."""
     truth = _require_truth(cohort)
     matrix = InteractionMatrix.from_cohort(cohort)
-    correct = 0
-    total = 0
-    for sid in matrix.student_ids:
-        observed = matrix.observed(sid)
-        candidates = [rid for rid in matrix.resource_ids if rid not in observed]
-        if not candidates:
-            continue
+    column_of = {rid: j for j, rid in enumerate(matrix.resource_ids)}
+    evaluated: list[str] = []
+    preferred: list[str] = []
+    for sid, seen in zip(matrix.student_ids, matrix._observed.tolist()):
         ranking = truth.preference_rankings.get(sid)
-        if ranking is None:
+        if ranking is None or all(seen):
             continue
-        preferred = next((rid for rid in ranking if rid not in observed), None)
-        if preferred is None:
-            continue
-        total += 1
-        recommendation = recommend_top_k(matrix, sid, k=1, neighborhood=neighborhood)
-        if recommendation.items and recommendation.items[0][0] == preferred:
-            correct += 1
-    if total == 0:
+        for rid in ranking:
+            j = column_of.get(rid)
+            if j is None or not seen[j]:
+                evaluated.append(sid)
+                preferred.append(rid)
+                break
+    if not evaluated:
         raise MetricInputError("no students with unobserved resources to evaluate")
-    return correct / total
+    recommendations = recommend_top_k(matrix, evaluated, k=1, neighborhood=neighborhood)
+    correct = sum(
+        1
+        for recommendation, rid in zip(recommendations, preferred)
+        if recommendation.items and recommendation.items[0][0] == rid
+    )
+    return correct / len(evaluated)
 
 
 def evaluate_grading(

@@ -62,12 +62,15 @@ class InteractionMatrix:
         self._set_arrays(row_of, dense, observed)
 
     def _set_arrays(self, row_of: dict[str, int], dense: np.ndarray, observed: np.ndarray) -> None:
+        norms = np.linalg.norm(dense, axis=1)
         for name, value in (
-            ("_first_twin", _first_equal_rows(dense)),
+            ("_twins", _duplicate_rows(dense)),
             ("_row_of", row_of),
             ("_dense", dense),
             ("_observed", observed),
-            ("_norms", np.linalg.norm(dense, axis=1)),
+            # Row norms, inf for a zero row: a similarity is the dot product
+            # over two of these, so a zero row's similarities are 0.0.
+            ("_divisors", np.where(norms == 0.0, np.inf, norms)),
             ("_sid_rank", _sort_ranks(self.student_ids)),
             ("_rid_rank", _sort_ranks(self.resource_ids)),
             ("_popularity_cache", None),
@@ -164,15 +167,17 @@ def _id_indexes(
     return indexes[0], indexes[1]
 
 
-def _first_equal_rows(dense: np.ndarray) -> np.ndarray:
-    """Per row, the index of the first row equal to it (-0.0 counts as 0.0)."""
+def _duplicate_rows(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows equal to an earlier row, the first row equal to each); -0.0 counts as 0.0."""
     n, m = dense.shape
     if m == 0:
-        return np.zeros(n, dtype=np.intp)
+        return np.arange(1, n), np.zeros(max(0, n - 1), dtype=np.intp)
     rows = np.ascontiguousarray(dense + 0.0)  # -0.0 + 0.0 is 0.0, so equal rows have equal bytes
     keys = rows.view(np.dtype((np.void, rows.itemsize * m))).ravel()
     _keys, first, group = np.unique(keys, return_index=True, return_inverse=True)
-    return first[group]
+    firsts = first[group]
+    twins = np.flatnonzero(firsts != np.arange(n))
+    return twins, firsts[twins]
 
 
 def _sort_ranks(ids: Sequence[str]) -> np.ndarray:
@@ -211,10 +216,20 @@ class Recommendation:
         return tuple(rid for rid, _ in self.items)
 
 
+#: Similarity cells one query block may hold: a block is
+#: ``max(1, _BLOCK_CELLS // n_students)`` queries (64 at 1k students).
+_BLOCK_CELLS = 2**16
+
+
 def recommend_top_k(
-    matrix: InteractionMatrix, student_id: str, k: int, neighborhood: int
-) -> Recommendation:
-    """User-based CF over cosine-similar peers.
+    matrix: InteractionMatrix, student_ids: str | Sequence[str], k: int, neighborhood: int
+) -> Recommendation | tuple[Recommendation, ...]:
+    """User-based CF over cosine-similar peers, for one student or a sequence.
+
+    One id returns its :class:`Recommendation`; a sequence of ids returns a
+    tuple of them in input order (``()`` for an empty sequence). Every id
+    is checked before any work: the first unknown one raises
+    :class:`UnknownStudentError`.
 
     Peers are ranked by similarity (ties: student id ascending) and the top
     ``neighborhood`` with strictly positive similarity vote on the query
@@ -223,70 +238,122 @@ def recommend_top_k(
     peer fall back to global popularity (mean observed score per resource).
     Candidates are ranked by score descending, resource id ascending.
 
-    Exactness: the result equals a scalar loop over peers and candidates
-    bit for bit. Similarities are one matrix-vector product per query (a
-    matrix-matrix product over many queries rounds differently), and an
-    exact-duplicate row takes the similarity of the first row equal to it; the
-    neighbour cut keeps every tie before the (sim, id) sort; each score's
-    sums add the peers' terms one at a time in peer order (``np.cumsum``),
-    with 0.0 for peers that did not observe the resource; popularity sums
-    each resource's observed scores in student (row) order.
+    Blocks: the queries run ``max(1, 2**16 // n_students)`` at a time (64
+    at 1k students, 16 at 4k, 6 at 10k), so a block's similarity array
+    holds about 2**16 floats; one id is a block of one. After the products,
+    each step is one numpy operation over the whole block, and the peer
+    arrays are at most ``min(neighborhood, n_students)`` wide.
+
+    Exactness: each result equals a scalar loop over peers and candidates
+    bit for bit, in any block. Each query's similarities come from its own
+    matrix-vector product ``dense @ dense[i]`` (one ``gemv``), written into
+    its block row; one matrix-matrix product for the block would round
+    differently. Everything after the product is elementwise or per row,
+    so no value depends on the other queries of the block. A zero row
+    divides by an infinite norm, so its similarities are 0.0. An
+    exact-duplicate row takes the similarity of the first row equal to it.
+    The neighbour cut keeps every tie before the (-sim, student id) sort.
+    Each score's sums add the peers' terms one at a time in peer order,
+    with 0.0 for peers that did not observe the resource; a query with
+    fewer peers than the block's widest adds -0.0 for each missing one,
+    which leaves every sum unchanged. Popularity sums each resource's
+    observed scores in student (row) order.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if neighborhood < 1:
         raise ValueError(f"neighborhood must be >= 1, got {neighborhood}")
-    index = matrix._row_of.get(student_id)
-    if index is None:
-        raise UnknownStudentError(f"student {student_id!r} not in interaction matrix")
+    single = isinstance(student_ids, str)
+    ids = (student_ids,) if single else tuple(student_ids)
+    rows = []
+    for sid in ids:
+        row = matrix._row_of.get(sid)
+        if row is None:
+            raise UnknownStudentError(f"student {sid!r} not in interaction matrix")
+        rows.append(row)
+    size = max(1, _BLOCK_CELLS // max(1, len(matrix.student_ids)))
+    recommendations: list[Recommendation] = []
+    for start in range(0, len(rows), size):
+        block = slice(start, start + size)
+        recommendations.extend(_recommend_block(matrix, ids[block], rows[block], k, neighborhood))
+    return recommendations[0] if single else tuple(recommendations)
 
-    candidates = np.flatnonzero(~matrix._observed[index])
-    if candidates.size == 0:
-        return Recommendation(student_id, ())
-    peers, weights = _neighbours(matrix, index, neighborhood)
-    if peers.size:
-        votes = weights[:, None] * matrix._dense[peers][:, candidates]
-        voters = np.where(matrix._observed[peers][:, candidates], weights[:, None], 0.0)
-        numerators = votes.cumsum(axis=0)[-1]
-        denominators = voters.cumsum(axis=0)[-1]
-        voted = denominators > 0.0
-        candidates = candidates[voted]
-        scores = numerators[voted] / denominators[voted]
-    else:
-        means, counts = matrix._popularity()
-        candidates = candidates[counts[candidates] > 0]
-        scores = means[candidates]
-    order = np.lexsort((matrix._rid_rank[candidates], -scores))[:k]
-    ranked = zip(candidates[order].tolist(), scores[order].tolist())
-    return Recommendation(student_id, tuple((matrix.resource_ids[j], score) for j, score in ranked))
+
+def _recommend_block(
+    matrix: InteractionMatrix, ids: Sequence[str], rows: list[int], k: int, neighborhood: int
+) -> list[Recommendation]:
+    """The recommendations of one block of queries, ``rows[r]`` the row of ``ids[r]``."""
+    peers, weights, counts = _neighbours(matrix, rows, neighborhood)
+    # Per peer place, query and resource: sim * peer score and, where the
+    # peer observed it, sim. Padding terms are -0.0, and x + -0.0 is x.
+    places = peers.T
+    terms = np.stack((matrix._dense[places], matrix._observed[places]), axis=2)
+    terms *= weights.T[:, :, None, None]
+    terms[np.arange(len(places))[:, None] >= counts] = -0.0
+    sums = terms[0].copy()
+    for place_terms in terms[1:]:
+        sums += place_terms
+    numerators, denominators = sums[:, 0], sums[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = numerators / denominators  # NaN where no peer observed the resource
+    means, _counts = matrix._popularity()
+    scores[counts == 0] = means  # NaN where no student observed it
+    scores[matrix._observed[rows]] = np.nan
+    ranks = matrix._rid_rank[None].repeat(len(rows), axis=0)
+    order = np.lexsort((ranks, -scores))[:, :k]  # NaN sorts last
+    top = scores[np.arange(len(rows))[:, None], order].tolist()
+    resource_ids = matrix.resource_ids
+    return [
+        Recommendation(sid, tuple((resource_ids[j], v) for j, v in zip(cols, values) if v == v))
+        for sid, cols, values in zip(ids, order.tolist(), top)
+    ]
+
+
+#: The least positive float: ``x >= max(cut, _LEAST_POSITIVE)`` is ``x > 0 and x >= cut``.
+_LEAST_POSITIVE = np.finfo(float).smallest_subnormal
 
 
 def _neighbours(
-    matrix: InteractionMatrix, index: int, neighborhood: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(peer rows, their similarities): the top ``neighborhood`` positive
-    cosine similarities to row ``index``, by similarity descending then
-    student id ascending."""
-    norms = matrix._norms
-    query_norm = float(norms[index])
-    if query_norm == 0.0:
-        return np.empty(0, dtype=np.intp), np.empty(0)
-    dense = matrix._dense
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sims = (dense @ dense[index]) / (norms * query_norm)
+    matrix: InteractionMatrix, rows: Sequence[int], neighborhood: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(peer rows, their similarities, peer counts) for a block of query rows.
+
+    The first ``counts[r]`` entries of row r are the top ``neighborhood``
+    positive cosine similarities to row ``rows[r]``, by similarity
+    descending then student id ascending; the entries after them are
+    padding. The arrays are at least 1 wide.
+    """
+    dense, divisors = matrix._dense, matrix._divisors
+    n_queries, n_students = len(rows), len(divisors)
+    sims = np.empty((n_queries, n_students))
+    for r, index in enumerate(rows):
+        np.matmul(dense, dense[index], out=sims[r])
+    sims /= divisors * divisors[rows][:, None]
     # The product can round identical rows differently by position; each
     # row takes the similarity of the first row equal to it, so exact
     # duplicates tie and break by student id.
-    sims = sims[matrix._first_twin]
-    sims[norms == 0.0] = 0.0
-    sims[index] = 0.0  # never a peer of itself
-    positive = np.flatnonzero(sims > 0.0)
-    if positive.size > neighborhood:
-        kth = positive.size - neighborhood
-        cut = np.partition(sims[positive], kth)[kth]
-        positive = positive[sims[positive] >= cut]
-    peers = positive[np.lexsort((matrix._sid_rank[positive], -sims[positive]))][:neighborhood]
-    return peers, sims[peers]
+    twins, firsts = matrix._twins
+    sims[:, twins] = sims[:, firsts]
+    queries = np.arange(n_queries)
+    sims[queries, rows] = 0.0  # never a peer of itself
+    width = min(neighborhood, n_students)
+    cut = np.partition(sims, n_students - width, axis=1)[:, n_students - width]
+    # Every positive similarity at or above the cut, ties included, in row-major order.
+    flat = np.flatnonzero(sims >= np.maximum(cut, _LEAST_POSITIVE)[:, None])
+    query, peer = np.divmod(flat, n_students)
+    slot = np.arange(flat.size) - np.searchsorted(query, query)  # place in the query's run
+    found = np.bincount(query, minlength=n_queries)
+    shape = (n_queries, max(1, int(found.max())))
+    # numpy orders complex numbers by real part, then imaginary part: by
+    # (-sim, student id rank) here, with the 0j padding after every -sim < 0.
+    keys, candidates = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=np.intp)
+    keys[query, slot] = -sims.ravel()[flat] + 1j * matrix._sid_rank[peer]
+    candidates[query, slot] = peer
+    column = queries[:, None]
+    peers = candidates[column, np.argsort(keys, axis=1)[:, :width]]
+    weights = sims[column, peers]
+    counts = np.minimum(found, width)
+    return peers, weights, counts
 
 
 # -- performance prediction ----------------------------------------------------
@@ -505,8 +572,10 @@ class StudentAgent(Agent):
             matrix = InteractionMatrix.from_counts(
                 self._interaction_counts, self.cohort.student_ids, self.cohort.resource_ids
             )
-            for sid in decisions["recommend"]:
-                recommendation = recommend_top_k(matrix, sid, self.top_k, self.neighborhood)
+            recommendations = recommend_top_k(
+                matrix, decisions["recommend"], self.top_k, self.neighborhood
+            )
+            for sid, recommendation in zip(decisions["recommend"], recommendations):
                 self._last_recommended[sid] = decisions["tick"]
                 if not recommendation.items:
                     continue

@@ -357,6 +357,21 @@ def test_events_reader_matches_json_oracle(cohort_bytes, cohort_ids, text):
         assert _read_outcome(lambda: _package_columns(directory)) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(text=events_text(), chunk_lines=st.integers(1, 3))
+def test_events_reader_matches_json_oracle_across_chunk_boundaries(
+    cohort_bytes, cohort_ids, text, chunk_lines
+):
+    """Writer-spelled lines reach the builder in chunks; with chunks of 1-3
+    lines, chunk ends fall next to general-path lines and new ids."""
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        directory = Path(directory)
+        patch.setattr(cohort_files, "_CHUNK_LINES", chunk_lines)
+        _write(directory, dict(cohort_bytes, **{EVENTS_FILE: text.encode("utf-8")}))
+        expected = _read_outcome(lambda: json_events_reader(directory / EVENTS_FILE, *cohort_ids))
+        assert _read_outcome(lambda: _package_columns(directory)) == expected
+
+
 # -- every line the writer writes takes the fast path ---------------------------
 
 

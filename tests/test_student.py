@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import auss.student as student_module
 from auss.bus import TriggerKind
 from auss.domain import EngagementEvent, EventKind, StudentRecord
 from auss.errors import InsufficientDataError, UnknownStudentError
+from auss.experiment import evaluate_recommendations
 from auss.institution import FeatureTracker
 from auss.student import (
     GapDetector,
@@ -17,6 +19,7 @@ from auss.student import (
     fit_predictors,
     recommend_top_k,
 )
+from auss.synthetic import GeneratorConfig, generate_cohort
 
 from conftest import constant_engagement_cohort, make_cohort
 from oracles import (
@@ -205,9 +208,12 @@ class TestRecommendMatchesScalarReference:
     def test_items_equal_scalar_loop_and_rankings_equal_brute_force(self, drawn):
         matrix, k, neighborhood = drawn
         ids, rids, cells = matrix.student_ids, matrix.resource_ids, matrix.cells
-        for sid in ids:
+        expected = [scalar_recommend(ids, rids, cells, sid, k, neighborhood) for sid in ids]
+        block = recommend_top_k(matrix, ids, k, neighborhood)
+        assert [(rec.student_id, list(rec.items)) for rec in block] == list(zip(ids, expected))
+        for sid, items in zip(ids, expected):
             ours = recommend_top_k(matrix, sid, k, neighborhood)
-            assert list(ours.items) == scalar_recommend(ids, rids, cells, sid, k, neighborhood)
+            assert list(ours.items) == items
             if _numpy_sims_equal_python_cosines(matrix, sid):
                 oracle = brute_force_recommend(ids, rids, cells, sid, k, neighborhood)
                 assert ours.resource_ids == tuple(rid for rid, _ in oracle)
@@ -235,6 +241,65 @@ class TestRecommendMatchesScalarReference:
         for sid in student_ids:
             assert matrix.observed(sid) == rebuilt.observed(sid)
             assert recommend_top_k(matrix, sid, 3, 2) == recommend_top_k(rebuilt, sid, 3, 2)
+
+
+@pytest.fixture(scope="module")
+def cohort_matrix_300() -> InteractionMatrix:
+    """The seed-42 300x20x30 cohort's matrix: 2**16 // 300 = 218 queries per
+    block, so a query of every student runs two blocks."""
+    cohort, _truth = generate_cohort(
+        GeneratorConfig(n_students=300, n_resources=20, n_ticks=30, seed=42)
+    )
+    return InteractionMatrix.from_cohort(cohort)
+
+
+class TestRecommendSequence:
+    @pytest.mark.parametrize("k, neighborhood", [(3, 10), (1, 50)])  # the agent's, the evaluation's
+    def test_two_blocks_in_shuffled_order_equal_one_id_calls(self, cohort_matrix_300, k, neighborhood):
+        matrix = cohort_matrix_300
+        ids = list(matrix.student_ids)
+        random.Random(7).shuffle(ids)
+        ids.insert(250, ids[3])  # a repeat, in the other block
+        block = recommend_top_k(matrix, ids, k, neighborhood)
+        assert isinstance(block, tuple)
+        assert block == tuple(recommend_top_k(matrix, sid, k, neighborhood) for sid in ids)
+        assert any(rec.items for rec in block)
+
+    def test_empty_sequence_gives_empty_tuple(self, cohort_matrix_300):
+        assert recommend_top_k(cohort_matrix_300, [], 3, 10) == ()
+
+    def test_first_unknown_id_raises_before_any_work(self, cohort_matrix_300, monkeypatch):
+        def no_work(*_args):
+            raise AssertionError("a block ran before every id was checked")
+
+        monkeypatch.setattr(student_module, "_recommend_block", no_work)
+        ids = list(cohort_matrix_300.student_ids) + ["ghost", "phantom"]
+        with pytest.raises(UnknownStudentError, match="'ghost'"):
+            recommend_top_k(cohort_matrix_300, ids, 3, 10)
+
+    @pytest.mark.parametrize(
+        "k, neighborhood, message",
+        [(0, 10, "k must be >= 1"), (3, 0, "neighborhood must be >= 1")],
+    )
+    def test_k_and_neighborhood_below_one_rejected(self, k, neighborhood, message):
+        matrix = matrix_from_rows({"s1": [1.0, 0.0], "s2": [1.0, 0.5]})
+        for student_ids in ("s1", ["s1", "s2"], []):
+            with pytest.raises(ValueError, match=message):
+                recommend_top_k(matrix, student_ids, k, neighborhood)
+
+    def test_neighbourhood_past_the_cohort_equals_every_other_student(self):
+        cohort, _truth = generate_cohort(
+            GeneratorConfig(n_students=60, n_resources=20, n_ticks=30, seed=42)
+        )
+        matrix = InteractionMatrix.from_cohort(cohort)
+        ids = matrix.student_ids
+        for k in (1, 3):
+            assert recommend_top_k(matrix, ids, k, 10**12) == recommend_top_k(
+                matrix, ids, k, len(ids) - 1
+            )
+        assert evaluate_recommendations(cohort, 10**12) == evaluate_recommendations(
+            cohort, len(ids) - 1
+        )
 
 
 @st.composite
@@ -269,9 +334,10 @@ class TestDuplicateRowsTie:
     def test_exact_duplicates_get_equal_similarities_and_break_by_student_id(self, drawn):
         matrix, twins = drawn
         ids = matrix.student_ids
+        block_peers, block_sims, counts = _neighbours(matrix, range(len(ids)), len(ids))
         for index, sid in enumerate(ids):
-            peers, sims = _neighbours(matrix, index, len(ids))
-            sim_of = dict(zip(peers.tolist(), sims.tolist()))
+            peers = block_peers[index, : counts[index]]
+            sim_of = dict(zip(peers.tolist(), block_sims[index, : counts[index]].tolist()))
             twin_peers = [i for i in peers.tolist() if i in twins]
             assert len({sim_of[i] for i in twin_peers}) <= 1
             assert twin_peers == sorted(twin_peers, key=ids.__getitem__)
