@@ -14,7 +14,7 @@ import json
 import random
 import shutil
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -138,13 +138,7 @@ class ExperimentSpec:
         return {
             "generator": None if self.generator is None else self.generator.to_dict(),
             "scheduler": self.scheduler.to_dict(),
-            "policy": {
-                "alpha": self.policy.alpha,
-                "gamma": self.policy.gamma,
-                "epsilon": self.policy.epsilon,
-                "epsilon_decay": self.policy.epsilon_decay,
-                "rng_seed": self.policy.rng_seed,
-            },
+            "policy": asdict(self.policy),
             "evaluation": self.evaluation.to_dict(),
             "metrics": list(self.metrics),
             "cohort_dir": self.cohort_dir,
@@ -175,10 +169,11 @@ class ExperimentSpec:
             raise ConfigError(f"unknown experiment spec keys: {sorted(unknown)}")
         try:
             policy_data = dict(data.get("policy") or {})
-            policy_known = {"alpha", "gamma", "epsilon", "epsilon_decay", "rng_seed"}
-            policy_unknown = set(policy_data) - policy_known
+            policy_defaults = asdict(PolicyConfig())
+            policy_unknown = set(policy_data) - set(policy_defaults)
             if policy_unknown:
                 raise ConfigError(f"unknown policy config keys: {sorted(policy_unknown)}")
+            check_config_types("policy", policy_data, policy_defaults)
             generator = data.get("generator")
             scheduler = data.get("scheduler") or {"max_ticks": 50}
             return cls(

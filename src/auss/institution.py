@@ -5,7 +5,7 @@ precision/recall/F1 evaluation, and per-agent load accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -19,6 +19,9 @@ from .errors import (
 )
 from .learners import LogisticModel, fit_logistic
 from .runtime import Action, Agent, Publisher, SimulationTranscript, TickView
+
+if TYPE_CHECKING:
+    from .student import EngagementWindows, ScoreWindows
 
 #: Canonical ordering of the aggregate feature vector.
 FEATURE_ORDER = (
@@ -67,9 +70,8 @@ class _SeriesColumns:
         self.sum_xy[rows] += x * y
         self.sum_xx[rows] += x * x
 
-    def mean_slope(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sums = (self.count, self.sum_y, self.sum_x, self.sum_xy, self.sum_xx)
-        return series_mean_slope(*(column[rows] for column in sums))
+    def mean_slope(self) -> tuple[np.ndarray, np.ndarray]:
+        return series_mean_slope(self.count, self.sum_y, self.sum_x, self.sum_xy, self.sum_xx)
 
 
 class _Windows:
@@ -93,6 +95,25 @@ class _Windows:
 _NO_EVENT = np.iinfo(np.int64).min
 
 
+@dataclass(frozen=True)
+class FeatureSnapshot:
+    """Every student's signals at one tick, one row per student in cohort order.
+
+    ``risk`` equals ``monitor.predict_proba_one`` of each ``features`` row
+    bit for bit; ``engagement_mean`` is each padded engagement window summed
+    left to right over its fill count, 0.0 for an empty window.
+    """
+
+    features: np.ndarray
+    risk: np.ndarray
+    engagement_mean: np.ndarray
+
+    def signals(self, row: int) -> tuple[float, float, float]:
+        """(windowed engagement mean, cumulative score slope, monitor risk) of one row."""
+        slope = self.features[row, FEATURE_ORDER.index("score_slope")]
+        return float(self.engagement_mean[row]), float(slope), float(self.risk[row])
+
+
 class FeatureTracker:
     """Incremental per-student aggregates fed one tick of events at a time.
 
@@ -100,22 +121,24 @@ class FeatureTracker:
     least-squares fits against tick. The aggregates are numpy columns in
     ``cohort.students`` order: the running sums of both series, absence
     ticks, last event tick, enrollment tick and credits. ``ingest`` updates
-    them in one vectorised pass per tick, and ``feature_matrix`` and
-    ``risks`` read any set of students in one call. A short rolling window
-    of per-tick engagement means and score points backs reactive
-    monitoring (policy state, learning-gap detection).
+    them in one vectorised pass per tick, and ``feature_matrix`` reads
+    every student in one call. A short rolling window of per-tick
+    engagement means and score points backs reactive monitoring (policy
+    state, learning-gap detection).
 
     The windows are right-aligned ``(n, window_len)`` arrays plus a fill
     count per student: the newest value sits in the last column and the
     unfilled columns on the left hold 0.0. A left-to-right sum over a
     padded row therefore equals ``sum()`` of its filled columns bit for
     bit (0.0 + 0.0 stays 0.0, and 0.0 + v is v), which is what lets the
-    gap rules run over all students at once. ``engagement_windows`` and
-    ``score_windows`` hand out the padded rows with their fill counts.
+    gap rules run over all students at once. ``windows`` hands out the
+    padded rows with their fill counts.
 
-    A simulation run has one tracker: the scheduler ingests each tick into
-    it and the agents and the policy driver read it from the TickView.
-    Ingesting, reading or scoring a student outside the cohort raises
+    A simulation run has one tracker. Per tick the scheduler ingests the
+    tick's events, then puts one ``policy_signals`` snapshot and the
+    tick's ``active_rows`` on the TickView, and every reader indexes those
+    by row; ``id_order`` (the rows sorted by student id) is their common
+    tie-break order. Ingesting a student outside the cohort raises
     UnknownStudentError.
     """
 
@@ -123,8 +146,8 @@ class FeatureTracker:
         self.window_len = window_len
         self.monitor = monitor if monitor is not None else monitor_model()
         self._ids = cohort.student_ids
-        self._row = {sid: i for i, sid in enumerate(self._ids)}
         n = len(cohort.students)
+        self.id_order = np.array(sorted(range(n), key=self._ids.__getitem__), dtype=np.intp)
         self._enrollment = np.array([s.enrollment_tick for s in cohort.students], dtype=np.int64)
         self._credits = np.array(
             [float(s.static_features.get("credits_attempted", 0.0)) for s in cohort.students]
@@ -136,15 +159,6 @@ class FeatureTracker:
         self._window_engagement = _Windows(n, window_len)
         self._window_score_ticks = _Windows(n, window_len)
         self._window_scores = _Windows(n, window_len)
-
-    def student_ids(self) -> Iterable[str]:
-        return self._row.keys()
-
-    def _rows(self, student_ids: Sequence[str]) -> np.ndarray:
-        try:
-            return np.array([self._row[sid] for sid in student_ids], dtype=np.intp)
-        except KeyError as exc:
-            raise UnknownStudentError(f"student {exc.args[0]!r} is not in the cohort") from None
 
     def ingest(self, tick: int, events: EventColumns | Sequence[EngagementEvent]) -> None:
         """Fold one tick's events (a tick slice of the cohort's columns, or event objects) in."""
@@ -177,22 +191,27 @@ class FeatureTracker:
 
     def _tick_means(self, rows: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(students with values, their mean value); bincount sums in event order."""
-        n = len(self._row)
+        n = len(self._ids)
         counts = np.bincount(rows, minlength=n)
         sums = np.bincount(rows, weights=values, minlength=n)
         hit = np.flatnonzero(counts)
         return hit, sums[hit] / counts[hit]
 
-    def feature_matrix(self, student_ids: Sequence[str]) -> np.ndarray:
-        """One FEATURE_ORDER row per student, in the order given."""
-        rows = self._rows(student_ids)
-        mean_engagement, engagement_slope = self._engagement.mean_slope(rows)
-        mean_score, score_slope = self._scores.mean_slope(rows)
-        last = self._last_event_tick[rows]
+    def active_rows(self, events: EventColumns) -> np.ndarray:
+        """The rows of the students with an event in ``events``, in student-id order."""
+        active = np.zeros(len(self._ids), dtype=bool)
+        active[events.reindexed(self._ids).student] = True
+        return self.id_order[active[self.id_order]]
+
+    def feature_matrix(self) -> np.ndarray:
+        """One FEATURE_ORDER row per student, in cohort order."""
+        mean_engagement, engagement_slope = self._engagement.mean_slope()
+        mean_score, score_slope = self._scores.mean_slope()
+        last = self._last_event_tick
         seen = last != _NO_EVENT
-        enrollment = self._enrollment[rows]
+        enrollment = self._enrollment
         elapsed = np.maximum(1, np.where(seen, last, enrollment) - enrollment + 1)
-        absence_rate = np.where(seen, np.minimum(1.0, self._absence_ticks[rows] / elapsed), 0.0)
+        absence_rate = np.where(seen, np.minimum(1.0, self._absence_ticks / elapsed), 0.0)
         return np.column_stack(
             [
                 mean_engagement,
@@ -200,42 +219,26 @@ class FeatureTracker:
                 mean_score,
                 score_slope,
                 absence_rate,
-                self._credits[rows],
+                self._credits,
             ]
         )
 
-    def risks(self, student_ids: Sequence[str]) -> np.ndarray:
-        """Monitor risk per student, each equal to ``monitor.predict_proba_one`` of its row."""
-        return self.monitor.predict_proba_rows(self.feature_matrix(student_ids))
-
-    def engagement_windows(self, student_ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """(padded engagement windows, fill counts), one row per student in the order given."""
-        rows = self._rows(student_ids)
-        return self._window_engagement.window[rows], self._window_engagement.fill[rows]
-
-    def score_windows(
-        self, student_ids: Sequence[str]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(padded score ticks, padded score means, fill counts), one row per student."""
-        rows = self._rows(student_ids)
+    def windows(self, rows: np.ndarray) -> tuple[EngagementWindows, ScoreWindows]:
+        """The engagement and score windows of ``rows``, one window row per entry."""
+        engagement, scores = self._window_engagement, self._window_scores
         return (
-            self._window_score_ticks.window[rows],
-            self._window_scores.window[rows],
-            self._window_scores.fill[rows],
+            (engagement.window[rows], engagement.fill[rows]),
+            (self._window_score_ticks.window[rows], scores.window[rows], scores.fill[rows]),
         )
 
-    def policy_signals(self, student_id: str) -> tuple[float, float, float]:
-        """(windowed engagement mean, cumulative score slope, monitor risk).
-
-        The mean is the padded engagement row summed left to right over
-        its fill count, 0.0 for an empty window.
-        """
-        features = self.feature_matrix([student_id])
-        [risk] = self.monitor.predict_proba_rows(features).tolist()
-        values, fill = self.engagement_windows([student_id])
-        [total], [count] = row_sums(values).tolist(), fill.tolist()
-        mean = total / count if count else 0.0
-        return mean, float(features[0, FEATURE_ORDER.index("score_slope")]), risk
+    def policy_signals(self) -> FeatureSnapshot:
+        """The snapshot of every student's features, monitor risk and window mean."""
+        features = self.feature_matrix()
+        fill = self._window_engagement.fill
+        filled = fill > 0
+        engagement_mean = np.zeros(len(fill))
+        engagement_mean[filled] = row_sums(self._window_engagement.window)[filled] / fill[filled]
+        return FeatureSnapshot(features, self.monitor.predict_proba_rows(features), engagement_mean)
 
 
 def aggregate_features(cohort: Cohort, tick: int) -> np.ndarray:
@@ -249,7 +252,7 @@ def aggregate_features(cohort: Cohort, tick: int) -> np.ndarray:
         if t > tick:
             break
         tracker.ingest(t, events)
-    return tracker.feature_matrix(cohort.student_ids)
+    return tracker.feature_matrix()
 
 
 # -- risk model ---------------------------------------------------------------
@@ -390,16 +393,21 @@ class InstitutionAgent(Agent):
         return {"view": view, "inbox": tuple(inbox)}
 
     def reason(self, percepts: dict) -> dict:
-        """Every ``risk_every`` ticks, one at_risk_flag payload per newly flagged student."""
+        """Every ``risk_every`` ticks, one at_risk_flag payload per newly flagged student.
+
+        Students are scored from the tick's snapshot, in student-id order.
+        """
         view: TickView = percepts["view"]
-        tracker = view.tracker
         decisions: dict = {"tick": view.tick, "new_flags": []}
         if (view.tick + 1) % self.risk_every == 0:
-            seen = [s for s in sorted(tracker.student_ids()) if s not in self.flagged]
+            order = view.tracker.id_order
+            risk = view.snapshot.risk[order]
+            hit = risk >= self.risk_threshold
+            ids = view.cohort.student_ids
             decisions["new_flags"] = [
-                {"student_id": sid, "risk_score": risk}
-                for sid, risk in zip(seen, tracker.risks(seen).tolist())
-                if risk >= self.risk_threshold
+                {"student_id": ids[row], "risk_score": score}
+                for row, score in zip(order[hit].tolist(), risk[hit].tolist())
+                if ids[row] not in self.flagged
             ]
         return decisions
 

@@ -86,7 +86,9 @@ class PolicyConfig:
     alpha: float = 0.1
     gamma: float = 0.9
     epsilon: float = 0.2
-    epsilon_decay: float = 0.995  # multiplicative, applied once per episode
+    # Multiplicative, applied once per episode by train_on_mdp. A simulation
+    # run is one episode, and PolicyDriver never decays epsilon.
+    epsilon_decay: float = 0.995
     rng_seed: int = 0
 
     def __post_init__(self) -> None:

@@ -42,7 +42,7 @@ from .policy import (
 )
 
 if TYPE_CHECKING:
-    from .institution import FeatureTracker
+    from .institution import FeatureSnapshot, FeatureTracker
 
 PACKAGE_VERSION = "0.1.0"
 TRANSCRIPT_FORMAT_VERSION = 1
@@ -108,18 +108,20 @@ class TickView:
     """What the environment exposes to agents at one tick.
 
     ``events`` is this tick's slice of the cohort's event columns, in
-    stream order. ``newly_dropped`` holds students who had events before
-    this tick but none at it (the observable form of a dropout).
-    ``tracker`` is the run's feature tracker, already fed this tick's
-    events.
+    stream order. ``tracker`` is the run's feature tracker, already fed
+    this tick's events; ``snapshot`` is its ``policy_signals()`` taken
+    right after that ingest, one row per student in cohort order, and
+    ``active_rows`` are the rows of the students with an event at this
+    tick, in student-id order. A run without a tracker leaves all three
+    None.
     """
 
     tick: int
     events: EventColumns
-    active_students: frozenset[str]
-    newly_dropped: frozenset[str]
     cohort: Cohort
     tracker: FeatureTracker | None = None
+    snapshot: FeatureSnapshot | None = None
+    active_rows: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -378,92 +380,77 @@ def measure_phase_latency(transcript: SimulationTranscript) -> dict[str, Latency
 # -- policy driver -------------------------------------------------------------
 
 
-@dataclass
-class _PendingDecision:
-    state: SystemState
-    action: InterventionAction
-    target: str
-    engagement_before: Any  # EngagementLevel
-
-
 class PolicyDriver:
     """Runs Algorithm-style intervention control inside the scheduler tick.
 
-    Per tick: settle the previous decision (observe reward, apply the
-    Q update), then pick the currently riskiest active student, select an
-    action epsilon-greedily, and execute it as an intervention_request
-    event. Signals come from the view's feature tracker: one batched
-    ``risks`` call scores every active student, and ``policy_signals``
-    reads the state of the settled and the chosen target.
+    Per tick, after the agents: settle the previous decision (observe
+    reward, apply the Q update), then pick the currently riskiest active
+    student, select an action epsilon-greedily, and execute it as an
+    intervention_request event. Every signal is a row of the view's
+    snapshot, so the settled and the chosen target read the same tick's
+    features.
     """
 
     def __init__(self, config: PolicyConfig, table: QTable | None = None):
         self.config = config
         self.table = table if table is not None else QTable()
         self.rng = random.Random(config.rng_seed)
-        self.pending: _PendingDecision | None = None
-
-    @staticmethod
-    def _state_for(tracker: FeatureTracker, student_id: str) -> tuple[SystemState, Any]:
-        mean_engagement, score_slope, risk = tracker.policy_signals(student_id)
-        state = discretize_state(mean_engagement, score_slope, risk)
-        return state, state.engagement_level
+        # (state, action, row) of the last decision, settled at the next tick.
+        self.pending: tuple[SystemState, InterventionAction, int] | None = None
 
     def step(self, view: TickView, publisher: Publisher, transcript: SimulationTranscript) -> None:
-        tracker = view.tracker
+        snapshot, active = view.snapshot, view.active_rows
+        ids = view.cohort.student_ids
         if self.pending is not None:
-            state_now, level_now = self._state_for(tracker, self.pending.target)
+            state, action, row = self.pending
+            state_now = discretize_state(*snapshot.signals(row))
             reward = compute_reward(
-                self.pending.action,
-                engagement_before=self.pending.engagement_before,
-                engagement_after=level_now,
-                dropped_out=self.pending.target in view.newly_dropped,
+                action,
+                engagement_before=state.engagement_level,
+                engagement_after=state_now.engagement_level,
+                # The target was active when chosen, so no event now is a dropout.
+                dropped_out=row not in active,
             )
             sample = TransitionSample(
-                state=self.pending.state,
-                action=self.pending.action,
-                reward=reward,
-                next_state=state_now,
+                state=state, action=action, reward=reward, next_state=state_now
             )
             q_update(self.table, sample, self.config)
             transcript.append(
                 {
                     "type": "reward",
                     "tick": view.tick,
-                    "target": self.pending.target,
-                    "state": list(self.pending.state.as_tuple()),
-                    "action": self.pending.action.value,
+                    "target": ids[row],
+                    "state": list(state.as_tuple()),
+                    "action": action.value,
                     "reward": reward,
                     "next_state": list(state_now.as_tuple()),
                 }
             )
             self.pending = None
 
-        candidates = sorted(view.active_students)
-        if not candidates:
+        if not active.size:
             return
         # Highest monitor risk first; argmax keeps the first of tied maxima,
-        # so ties go to the smallest student id.
-        target = candidates[int(np.argmax(tracker.risks(candidates)))]
-        state, level = self._state_for(tracker, target)
+        # and the active rows are in student-id order, so ties go to the
+        # smallest student id.
+        row = int(active[np.argmax(snapshot.risk[active])])
+        state = discretize_state(*snapshot.signals(row))
         action = select_action(self.table, state, self.config, self.rng)
         if action is not InterventionAction.NO_OP:
             publisher.publish(
                 TriggerKind.INTERVENTION_REQUEST,
-                {"action": action.value, "student_id": target},
+                {"action": action.value, "student_id": ids[row]},
             )
         transcript.append(
             {
                 "type": "policy",
                 "tick": view.tick,
-                "target": target,
+                "target": ids[row],
                 "state": list(state.as_tuple()),
                 "action": action.value,
             }
         )
-        self.pending = _PendingDecision(
-            state=state, action=action, target=target, engagement_before=level
-        )
+        self.pending = (state, action, row)
 
     def final_table_record(self) -> dict:
         values = {
@@ -488,14 +475,15 @@ def run(
 ) -> SimulationTranscript:
     """Execute max_ticks scheduler iterations and return the full transcript.
 
-    Per tick: the environment exposes that tick's slice of the cohort's
-    event columns (taken from its per-tick offsets), the feature
-    tracker (when present) ingests it, the bus delivers everything
-    published earlier, each agent runs its four phases in the configured
-    order, and the policy driver (when present) settles rewards and issues
-    the next intervention. The policy driver reads the tracker, so it
-    needs one. A cohort event at a tick the run never reaches (at or past
-    max_ticks) is a ConfigError rather than silently left out.
+    Per tick, in this order: the feature tracker (when present) ingests
+    the tick's slice of the cohort's event columns, and one
+    ``policy_signals`` snapshot and the tick's active rows go on the
+    TickView; the bus delivers everything published earlier; each agent
+    runs its four phases in the configured order; and the policy driver
+    (when present) settles rewards and issues the next intervention from
+    the same snapshot, so it needs a tracker. A cohort event at a tick the
+    run never reaches (at or past max_ticks) is a ConfigError rather than
+    silently left out.
     """
     if policy_driver is not None and tracker is None:
         raise ConfigError("a policy driver needs a feature tracker")
@@ -536,26 +524,22 @@ def run(
     transcript = SimulationTranscript(header)
     publisher = Publisher(bus, transcript)
 
-    previously_active: set[str] = set()
-
     for tick in range(config.max_ticks):
         transcript.append({"type": "tick_start", "tick": tick})
         tick_events = events_by_tick.get(tick, no_events)
-        student_ids = tick_events.student_ids
-        active = frozenset(student_ids[i] for i in np.unique(tick_events.student).tolist())
-        newly_dropped = frozenset(previously_active - active)
-        previously_active |= active
-        previously_active -= newly_dropped
+        snapshot = active_rows = None
+        if tracker is not None:
+            tracker.ingest(tick, tick_events)
+            snapshot = tracker.policy_signals()
+            active_rows = tracker.active_rows(tick_events)
         view = TickView(
             tick=tick,
             events=tick_events,
-            active_students=active,
-            newly_dropped=newly_dropped,
             cohort=cohort,
             tracker=tracker,
+            snapshot=snapshot,
+            active_rows=active_rows,
         )
-        if tracker is not None:
-            tracker.ingest(tick, tick_events)
 
         inboxes = bus.deliver_tick(tick)
         for subscriber in sorted(inboxes):

@@ -519,6 +519,7 @@ class StudentAgent(Agent):
         self.neighborhood = neighborhood
         self.detector: GapDetector | None = None
         _id_indexes(cohort.student_ids, cohort.resource_ids)  # rejects duplicate ids
+        self._student_ids = np.array(cohort.student_ids, dtype=object)
         self._interaction_counts = np.zeros(
             (len(cohort.students), len(cohort.resources)), dtype=np.int64
         )
@@ -537,9 +538,9 @@ class StudentAgent(Agent):
             self._interaction_counts,
             view.events.reindexed(self.cohort.student_ids, self.cohort.resource_ids),
         )
-        active = sorted(view.active_students)
+        active = view.active_rows
         gaps = self.detector.update_many(
-            view.tick, active, tracker.engagement_windows(active), tracker.score_windows(active)
+            view.tick, self._student_ids[active], *tracker.windows(active)
         )
 
         requests: list[str] = []

@@ -188,6 +188,9 @@ class TestCliErrors:
             ('{"scheduler": {"max_ticks": 1%s}}' % ("0" * 5000), "scheduler.max_ticks"),
             ('{"scheduler": {"max_ticks": "x"}}', "max_ticks must be an integer"),
             ('{"policy": {"alpha": "x"}}', "alpha must be a number"),
+            ('{"policy": {"alpha": true}}', "policy config alpha must be a number, got True"),
+            ('{"policy": {"rng_seed": null}}', "policy config rng_seed must be an integer, got None"),
+            ('{"policy": {"rng_seed": "abc"}}', "rng_seed must be an integer, got 'abc'"),
             ('{"generator": {"n_students": "x"}}', "generator config n_students must be"),
             ('{"evaluation": {"quiz_items": "x"}}', "evaluation config quiz_items must be"),
             ('{"scheduler": {"max_ticks": 12.7}}', "max_ticks must be an integer, got 12.7"),
@@ -220,6 +223,9 @@ class TestCliErrors:
             "digit_limit",
             "max_ticks_string",
             "alpha_string",
+            "alpha_boolean",
+            "policy_rng_seed_null",
+            "policy_rng_seed_string",
             "generator_string",
             "evaluation_string",
             "max_ticks_fraction",

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -323,6 +324,41 @@ class TestCanonicalTranscriptDigest:
             record["payload"]["value"] = value
 
 
+def _without_class_mean(transcript) -> list[dict]:
+    records = [json.loads(line) for line in transcript.canonical_lines()]
+    for record in records:
+        for key in ("payload", "detail"):
+            if isinstance(record.get(key), dict):
+                record[key].pop("class_mean", None)
+    return records
+
+
+@pytest.mark.parametrize("shuffle_seed", [1, 2])
+def test_roster_order_changes_only_the_class_mean(shuffle_seed):
+    """Readers that index the tracker by row break ties and order gaps and
+    flags by student id, so the roster order reaches the transcript only
+    through the class report's mean, which sums in roster order."""
+    spec = ExperimentSpec(
+        generator=GeneratorConfig(n_students=300, n_resources=20, n_ticks=30, seed=42),
+        scheduler=SchedulerConfig(max_ticks=30, rng_seed=42),
+        policy=PolicyConfig(rng_seed=42),
+    )
+    cohort = load_experiment_cohort(spec)
+    students = list(cohort.students)
+    random.Random(shuffle_seed).shuffle(students)
+    shuffled = Cohort(
+        students=students,
+        events=cohort.event_columns,
+        assessments=cohort.assessments,
+        resources=cohort.resources,
+        ground_truth=cohort.ground_truth,
+    )
+    assert shuffled.student_ids != cohort.student_ids
+    original, reordered = simulate(cohort, spec), simulate(shuffled, spec)
+    assert any("class_mean" in line for line in original.canonical_lines())
+    assert _without_class_mean(reordered) == _without_class_mean(original)
+
+
 def test_reference_agent_activity_from_transcript():
     """Per-agent activity of the seed-42 reference run, counted from its
     ``action``, ``event`` and ``delivery`` records."""
@@ -506,6 +542,23 @@ class TestSpecSerialization:
             ExperimentSpec.from_dict({"generator": None, "cohort_dir": ".", "bogus": 1})
         with pytest.raises(ConfigError):
             EvaluationConfig.from_dict({"quiz_items": 3, "bogus": 1})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("rng_seed", None),
+            ("rng_seed", "abc"),
+            ("rng_seed", 1.5),
+            ("rng_seed", True),
+            ("alpha", True),
+        ],
+    )
+    def test_policy_value_of_the_wrong_type_rejected(self, key, value):
+        # A null rng_seed would seed the policy from OS entropy, so replay could not repeat it.
+        data = small_spec().to_dict()
+        data["policy"][key] = value
+        with pytest.raises(ConfigError, match=f"policy config {key} must be"):
+            ExperimentSpec.from_dict(data)
 
     def test_derive_seed_stable_and_label_sensitive(self):
         assert derive_seed(42, "quiz") == derive_seed(42, "quiz")

@@ -128,30 +128,43 @@ class TestAggregateFeatures:
             tracker.ingest(t, by_tick[t])
             oracle.ingest(t, by_tick[t])
         ids = cohort.student_ids
-        rows = [tuple(row) for row in tracker.feature_matrix(ids).tolist()]
+        rows = [tuple(row) for row in tracker.feature_matrix().tolist()]
         assert rows == [tuple(row) for row in aggregate_features(cohort, 9).tolist()]
         assert rows == [oracle.features(sid) for sid in ids]
-        assert filled_windows(tracker, ids) == oracle_windows(oracle, ids)
+        assert filled_windows(tracker) == oracle_windows(oracle, ids)
 
-    def test_feature_matrix_rows_follow_the_requested_order(self):
+    def test_feature_matrix_rows_follow_the_cohort_order(self):
         events = [
             EngagementEvent("s1", 0, EventKind.LOGIN, 0.2),
             EngagementEvent("s2", 0, EventKind.LOGIN, 0.9),
         ]
-        cohort = make_cohort(events=events)
+        cohort = make_cohort(students=[make_student("s2"), make_student("s1")], events=events)
         tracker = FeatureTracker(cohort)
         tracker.ingest(0, events)
-        matrix = tracker.feature_matrix(["s2", "s1", "s2"])
-        assert matrix.shape == (3, len(FEATURE_ORDER))
-        assert matrix[:, 0].tolist() == [0.9, 0.2, 0.9]
-        assert tracker.feature_matrix([]).shape == (0, len(FEATURE_ORDER))
+        matrix = tracker.feature_matrix()
+        assert matrix.shape == (2, len(FEATURE_ORDER))
+        assert matrix[:, 0].tolist() == [0.9, 0.2]
+        empty = FeatureTracker(make_cohort(students=[]))
+        assert empty.feature_matrix().shape == (0, len(FEATURE_ORDER))
+
+    def test_active_rows_are_distinct_and_in_student_id_order(self):
+        ids = ("s2", "s10", "s1", "s3")
+        cohort = make_cohort(
+            students=[make_student(sid) for sid in ids],
+            events=[
+                EngagementEvent(sid, 0, EventKind.LOGIN, 0.5) for sid in ("s3", "s1", "s10", "s1")
+            ],
+        )
+        tracker = FeatureTracker(cohort)
+        assert [ids[row] for row in tracker.id_order.tolist()] == sorted(ids)
+        active = tracker.active_rows(cohort.event_columns)
+        assert [ids[row] for row in active.tolist()] == ["s1", "s10", "s3"]
+        assert tracker.active_rows(cohort.event_columns.take(slice(0, 0))).tolist() == []
 
     def test_event_outside_cohort_is_unknown_student(self):
         tracker = FeatureTracker(make_cohort())
         with pytest.raises(UnknownStudentError, match="ghost"):
             tracker.ingest(0, [EngagementEvent("ghost", 0, EventKind.LOGIN, 0.5)])
-        with pytest.raises(UnknownStudentError, match="ghost"):
-            tracker.risks(["s1", "ghost"])
 
     def test_credits_taken_from_static_features(self):
         cohort = make_cohort(students=[make_student("s1", credits=21.0)])
@@ -207,13 +220,13 @@ def tracked_cohorts(draw):
     return students, ticks
 
 
-def filled_windows(tracker, ids):
-    """Per student, (engagement window, score points): the filled columns as lists."""
-    values, fill = tracker.engagement_windows(ids)
-    ticks, scores, score_fill = tracker.score_windows(ids)
+def filled_windows(tracker):
+    """Per student in cohort order, (engagement window, score points): the filled columns."""
+    rows = np.arange(len(tracker.id_order))
+    (values, fill), (ticks, scores, score_fill) = tracker.windows(rows)
     width = tracker.window_len
     windows = []
-    for i in range(len(ids)):
+    for i in range(len(rows)):
         first, first_score = width - fill[i], width - score_fill[i]
         points = zip(ticks[i, first_score:].tolist(), scores[i, first_score:].tolist())
         windows.append((values[i, first:].tolist(), list(points)))
@@ -237,18 +250,22 @@ class TestTrackerMatchesOracle:
         for tick, events in enumerate(ticks):
             tracker.ingest(tick, events)
             oracle.ingest(tick, events)
+            snapshot = tracker.policy_signals()
             rows = [oracle.features(sid) for sid in ids]
-            assert [tuple(row) for row in tracker.feature_matrix(ids).tolist()] == rows
-            assert tracker.risks(ids).tolist() == [monitor.predict_proba_one(row) for row in rows]
-            assert filled_windows(tracker, ids) == oracle_windows(oracle, ids)
-            for sid, row in zip(ids, rows):
+            assert [tuple(row) for row in snapshot.features.tolist()] == rows
+            assert snapshot.risk.tolist() == [monitor.predict_proba_one(row) for row in rows]
+            assert filled_windows(tracker) == oracle_windows(oracle, ids)
+            for i, (sid, row) in enumerate(zip(ids, rows)):
                 window = oracle.window_engagement_values(sid)
                 mean = sum(window) / len(window) if window else 0.0
                 slope = row[FEATURE_ORDER.index("score_slope")]
-                assert tracker.policy_signals(sid) == (mean, slope, monitor.predict_proba_one(row))
-        risks = dict(zip(ids, tracker.risks(ids).tolist()))
-        assert risks["twin"] == risks["r0"]
-        assert tracker.feature_matrix(["silent"])[0, FEATURE_ORDER.index("absence_rate")] == 0.0
+                assert snapshot.signals(i) == (mean, slope, monitor.predict_proba_one(row))
+        row_of = {sid: i for i, sid in enumerate(ids)}
+        twin, r0 = row_of["twin"], row_of["r0"]
+        assert snapshot.features[twin].tolist() == snapshot.features[r0].tolist()
+        assert snapshot.risk[twin] == snapshot.risk[r0]
+        absence_rate = snapshot.features[row_of["silent"], FEATURE_ORDER.index("absence_rate")]
+        assert absence_rate == 0.0
 
 
 class TestRiskModel:

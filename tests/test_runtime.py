@@ -255,12 +255,12 @@ class TestBatchedScoring:
             tracker=tracker,
             policy_driver=PolicyDriver(PolicyConfig(rng_seed=1)),
         )
-        risk_s1, risk_s2, risk_s3, risk_s4 = tracker.risks(["s1", "s2", "s3", "s4"]).tolist()
+        risk_s4, risk_s2, risk_s3, risk_s1 = tracker.policy_signals().risk.tolist()
         assert risk_s4 == risk_s2 > risk_s1 == risk_s3
         [decision] = transcript.of_type("policy")
         assert decision["target"] == "s2"
 
-    def test_one_batched_risks_call_per_active_tick_and_per_sweep(self, monkeypatch):
+    def test_one_policy_signals_call_per_tick(self, monkeypatch):
         # The cohort has 10 ticks of events; ticks 10 and 11 have no active students.
         spec = ExperimentSpec(
             generator=GeneratorConfig(n_students=30, n_resources=6, n_ticks=10, seed=5),
@@ -268,35 +268,29 @@ class TestBatchedScoring:
             policy=PolicyConfig(rng_seed=5),
         )
         cohort, _ = generate_cohort(spec.generator)
-        calls = {"batched": 0, "policy_signals": 0}
-        inside_signals: list[str] = []
-        risks, policy_signals = FeatureTracker.risks, FeatureTracker.policy_signals
+        calls = {"policy_signals": 0, "feature_matrix": 0}
+        policy_signals = FeatureTracker.policy_signals
+        feature_matrix = FeatureTracker.feature_matrix
 
-        def counting_risks(self, student_ids):
-            if not inside_signals:
-                calls["batched"] += 1
-            return risks(self, student_ids)
-
-        def counting_signals(self, student_id):
+        def counting_signals(self):
             calls["policy_signals"] += 1
-            inside_signals.append(student_id)
-            try:
-                return policy_signals(self, student_id)
-            finally:
-                inside_signals.pop()
+            return policy_signals(self)
 
-        monkeypatch.setattr(FeatureTracker, "risks", counting_risks)
+        def counting_features(self):
+            calls["feature_matrix"] += 1
+            return feature_matrix(self)
+
         monkeypatch.setattr(FeatureTracker, "policy_signals", counting_signals)
+        monkeypatch.setattr(FeatureTracker, "feature_matrix", counting_features)
         transcript = simulate(cohort, spec)
 
-        active_ticks = {e.tick for e in cohort.events if e.tick < spec.scheduler.max_ticks}
-        risk_every = InstitutionAgent().risk_every
-        sweeps = [t for t in range(spec.scheduler.max_ticks) if (t + 1) % risk_every == 0]
-        assert len(active_ticks) < spec.scheduler.max_ticks
-        assert calls["batched"] == len(active_ticks) + len(sweeps)
-        # policy_signals reads only the settled and the chosen target.
-        decisions = transcript.of_type("policy") + transcript.of_type("reward")
-        assert calls["policy_signals"] == len(decisions)
+        # Every reader indexes the one snapshot, so no other call builds
+        # features: the institution agent sweeps at ticks 4 and 9, and the
+        # policy driver decides at each of the 10 active ticks and settles
+        # each decision at the next tick.
+        assert calls == {"policy_signals": 12, "feature_matrix": 12}
+        assert InstitutionAgent().risk_every == 5
+        assert len(transcript.of_type("policy")) == len(transcript.of_type("reward")) == 10
 
 
 class TestSharedTracker:

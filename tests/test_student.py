@@ -418,7 +418,7 @@ def tracked_gaps(ticks, window_len=5):
     for tick, events in enumerate(ticks):
         tracker.ingest(tick, events)
         active = sorted({e.student_id for e in events})
-        windows = tracker.engagement_windows(active), tracker.score_windows(active)
+        windows = tracker.windows(np.array([ids.index(sid) for sid in active], dtype=np.intp))
         signals.append(detector.update_many(tick, active, *windows))
     return signals
 
@@ -507,14 +507,16 @@ class TestGapPassMatchesOracle:
     @given(gap_streams())
     def test_update_many_equals_scalar_rules_with_dict_cooldown(self, drawn):
         students, events, active = drawn
-        tracker = FeatureTracker(make_cohort(students=students), window_len=3)
+        cohort = make_cohort(students=students)
+        tracker = FeatureTracker(cohort, window_len=3)
         oracle_tracker = DictFeatureTracker(students, window_len=3)
         detector = GapDetector(window_len=3)
         oracle = ScalarGapDetector(window_len=3)
         for tick, (tick_events, ids) in enumerate(zip(events, active)):
             tracker.ingest(tick, tick_events)
             oracle_tracker.ingest(tick, tick_events)
-            windows = tracker.engagement_windows(ids), tracker.score_windows(ids)
+            rows = np.array([cohort.student_ids.index(sid) for sid in ids], dtype=np.intp)
+            windows = tracker.windows(rows)
             signals = detector.update_many(tick, ids, *windows)
             # A fresh detector has no cooldown: it applies the bare rules.
             uncooled = GapDetector(window_len=3).update_many(tick, ids, *windows)
