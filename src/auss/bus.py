@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Mapping
@@ -127,7 +127,9 @@ class EventBus:
                 raise BusCapacityError(
                     f"pending queue full (capacity {self._capacity}); apply back-pressure"
                 )
-            stamped = replace(event, event_id=self._next_id)
+            stamped = Event(
+                event.tick, event.source_agent, event.kind, event.payload, self._next_id
+            )
             self._next_id += 1
             self._pending.append(stamped)
         if self._transcript_path is not None:

@@ -169,11 +169,9 @@ class ExperimentSpec:
             raise ConfigError(f"unknown experiment spec keys: {sorted(unknown)}")
         try:
             policy_data = dict(data.get("policy") or {})
-            policy_defaults = asdict(PolicyConfig())
-            policy_unknown = set(policy_data) - set(policy_defaults)
+            policy_unknown = set(policy_data) - set(asdict(PolicyConfig()))
             if policy_unknown:
                 raise ConfigError(f"unknown policy config keys: {sorted(policy_unknown)}")
-            check_config_types("policy", policy_data, policy_defaults)
             generator = data.get("generator")
             scheduler = data.get("scheduler") or {"max_ticks": 50}
             return cls(
@@ -359,31 +357,48 @@ def evaluate_grading(
     One pass counts the agreements as it draws, building no grade objects.
     It is exact against grading each response with :func:`auto_grade` and
     comparing with :func:`grading_match_rate`: the same draws in the same
-    order (students in sorted order, then quiz items), the same rule
-    (:func:`grade_response`), and the same division, agreements over
-    (student, item) pairs. A pair agrees when the two awarded points are
-    equal; as points are > 0, that is when ``matched == is_correct``.
+    order (students in sorted order, then quiz items), the same rule, and
+    the same division, agreements over (student, item) pairs. A pair agrees
+    when the two awarded points are equal; as points are > 0, that is when
+    ``matched == is_correct``.
+
+    A correct response is one of four fixed spellings of its item's
+    answer, so each item's four verdicts come from :func:`grade_response`
+    once, up front, and a draw picks among them. A wrong response is
+    ``repr(w)`` of a float ``w``, which parses back to ``w`` itself, so
+    its verdict is the numeric rule applied to ``w`` directly.
     """
     truth = _require_truth(cohort)
     if not truth.abilities:
         raise MetricInputError("match rate over empty grade lists is undefined")
     quiz = generate_quiz(ARITHMETIC_TEMPLATE, derive_seed(seed, "quiz"), quiz_items)
+    items = []
+    for _question, key in quiz:
+        canonical = float(key.answer)
+        tolerance = key.tolerance or 0.0
+        spellings = (key.answer, f" {key.answer} ", f"{canonical:.1f}")
+        items.append(
+            (
+                grade_response(f"{key.answer} points", key)[0],
+                tuple(grade_response(spelling, key)[0] for spelling in spellings),
+                canonical,
+                tolerance,
+                canonical + tolerance + 1.0,
+            )
+        )
     rng = random.Random(derive_seed(seed, "responses"))
+    uniform = rng.random
     agreed = 0
     for sid in sorted(truth.abilities):
         ability = truth.abilities[sid]
-        for _question, key in quiz:
-            canonical = float(key.answer)
-            is_correct = rng.random() < ability
-            if is_correct:
-                if rng.random() < sloppy_answer_rate:
-                    response = f"{key.answer} points"
+        for sloppy_matched, spelling_matched, canonical, tolerance, wrong_base in items:
+            if uniform() < ability:
+                if uniform() < sloppy_answer_rate:
+                    agreed += sloppy_matched
                 else:
-                    response = rng.choice((key.answer, f" {key.answer} ", f"{canonical:.1f}"))
+                    agreed += rng.choice(spelling_matched)
             else:
-                response = repr(canonical + (key.tolerance or 0.0) + 1.0 + rng.random())
-            matched, _note = grade_response(response, key)
-            agreed += matched == is_correct
+                agreed += not abs(wrong_base + uniform() - canonical) <= tolerance
     return agreed / (len(truth.abilities) * len(quiz))
 
 

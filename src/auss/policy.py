@@ -8,14 +8,13 @@ Q(s,a) += alpha * (r + gamma * max_a' Q(s',a') - Q(s,a)).
 from __future__ import annotations
 
 import math
-import numbers
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_config_types
 
 
 class EngagementLevel(str, Enum):
@@ -92,10 +91,11 @@ class PolicyConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "gamma", "epsilon", "epsilon_decay"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a number, got {type(value).__name__}")
+        check_config_types(
+            "policy",
+            {f.name: getattr(self, f.name) for f in fields(self)},
+            {f.name: f.default for f in fields(self)},
+        )
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0.0 <= self.gamma < 1.0:

@@ -28,6 +28,7 @@ from .errors import (
     TranscriptChecksumError,
     TranscriptError,
     TranscriptVersionError,
+    check_config_types,
 )
 from .policy import (
     InterventionAction,
@@ -64,6 +65,11 @@ class SchedulerConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "agent_order", tuple(self.agent_order))
+        check_config_types(
+            "scheduler",
+            {"max_ticks": self.max_ticks, "rng_seed": self.rng_seed},
+            {"max_ticks": 0, "rng_seed": 0},
+        )
         if self.max_ticks < 0:
             raise ConfigError(f"max_ticks must be >= 0, got {self.max_ticks}")
         if sorted(self.agent_order) != sorted(set(self.agent_order)):
@@ -90,8 +96,6 @@ class SchedulerConfig:
             # As for cohort ticks: a float with no fractional part is that integer.
             if isinstance(value, float) and value.is_integer():
                 value = int(value)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"scheduler config {key} must be an integer, got {value!r}")
             integers[key] = value
         agent_order = data.get("agent_order", DEFAULT_AGENT_ORDER)
         if not isinstance(agent_order, (list, tuple)) or not all(

@@ -8,7 +8,10 @@ similarity so that its floats can be compared with ``==``;
 objects, which the fast evaluator no longer builds; and
 ``object_risk_evaluation`` fits with the package's ``fit_logistic`` and
 scores with its dict-based ``f1_score``; ``json_events_reader`` raises the
-package's ``CohortFormatError`` so that messages can be compared.
+package's ``CohortFormatError`` so that messages can be compared; and the
+recursive regression tree (``DecisionTreeRegressor``, grown one node at a
+time) sums with numpy, as the rounding of those sums is what the
+level-wise forest must reproduce.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import json
 import math
 import random
 from collections import deque
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -29,7 +33,7 @@ from auss.educator import (
     generate_quiz,
     grading_match_rate,
 )
-from auss.errors import CohortFormatError
+from auss.errors import CohortFormatError, InsufficientDataError, UntrainedModelError
 from auss.experiment import derive_seed
 from auss.institution import f1_score
 from auss.learners import fit_logistic
@@ -595,3 +599,134 @@ def json_events_reader(
                 resource = row(resources, resource_row, str(resource))
             columns[4].append(-1 if resource is None else resource)
     return (*columns, students, resources)
+
+
+# -- regression trees, one node at a time -----------------------------------------
+
+
+@dataclass
+class TreeNode:
+    """Internal node splits on feature <= threshold; leaves carry a value."""
+
+    value: float
+    feature: int | None = None
+    threshold: float | None = None
+    left: "TreeNode | None" = None
+    right: "TreeNode | None" = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.feature is None
+
+
+def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float] | None:
+    """Scan every feature for the split minimizing total squared error.
+
+    Ties resolve to the lowest feature index, then the lowest threshold,
+    so refitting the same data always builds the same tree.
+    """
+    n = len(y)
+    if n < 2 * min_leaf:
+        return None
+    best: tuple[float, int, float] | None = None
+    total_sum = float(y.sum())
+    total_sq = float((y * y).sum())
+    for j in range(x.shape[1]):
+        order = np.argsort(x[:, j], kind="stable")
+        xs = x[order, j]
+        ys = y[order]
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys * ys)
+        # candidate split after position i (left gets i+1 rows)
+        positions = np.arange(min_leaf - 1, n - min_leaf)
+        valid = xs[positions] != xs[positions + 1]
+        positions = positions[valid]
+        if len(positions) == 0:
+            continue
+        n_left = positions + 1.0
+        n_right = n - n_left
+        left_sum = csum[positions]
+        left_sq = csq[positions]
+        sse = (left_sq - left_sum * left_sum / n_left) + (
+            (total_sq - left_sq) - (total_sum - left_sum) ** 2 / n_right
+        )
+        k = int(np.argmin(sse))  # first minimum: lowest threshold wins ties
+        if best is None or sse[k] < best[0] - 1e-12:
+            pos = positions[k]
+            best = (float(sse[k]), j, float((xs[pos] + xs[pos + 1]) / 2.0))
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def _grow(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int, min_leaf: int) -> TreeNode:
+    node = TreeNode(value=float(y.mean()))
+    if depth >= max_depth or len(y) < 2 * min_leaf or np.all(y == y[0]):
+        return node
+    split = _best_split(x, y, min_leaf)
+    if split is None:
+        return node
+    j, threshold = split
+    mask = x[:, j] <= threshold
+    node.feature = j
+    node.threshold = threshold
+    node.left = _grow(x[mask], y[mask], depth + 1, max_depth, min_leaf)
+    node.right = _grow(x[~mask], y[~mask], depth + 1, max_depth, min_leaf)
+    return node
+
+
+class DecisionTreeRegressor:
+    def __init__(self, max_depth: int = 4, min_samples_leaf: int = 2):
+        self.max_depth = max_depth
+        self.min_samples_leaf = min_samples_leaf
+        self.root: TreeNode | None = None
+
+    def fit(self, x: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if len(y) == 0:
+            raise InsufficientDataError("cannot fit a tree on zero samples")
+        self.root = _grow(x, y, 0, self.max_depth, self.min_samples_leaf)
+        return self
+
+    def predict_one(self, row: Sequence[float]) -> float:
+        if self.root is None:
+            raise UntrainedModelError("tree is not fitted; call fit first")
+        node = self.root
+        while not node.is_leaf:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        return node.value
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return np.array([self.predict_one(row) for row in x])
+
+
+def recursive_forest_predict(
+    x: np.ndarray,
+    y: np.ndarray,
+    x_test: np.ndarray,
+    *,
+    n_trees: int,
+    max_depth: int,
+    bootstrap_fraction: float,
+    min_samples_leaf: int,
+    seed: int,
+) -> np.ndarray:
+    """``BaggedTreeRegressor(...).fit(x, y).predict(x_test)`` with each tree grown recursively.
+
+    The bootstrap samples come tree by tree from ``default_rng(seed)``, and
+    the trees' predictions are added one by one from zeros, in tree order.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    rng = np.random.default_rng(seed)
+    sample_size = max(1, int(round(bootstrap_fraction * len(y))))
+    trees = []
+    for _ in range(n_trees):
+        idx = rng.integers(0, len(y), size=sample_size)
+        trees.append(DecisionTreeRegressor(max_depth, min_samples_leaf).fit(x[idx], y[idx]))
+    acc = np.zeros(len(x_test))
+    for tree in trees:
+        acc += tree.predict(x_test)
+    return acc / n_trees

@@ -4,17 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from auss.errors import InsufficientDataError, UntrainedModelError
-from auss.learners import (
-    BaggedTreeRegressor,
-    DecisionTreeRegressor,
-    fit_logistic,
-    sigmoid,
+from auss.errors import (
+    ConfigError,
+    InsufficientDataError,
+    MetricInputError,
+    UntrainedModelError,
 )
+from auss.learners import _GROUP_ROWS, BaggedTreeRegressor, fit_logistic, sigmoid
+from oracles import DecisionTreeRegressor, recursive_forest_predict
 
 
 class TestDecisionTree:
+    """The recursive tree that the forest is held to."""
+
     def test_learns_step_function(self):
         x = np.array([[0.0], [0.1], [0.2], [0.8], [0.9], [1.0]])
         y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
@@ -68,6 +72,106 @@ class TestBaggedTrees:
         with pytest.raises(InsufficientDataError):
             BaggedTreeRegressor().fit(np.zeros((0, 2)), np.zeros(0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["x", "y"])
+    def test_non_finite_input_rejected(self, bad, where):
+        x = np.arange(20.0).reshape(10, 2)
+        y = np.arange(10.0)
+        (x if where == "x" else y)[3] = bad
+        with pytest.raises(MetricInputError, match="finite"):
+            BaggedTreeRegressor(n_trees=2).fit(x, y)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(MetricInputError, match="shapes"):
+            BaggedTreeRegressor().fit(np.zeros((4, 2)), np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"n_trees": 0}, {"max_depth": -1}, {"min_samples_leaf": 0}]
+    )
+    def test_bad_parameters_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            BaggedTreeRegressor(**kwargs)
+
+
+def _forest_case(n, n_features, x_kind, y_kind, seed):
+    rng = np.random.default_rng(seed)
+    if x_kind == "ties":
+        x = rng.integers(0, 4, (n, n_features)).astype(float)
+    elif x_kind == "adjacent":
+        # neighbouring doubles: a midpoint threshold rounds onto one of them
+        x = 1.0 + rng.integers(0, 4, (n, n_features)) * np.spacing(1.0)
+    else:
+        x = rng.normal(0.0, 1.0, (n, n_features)).round(2)
+    if y_kind == "constant":
+        y = np.full(n, 0.7)
+    elif y_kind == "ties":
+        # small integers make equal squared errors at different splits
+        y = rng.integers(0, 3, n).astype(float)
+    elif y_kind == "offset":
+        # sums far from zero round at every step, so summation order shows
+        y = 1e9 + rng.random(n)
+    else:
+        y = rng.random(n)
+    return x, y
+
+
+class TestForestMatchesRecursiveOracle:
+    """The level-wise forest predicts what trees grown node by node predict, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 3),
+        st.sampled_from(["ties", "adjacent", "continuous"]),
+        st.sampled_from(["constant", "ties", "offset", "continuous"]),
+        # Bootstrap sample sizes: 0.8 n, or a size at which a group holds
+        # four trees, two trees, one tree at the row budget, or one past it.
+        st.sampled_from(
+            [None, _GROUP_ROWS // 4, _GROUP_ROWS // 3 + 1, _GROUP_ROWS, _GROUP_ROWS + 1]
+        ),
+        st.integers(0, 5),
+        st.integers(1, 3),
+        st.integers(1, 30),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_predictions_equal_oracle(
+        self, n, n_features, x_kind, y_kind, sample_size, max_depth, min_leaf, n_trees, seed
+    ):
+        x, y = _forest_case(n, n_features, x_kind, y_kind, seed)
+        fraction = 0.8 if sample_size is None else sample_size / n
+        probes = np.concatenate([x, x + 0.5, x - 0.005])
+        params = dict(
+            n_trees=n_trees,
+            max_depth=max_depth,
+            bootstrap_fraction=fraction,
+            min_samples_leaf=min_leaf,
+            seed=seed,
+        )
+        got = BaggedTreeRegressor(**params).fit(x, y).predict(probes)
+        assert got.tobytes() == recursive_forest_predict(x, y, probes, **params).tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equal_errors_split_at_the_first_threshold(self, seed):
+        # Splitting a run 0, 1, 0 after either of its first two rows gives
+        # the same squared error, so the trees meet ties at many nodes.
+        x = np.arange(12.0)[:, None]
+        y = np.tile([0.0, 1.0, 0.0], 4)
+        params = dict(
+            n_trees=30, max_depth=5, bootstrap_fraction=1.0, min_samples_leaf=1, seed=seed
+        )
+        got = BaggedTreeRegressor(**params).fit(x, y).predict(x)
+        assert got.tobytes() == recursive_forest_predict(x, y, x, **params).tobytes()
+
+    def test_seed_42_predictor_split_equals_oracle(self):
+        rng = np.random.default_rng(42)
+        x = np.column_stack([rng.integers(6, 30, 700).astype(float), rng.random(700) * 4.0])
+        y = np.clip(x[:, 1] / 4.0 + rng.normal(0.0, 0.1, 700), 0.0, 1.0)
+        params = dict(
+            n_trees=25, max_depth=4, bootstrap_fraction=0.8, min_samples_leaf=2, seed=42
+        )
+        got = BaggedTreeRegressor(**params).fit(x, y).predict(x[:300])
+        assert got.tobytes() == recursive_forest_predict(x, y, x[:300], **params).tobytes()
+
 
 class TestLogistic:
     def test_sigmoid_log_odds(self):
@@ -98,5 +202,18 @@ class TestLogistic:
             fit_logistic(x, y)
 
     def test_nonbinary_labels_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MetricInputError):
             fit_logistic(np.zeros((4, 1)), np.array([0.0, 1.0, 2.0, 0.0]))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(MetricInputError, match="shapes"):
+            fit_logistic(np.zeros((4, 1)), np.array([0.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        x = np.arange(8.0).reshape(4, 2)
+        x[1, 1] = bad
+        with pytest.raises(MetricInputError, match="finite"):
+            fit_logistic(x, np.array([0.0, 1.0, 1.0, 0.0]))
+        with pytest.raises(MetricInputError, match="finite"):
+            fit_logistic(np.zeros((4, 1)), np.array([0.0, 1.0, bad, 0.0]))

@@ -245,3 +245,19 @@ class TestPolicyConfig:
             PolicyConfig(epsilon=1.5)
         with pytest.raises(ConfigError):
             PolicyConfig(epsilon_decay=0.0)
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("rng_seed", None, "an integer"),
+            ("rng_seed", "abc", "an integer"),
+            ("rng_seed", True, "an integer"),
+            ("rng_seed", 1.0, "an integer"),
+            ("alpha", True, "a number"),
+            ("gamma", "0.5", "a number"),
+        ],
+    )
+    def test_types_checked_at_construction(self, key, value, expected):
+        # A None seed would draw from OS entropy, so two runs would disagree.
+        with pytest.raises(ConfigError, match=f"policy config {key} must be {expected}, got"):
+            PolicyConfig(**{key: value})

@@ -422,3 +422,21 @@ class TestSchedulerConfig:
     def test_duplicate_agents_rejected(self):
         with pytest.raises(ConfigError):
             SchedulerConfig(max_ticks=1, agent_order=("student_agent", "student_agent"))
+
+    @pytest.mark.parametrize(
+        "kwargs, key",
+        [
+            ({"max_ticks": 2.5}, "max_ticks"),
+            ({"max_ticks": True}, "max_ticks"),
+            ({"max_ticks": "3"}, "max_ticks"),
+            ({"max_ticks": 3, "rng_seed": None}, "rng_seed"),
+        ],
+    )
+    def test_types_checked_at_construction(self, kwargs, key):
+        with pytest.raises(ConfigError, match=f"scheduler config {key} must be an integer, got"):
+            SchedulerConfig(**kwargs)
+
+    def test_from_dict_coerces_integral_floats(self):
+        assert SchedulerConfig.from_dict({"max_ticks": 12.0, "rng_seed": 3.0}) == SchedulerConfig(
+            max_ticks=12, rng_seed=3
+        )
