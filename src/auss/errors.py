@@ -86,6 +86,9 @@ class AgentPhaseError(AussError):
         self.cause = cause
         super().__init__(f"agent {agent!r} failed in phase {phase!r} at tick {tick}: {cause!r}")
 
+    def __reduce__(self):
+        return type(self), (self.agent, self.tick, self.phase, self.cause)
+
 
 class UntrainedModelError(AussError):
     """Prediction requested before the model was fitted."""
@@ -118,3 +121,6 @@ class StageError(AussError):
         self.stage = stage
         self.cause = cause
         super().__init__(f"stage {stage!r} failed: {cause}")
+
+    def __reduce__(self):
+        return type(self), (self.stage, self.cause)

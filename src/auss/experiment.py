@@ -7,13 +7,19 @@ so `replay` can audit a run from the transcript file alone.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
 import json
+import os
+import pickle
 import random
 import shutil
+import signal
+import threading
 import time
+import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping
@@ -64,6 +70,8 @@ METRIC_NAMES = (
     "latency",
     "load",
 )
+#: The metrics that read only the cohort and the seeds, never the transcript.
+COHORT_METRICS = METRIC_NAMES[:4]
 
 
 @dataclass(frozen=True)
@@ -426,18 +434,19 @@ def evaluate_risk(
     return result.precision, result.recall, result.f1
 
 
-def evaluate_metrics(
-    cohort: Cohort,
-    transcript: SimulationTranscript,
-    spec: ExperimentSpec,
-    *,
-    durations_s: Mapping[str, float] | None = None,
-) -> MetricsReport:
-    """Compute every selected metric from a finished run."""
-    seed = spec.generator.seed if spec.generator is not None else spec.scheduler.rng_seed
+def _base_seed(spec: ExperimentSpec) -> int:
+    return spec.generator.seed if spec.generator is not None else spec.scheduler.rng_seed
+
+
+def _cohort_metrics(
+    cohort: Cohort, spec: ExperimentSpec
+) -> tuple[dict[str, float], dict[str, float]]:
+    """The selected :data:`COHORT_METRICS` as ``MetricsReport`` fields, and
+    the ``evaluate_*`` duration of each."""
+    seed = _base_seed(spec)
     evaluation = spec.evaluation
-    report = MetricsReport(metadata={})
-    timings: dict[str, float] = dict(durations_s or {})
+    fields: dict[str, float] = {}
+    timings: dict[str, float] = {}
 
     def timed(name: str, fn):
         start = time.perf_counter()
@@ -446,12 +455,12 @@ def evaluate_metrics(
         return result
 
     if "recommendation" in spec.metrics:
-        report.recommendation_top1_accuracy = timed(
+        fields["recommendation_top1_accuracy"] = timed(
             "recommendation",
             lambda: evaluate_recommendations(cohort, evaluation.recommend_neighborhood),
         )
     if "prediction" in spec.metrics:
-        report.prediction_accuracy = timed(
+        fields["prediction_accuracy"] = timed(
             "prediction",
             lambda: fit_predictors(
                 cohort,
@@ -462,20 +471,39 @@ def evaluate_metrics(
             ),
         )
     if "grading" in spec.metrics:
-        report.grading_match_rate = timed(
+        fields["grading_match_rate"] = timed(
             "grading",
             lambda: evaluate_grading(
                 cohort, evaluation.quiz_items, evaluation.sloppy_answer_rate, seed
             ),
         )
     if "risk" in spec.metrics:
-        precision, recall, f1 = timed(
+        fields["risk_precision"], fields["risk_recall"], fields["risk_f1"] = timed(
             "risk",
             lambda: evaluate_risk(cohort, evaluation.risk_split, evaluation.risk_threshold, seed),
         )
-        report.risk_precision = precision
-        report.risk_recall = recall
-        report.risk_f1 = f1
+    return fields, timings
+
+
+def evaluate_metrics(
+    cohort: Cohort,
+    transcript: SimulationTranscript,
+    spec: ExperimentSpec,
+    *,
+    durations_s: Mapping[str, float] | None = None,
+    cohort_metrics: tuple[dict[str, float], dict[str, float]] | None = None,
+) -> MetricsReport:
+    """Compute every selected metric from a finished run.
+
+    ``cohort_metrics``, when given, is what ``_cohort_metrics(cohort, spec)``
+    returned, computed elsewhere; otherwise it is computed here.
+    """
+    fields, cohort_timings = (
+        _cohort_metrics(cohort, spec) if cohort_metrics is None else cohort_metrics
+    )
+    report = MetricsReport(metadata={})
+    for name, value in fields.items():
+        setattr(report, name, value)
     if "latency" in spec.metrics:
         stats = measure_phase_latency(transcript)
         report.latency_ms = {
@@ -488,7 +516,7 @@ def evaluate_metrics(
         report.load_shares = dict(sorted(load.shares.items()))
 
     report.metadata = {
-        "seed": seed,
+        "seed": _base_seed(spec),
         "scheduler_seed": spec.scheduler.rng_seed,
         "policy_seed": spec.policy.rng_seed,
         "n_students": len(cohort.students),
@@ -496,9 +524,89 @@ def evaluate_metrics(
         "max_ticks": spec.scheduler.max_ticks,
         "metrics": list(spec.metrics),
         "package_version": PACKAGE_VERSION,
-        "durations_s": timings,
+        "durations_s": {**(durations_s or {}), **cohort_timings},
     }
     return report
+
+
+def _fork_worthwhile() -> bool:
+    """Fork a metrics worker only where that is safe and can pay: ``os.fork``
+    exists, no other Python thread runs (a fork copies only the calling
+    thread, and a lock another thread holds stays held in the child), and
+    this process may use at least two CPUs."""
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and threading.active_count() == 1
+        and len(os.sched_getaffinity(0)) >= 2
+    )
+
+
+@contextlib.contextmanager
+def _cohort_metrics_ahead(cohort: Cohort, spec: ExperimentSpec, *, fork: bool = True):
+    """Start on the cohort metrics of ``spec`` while the caller goes on.
+
+    Yields a function that returns what ``_cohort_metrics(cohort, spec)``
+    returns, or None when the caller is to compute them itself. With
+    ``fork`` set, any cohort metric selected and :func:`_fork_worthwhile`,
+    a forked child computes them, pickles them to a pipe and leaves by
+    ``os._exit``, so it never returns into the caller's stack. The function
+    reads the pipe and reaps the child; a failed fork, or a child that
+    failed in any way (a nonzero exit, a short or unreadable pipe), gives
+    None. On leaving the block, a child not yet reaped is killed and
+    reaped: no process outlives the block.
+    """
+    if not (fork and set(COHORT_METRICS) & set(spec.metrics) and _fork_worthwhile()):
+        yield lambda: None
+        return
+    read_fd, write_fd = os.pipe()
+    try:
+        # Python 3.12+ warns on a fork from a process with more than one OS
+        # thread; the warning is raised again below, where the child is reaped.
+        with warnings.catch_warnings(record=True) as fork_warnings:
+            warnings.simplefilter("always")
+            pid = os.fork()
+    except OSError:  # no process to spare: compute inline
+        os.close(read_fd)
+        os.close(write_fd)
+        yield lambda: None
+        return
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            payload = pickle.dumps(_cohort_metrics(cohort, spec), pickle.HIGHEST_PROTOCOL)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    pipe = os.fdopen(read_fd, "rb")
+    reaped = False
+
+    def result() -> tuple[dict[str, float], dict[str, float]] | None:
+        nonlocal reaped
+        with pipe:
+            payload = pipe.read()
+        _pid, status = os.waitpid(pid, 0)
+        reaped = True
+        if os.waitstatus_to_exitcode(status) != 0:
+            return None
+        try:
+            return pickle.loads(payload)
+        except (pickle.UnpicklingError, EOFError):  # a short pipe
+            return None
+
+    try:
+        for caught in fork_warnings:
+            warnings.warn(caught.message)
+        yield result
+    finally:
+        pipe.close()
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 # -- pipeline -------------------------------------------------------------------
@@ -560,6 +668,21 @@ def run_experiment(
     ``load_cohort``, when given, stands in for reading or generating the
     spec's cohort in the ``generate`` stage, which times and guards it
     as it would the load.
+
+    Right after ``validate``, the cohort metrics (recommendation,
+    prediction, grading, risk) start in one forked worker process, when
+    ``os.fork`` exists, no other Python thread is running and the process
+    may use two or more CPUs; otherwise they are computed inline in
+    ``evaluate``. Meanwhile this process simulates and writes
+    ``transcript.jsonl``. So the ``evaluate_*`` durations are measured in
+    the worker, concurrently with ``simulate``, and ``evaluate`` is the wait
+    for the worker plus the metrics read from the transcript (latency,
+    load). ``write`` covers the transcript, then ``report.json`` and
+    ``plots/``. A failure surfaces in that order: simulate, transcript
+    write, evaluate, report write. A worker that fails in any way is
+    replaced by the inline computation, so an evaluation error is the
+    same ``StageError("evaluate")`` on either path. The worker is reaped
+    (and, on any failure, killed first) before this returns or raises.
     """
     created: list[Path] = []
     durations: dict[str, float] = {}
@@ -575,7 +698,7 @@ def run_experiment(
                 elif path.exists():
                     path.unlink()
             raise StageError(name, exc) from exc
-        durations[name] = time.perf_counter() - start
+        durations[name] = durations.get(name, 0.0) + time.perf_counter() - start
         return result
 
     cohort = stage("generate", load_cohort or (lambda: load_experiment_cohort(spec)))
@@ -590,30 +713,38 @@ def run_experiment(
             )
 
     stage("validate", _validate)
-    transcript = stage("simulate", lambda: simulate(cohort, spec))
-    report = stage(
-        "evaluate", lambda: evaluate_metrics(cohort, transcript, spec, durations_s=durations)
-    )
+    out = None if spec.output_dir is None else Path(spec.output_dir)
+    with _cohort_metrics_ahead(cohort, spec) as cohort_metrics:
+        transcript = stage("simulate", lambda: simulate(cohort, spec))
+        # The report times generate, validate, simulate and evaluate only.
+        reported = dict(durations)
+        if out is not None:
+            def _write_transcript() -> None:
+                out.mkdir(parents=True, exist_ok=True)
+                transcript_path = out / "transcript.jsonl"
+                created.append(transcript_path)
+                transcript.to_jsonl(transcript_path)
 
-    if spec.output_dir is not None:
-        def _write() -> None:
-            out = Path(spec.output_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            transcript_path = out / "transcript.jsonl"
-            created.append(transcript_path)
-            transcript.to_jsonl(transcript_path)
+            stage("write", _write_transcript)
+
+        report = stage(
+            "evaluate",
+            lambda: evaluate_metrics(
+                cohort, transcript, spec, durations_s=reported, cohort_metrics=cohort_metrics()
+            ),
+        )
+
+    if out is not None:
+        def _write_report() -> None:
             report_path = out / "report.json"
             created.append(report_path)
-            report.metadata["durations_s"] = {
-                **report.metadata.get("durations_s", {}),
-                **durations,
-            }
+            report.metadata["durations_s"]["evaluate"] = durations["evaluate"]
             report.save(report_path)
             plots_dir = out / "plots"
             created.append(plots_dir)
             write_plot_data(report, plots_dir)
 
-        stage("write", _write)
+        stage("write", _write_report)
     return report, transcript
 
 
@@ -625,6 +756,8 @@ def replay(
     Verifies the content checksum and format version, regenerates the
     cohort from the embedded spec, optionally re-runs the simulation and
     checks it matches the recorded run (timing excluded), then re-evaluates.
+    While it re-runs the simulation, the cohort metrics are computed as
+    ``run_experiment`` computes them: in a forked worker where it may fork.
     """
     transcript = SimulationTranscript.from_jsonl(transcript_path, verify=True)
     spec_data = transcript.header.get("experiment")
@@ -632,13 +765,14 @@ def replay(
         raise TranscriptError("transcript does not embed an experiment spec; cannot replay")
     spec = ExperimentSpec.from_dict(spec_data)
     cohort = load_experiment_cohort(spec)
-    if verify_simulation:
-        rerun = simulate(cohort, spec)
-        if rerun.canonical_lines(False) != transcript.canonical_lines(False):
-            raise TranscriptError(
-                "replayed simulation diverges from the recorded transcript"
-            )
-    return evaluate_metrics(cohort, transcript, spec)
+    with _cohort_metrics_ahead(cohort, spec, fork=verify_simulation) as cohort_metrics:
+        if verify_simulation:
+            rerun = simulate(cohort, spec)
+            if rerun.canonical_lines(False) != transcript.canonical_lines(False):
+                raise TranscriptError(
+                    "replayed simulation diverges from the recorded transcript"
+                )
+        return evaluate_metrics(cohort, transcript, spec, cohort_metrics=cohort_metrics())
 
 
 # -- seed sweeps ------------------------------------------------------------------
@@ -656,7 +790,7 @@ def run_sweep(spec: ExperimentSpec, n_runs: int) -> list[tuple[int, MetricsRepor
     """
     if n_runs < 1:
         raise ConfigError(f"n_runs must be >= 1, got {n_runs}")
-    base = spec.generator.seed if spec.generator is not None else spec.scheduler.rng_seed
+    base = _base_seed(spec)
     load_cohort = None
     if spec.generator is None:
         load_cohort = functools.cache(lambda: load_experiment_cohort(spec))

@@ -142,7 +142,12 @@ def _level_splits(
         found[nodes] = True
         best_sse[nodes] = sse[take]
         feature[nodes] = j
-        threshold[nodes] = (xs[pos] + xs[pos + 1]) / 2.0
+        # The midpoint, unless it rounds onto the upper value (neighbouring
+        # doubles, or a sum past the float range): then the lower value, so
+        # each child keeps the rows on its side of the split.
+        lower, upper = xs[pos], xs[pos + 1]
+        midpoint = (lower + upper) / 2.0
+        threshold[nodes] = np.where(midpoint < upper, midpoint, lower)
     return found, feature, threshold
 
 
@@ -189,11 +194,7 @@ def _grow_group(
         columns[1].append(threshold)
         columns[2].append(left)
         columns[3].append(np.where(found, left + 1, ids))
-        # A threshold midway between neighbouring doubles can round onto the
-        # upper one and leave a right child empty; its value is then NaN, the
-        # mean of no rows.
-        with np.errstate(invalid="ignore"):
-            columns[4].append(totals / counts)
+        columns[4].append(totals / counts)
         if not found.any():
             return tuple(np.concatenate(column) for column in columns), depth
         split_rows = np.flatnonzero(node_of_row >= 0)
@@ -215,6 +216,9 @@ class BaggedTreeRegressor:
     all-equal targets, it splits at the threshold that minimises the
     children's total squared error, ties to the lowest feature and then
     the lowest threshold; a row goes left when ``x[feature] <= threshold``.
+    The threshold is the midpoint of the two values either side of the
+    split, or the lower one where the midpoint rounds onto the upper, so
+    no child is empty.
     """
 
     def __init__(

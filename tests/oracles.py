@@ -652,8 +652,9 @@ def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float
         )
         k = int(np.argmin(sse))  # first minimum: lowest threshold wins ties
         if best is None or sse[k] < best[0] - 1e-12:
-            pos = positions[k]
-            best = (float(sse[k]), j, float((xs[pos] + xs[pos + 1]) / 2.0))
+            lower, upper = xs[positions[k]], xs[positions[k] + 1]
+            midpoint = (lower + upper) / 2.0
+            best = (float(sse[k]), j, float(midpoint if midpoint < upper else lower))
     if best is None:
         return None
     return best[1], best[2]

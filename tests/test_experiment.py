@@ -4,7 +4,11 @@ import csv
 import hashlib
 import json
 import math
+import os
+import pickle
 import random
+import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,7 +48,7 @@ from auss.experiment import (
 )
 from auss.institution import load_report
 from auss.policy import PolicyConfig
-from auss.runtime import SchedulerConfig
+from auss.runtime import SchedulerConfig, SimulationTranscript
 from auss.student import InteractionMatrix
 from auss.synthetic import GeneratorConfig, export_cohort, generate_cohort
 
@@ -52,6 +56,7 @@ from oracles import object_grading_rate, object_risk_evaluation
 
 #: A 40-student, 6-resource, 12-tick run at seed 3, written by an earlier build.
 COMMITTED_TRANSCRIPT = Path(__file__).parent / "data" / "transcript_40x6x12_seed3.jsonl"
+REFERENCE_REPORT = Path(__file__).parent / "data" / "reference_report.json"
 
 
 def small_spec(out_dir=None, seed=5, n_students=30, n_ticks=12) -> ExperimentSpec:
@@ -517,6 +522,221 @@ class TestSweep:
             "error": "StageError",
             "message": f"stage 'generate' failed: {read_error.value}",
         }
+
+
+def _outcome(spec: ExperimentSpec):
+    """A run's comparable report, or the stage, cause and messages of its StageError."""
+    try:
+        report, _transcript = run_experiment(spec)
+    except StageError as exc:
+        return exc.stage, type(exc.cause), str(exc.cause), str(exc)
+    return report.comparable_dict()
+
+
+def _run_on(path: str, spec: ExperimentSpec, body=None):
+    """``_outcome(spec)`` with the cohort metrics forked (``"worker"``) or
+    inline, and how often this process computed them itself. ``body``, when
+    given, replaces the computation in a forked worker only."""
+    parent = os.getpid()
+    original = experiment_module._cohort_metrics
+    calls = []
+
+    def counted(cohort, spec):
+        if os.getpid() != parent:
+            return (body or original)(cohort, spec)
+        calls.append(spec)
+        return original(cohort, spec)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment_module, "_fork_worthwhile", lambda: path == "worker")
+        mp.setattr(experiment_module, "_cohort_metrics", counted)
+        outcome = _outcome(spec)
+    return outcome, len(calls)
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestMetricsWorker:
+    """The cohort metrics in a forked worker equal the inline ones, errors included."""
+
+    def test_seed_42_reference_report_on_both_paths(self):
+        worker, worker_calls = _run_on("worker", reference_spec())
+        inline, inline_calls = _run_on("inline", reference_spec())
+        assert (worker_calls, inline_calls) == (0, 1)
+        assert worker == inline == MetricsReport.load(REFERENCE_REPORT).comparable_dict()
+        _assert_no_child_process()
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.integers(20, 60),
+        st.integers(11, 16),
+        st.integers(0, 10_000),
+        st.sets(st.sampled_from(METRIC_NAMES)),
+    )
+    def test_small_specs_on_both_paths(self, n_students, n_ticks, seed, metrics):
+        spec = replace(
+            small_spec(seed=seed, n_students=n_students, n_ticks=n_ticks),
+            metrics=tuple(name for name in METRIC_NAMES if name in metrics),
+        )
+        worker, worker_calls = _run_on("worker", spec)
+        inline, _inline_calls = _run_on("inline", spec)
+        assert worker == inline
+        if isinstance(worker, dict) and metrics & set(experiment_module.COHORT_METRICS):
+            assert worker_calls == 0
+
+    def test_short_cohort_error_is_the_same_on_both_paths(self):
+        spec = small_spec(seed=1, n_students=200, n_ticks=10)
+        worker, worker_calls = _run_on("worker", spec)
+        inline, _inline_calls = _run_on("inline", spec)
+        assert worker == inline
+        stage, cause_type, cause, _message = worker
+        assert (stage, cause_type) == ("evaluate", MetricInputError)
+        assert "risk metrics need both outcomes" in cause
+        # the worker failed, so this process computed the metrics and raised
+        assert worker_calls == 1
+        _assert_no_child_process()
+
+    def test_worker_exiting_nonzero_falls_back_inline(self, monkeypatch):
+        statuses = []
+        waitpid = os.waitpid
+
+        def recording_waitpid(pid, options):
+            result = waitpid(pid, options)
+            statuses.append(os.waitstatus_to_exitcode(result[1]))
+            return result
+
+        monkeypatch.setattr(os, "waitpid", recording_waitpid)
+        spec = small_spec()
+        failed, calls = _run_on("worker", spec, body=lambda cohort, spec: os._exit(3))
+        assert statuses == [3]
+        assert calls == 1
+        assert failed == _run_on("inline", spec)[0]
+
+    def test_unreadable_worker_output_falls_back_inline(self, monkeypatch):
+        dumps = pickle.dumps
+        monkeypatch.setattr(pickle, "dumps", lambda obj, protocol: dumps(obj, protocol)[:-1])
+        spec = small_spec()
+        failed, calls = _run_on("worker", spec)
+        assert calls == 1
+        assert failed == _run_on("inline", spec)[0]
+
+    def test_a_second_thread_means_inline(self):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert not experiment_module._fork_worthwhile()
+        finally:
+            release.set()
+            thread.join()
+
+    def test_report_times_the_same_stages_on_both_paths(self, tmp_path):
+        keys = {}
+        for path in ("worker", "inline"):
+            out = tmp_path / path
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(experiment_module, "_fork_worthwhile", lambda: path == "worker")
+                run_experiment(small_spec(out_dir=out))
+            keys[path] = set(MetricsReport.load(out / "report.json").metadata["durations_s"])
+        assert keys["worker"] == keys["inline"] == {
+            "generate",
+            "validate",
+            "simulate",
+            "evaluate",
+            "evaluate_recommendation",
+            "evaluate_prediction",
+            "evaluate_grading",
+            "evaluate_risk",
+        }
+
+
+class TestNoProcessOutlivesARun:
+    """Whatever the run does, its worker is reaped before it returns or raises."""
+
+    @pytest.fixture(autouse=True)
+    def forking(self, monkeypatch):
+        monkeypatch.setattr(experiment_module, "_fork_worthwhile", lambda: True)
+
+    def test_after_success(self):
+        run_experiment(small_spec())
+        _assert_no_child_process()
+
+    def test_after_an_evaluation_failure(self):
+        with pytest.raises(StageError, match="stage 'evaluate'"):
+            run_experiment(small_spec(seed=1, n_students=200, n_ticks=10))
+        _assert_no_child_process()
+
+    @pytest.mark.parametrize("error", [RuntimeError("simulation broke"), KeyboardInterrupt()])
+    def test_after_a_simulate_failure(self, monkeypatch, error):
+        def broken(cohort, spec):
+            raise error
+
+        monkeypatch.setattr(experiment_module, "simulate", broken)
+        expected = StageError if isinstance(error, Exception) else KeyboardInterrupt
+        with pytest.raises(expected) as exc_info:
+            run_experiment(small_spec())
+        assert exc_info.value is error or exc_info.value.stage == "simulate"
+        _assert_no_child_process()
+
+    def test_simulate_failure_comes_before_an_evaluation_failure(self, monkeypatch):
+        def broken(cohort, spec):
+            raise RuntimeError("simulation broke")
+
+        monkeypatch.setattr(experiment_module, "simulate", broken)
+        with pytest.raises(StageError, match="stage 'simulate'"):
+            run_experiment(small_spec(seed=1, n_students=200, n_ticks=10))
+        _assert_no_child_process()
+
+    def test_transcript_write_failure_comes_before_an_evaluation_failure(
+        self, monkeypatch, tmp_path
+    ):
+        def broken(self, path):
+            Path(path).write_text("partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(SimulationTranscript, "to_jsonl", broken)
+        out = tmp_path / "run"
+        with pytest.raises(StageError, match="stage 'write' failed: disk full"):
+            run_experiment(small_spec(out_dir=out, seed=1, n_students=200, n_ticks=10))
+        assert not (out / "transcript.jsonl").exists()
+        _assert_no_child_process()
+
+    def test_evaluation_failure_removes_the_written_transcript(self, tmp_path):
+        out = tmp_path / "run"
+        with pytest.raises(StageError, match="stage 'evaluate'"):
+            run_experiment(small_spec(out_dir=out, seed=1, n_students=200, n_ticks=10))
+        assert not (out / "transcript.jsonl").exists()
+        assert not (out / "report.json").exists()
+
+    def test_after_a_fork_warning_made_an_error(self, monkeypatch):
+        # Python 3.12+ warns in the parent of a fork from a multi-threaded
+        # process, and pyproject.toml makes that warning an error in the suite.
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn(
+                    f"This process (pid={os.getpid()}) is multi-threaded, "
+                    "use of fork() may lead to deadlocks in the child.",
+                    DeprecationWarning,
+                )
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with pytest.raises(DeprecationWarning, match="multi-threaded"):
+            run_experiment(small_spec())
+        _assert_no_child_process()
+
+    def test_after_a_sweep_and_a_replay(self, tmp_path):
+        results = run_sweep(small_spec(out_dir=tmp_path / "sweep"), 2)
+        _assert_no_child_process()
+        report = replay(tmp_path / "sweep" / "run-5" / "transcript.jsonl")
+        _assert_no_child_process()
+        assert report.comparable_dict() == results[0][1].comparable_dict()
 
 
 class TestSpecSerialization:

@@ -162,6 +162,21 @@ class TestForestMatchesRecursiveOracle:
         got = BaggedTreeRegressor(**params).fit(x, y).predict(x)
         assert got.tobytes() == recursive_forest_predict(x, y, x, **params).tobytes()
 
+    def test_midpoint_of_neighbouring_doubles_leaves_no_empty_leaf(self):
+        # The midpoint of 1 + ulp and 1 + 2 ulp rounds onto 1 + 2 ulp, so a
+        # midpoint threshold would send every row left and leave the right
+        # leaf empty, with the NaN mean of no rows.
+        ulp = np.spacing(1.0)
+        x = np.array([1.0, 1.0, 1.0, 1.0 + ulp, 1.0 + ulp, 1.0 + 2 * ulp])[:, None]
+        y = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+        params = dict(n_trees=3, max_depth=2, min_samples_leaf=1)
+        probes = np.array([[2.0], *x])
+        got = BaggedTreeRegressor(**params).fit(x, y).predict(probes)
+        assert not np.isnan(got).any()
+        assert got.tobytes() == recursive_forest_predict(
+            x, y, probes, bootstrap_fraction=0.8, seed=0, **params
+        ).tobytes()
+
     def test_seed_42_predictor_split_equals_oracle(self):
         rng = np.random.default_rng(42)
         x = np.column_stack([rng.integers(6, 30, 700).astype(float), rng.random(700) * 4.0])
