@@ -677,7 +677,8 @@ def run_experiment(
     ``transcript.jsonl``. So the ``evaluate_*`` durations are measured in
     the worker, concurrently with ``simulate``, and ``evaluate`` is the wait
     for the worker plus the metrics read from the transcript (latency,
-    load). ``write`` covers the transcript, then ``report.json`` and
+    load). ``write`` covers the transcript, reported as
+    ``durations_s["write_transcript"]``, then ``report.json`` and
     ``plots/``. A failure surfaces in that order: simulate, transcript
     write, evaluate, report write. A worker that fails in any way is
     replaced by the inline computation, so an evaluation error is the
@@ -716,7 +717,8 @@ def run_experiment(
     out = None if spec.output_dir is None else Path(spec.output_dir)
     with _cohort_metrics_ahead(cohort, spec) as cohort_metrics:
         transcript = stage("simulate", lambda: simulate(cohort, spec))
-        # The report times generate, validate, simulate and evaluate only.
+        # The report times generate, validate, simulate, the transcript
+        # write and evaluate; not the report and plot writes after it.
         reported = dict(durations)
         if out is not None:
             def _write_transcript() -> None:
@@ -726,6 +728,7 @@ def run_experiment(
                 transcript.to_jsonl(transcript_path)
 
             stage("write", _write_transcript)
+            reported["write_transcript"] = durations["write"]
 
         report = stage(
             "evaluate",

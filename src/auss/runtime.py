@@ -11,9 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import time
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
@@ -203,8 +206,66 @@ def _canonical(record: Mapping[str, object]) -> str:
     return _ENCODER.encode(record)
 
 
+def _canonical_line(record: Mapping[str, object]) -> bytes:
+    return (_canonical(record) + "\n").encode("ascii")
+
+
 #: Records encoded, hashed and written at a time by ``to_jsonl``.
 _WRITE_CHUNK = 1024
+
+# Where orjson's bytes may differ from ``_canonical``'s: an exponent (``1e16``
+# for ``1e+16``; ``5e-324`` is guarded although both agree), a float below
+# 1e-4 written out (``0.00001`` for ``1e-05``), ``null`` (also NaN and
+# ±inf), and U+007F or non-ASCII characters written raw.
+_EXPONENT = re.compile(rb"e[-0-9]")
+_RAW = re.compile(rb"[\x7f-\xff]")
+_SPELLED_OUT = (b"null", b"0.0000")
+
+
+def _encode_lines(records: Sequence[Mapping[str, object]]) -> bytes:
+    """The bytes of ``"".join(_canonical(r) + "\n" for r in records)``.
+
+    orjson encodes each record. A line that orjson refuses (an int past
+    64 bits, a non-str key, a lone surrogate, deep nesting, a numpy scalar,
+    a dataclass, a datetime), or whose bytes hold a guarded spelling, is
+    encoded by ``_canonical`` instead, so json's line or its error stands.
+    The guard scans the joined bytes once and maps its hits to lines by
+    offset. The one divergence: orjson encodes plain ``Enum`` members (as
+    their value) and ``UUID`` (as its string), which json refuses.
+    """
+    import orjson  # imported here so that ``import auss`` does not pay for it
+
+    dumps = orjson.dumps
+    option = (
+        orjson.OPT_SORT_KEYS
+        | orjson.OPT_APPEND_NEWLINE
+        | orjson.OPT_PASSTHROUGH_DATACLASS
+        | orjson.OPT_PASSTHROUGH_DATETIME
+    )
+    try:
+        lines = [dumps(record, option=option) for record in records]
+    except TypeError:
+        lines = []
+        for record in records:
+            try:
+                lines.append(dumps(record, option=option))
+            except TypeError:
+                lines.append(_canonical_line(record))
+    text = b"".join(lines)
+    hits = [match.start() for match in _EXPONENT.finditer(text)]
+    if not text.isascii() or b"\x7f" in text:
+        hits += [match.start() for match in _RAW.finditer(text)]
+    for pattern in _SPELLED_OUT:
+        at = text.find(pattern)
+        while at >= 0:
+            hits.append(at)
+            at = text.find(pattern, at + 1)
+    if not hits:
+        return text
+    ends = list(accumulate(map(len, lines)))
+    for i in {bisect_right(ends, at) for at in hits}:
+        lines[i] = _canonical_line(records[i])
+    return b"".join(lines)
 
 
 _TIMING_KEYS = ("wall_ns",)
@@ -227,21 +288,32 @@ class SimulationTranscript:
     def append(self, record: Mapping[str, object]) -> None:
         self.records.append(dict(record))
 
+    # The scheduler's own writers build a fresh record and skip the copy.
+
     def record_event(self, event: Event, event_id: int) -> None:
-        data = event.to_json_dict()
-        data["event_id"] = event_id
-        self.append({"type": "event", **data})
+        self.records.append(
+            {
+                "type": "event",
+                "event_id": event_id,
+                "tick": event.tick,
+                "source_agent": event.source_agent.value,
+                "kind": event.kind.value,
+                "payload": dict(event.payload),
+            }
+        )
 
     def record_delivery(self, tick: int, subscriber: str, event_ids: Sequence[int]) -> None:
-        self.append(
+        self.records.append(
             {"type": "delivery", "tick": tick, "subscriber": subscriber, "event_ids": list(event_ids)}
         )
 
     def record_phase(self, tick: int, agent: str, phase: str, wall_ns: int) -> None:
-        self.append({"type": "phase", "tick": tick, "agent": agent, "phase": phase, "wall_ns": wall_ns})
+        self.records.append(
+            {"type": "phase", "tick": tick, "agent": agent, "phase": phase, "wall_ns": wall_ns}
+        )
 
     def record_action(self, tick: int, agent: str, action: Action) -> None:
-        self.append(
+        self.records.append(
             {
                 "type": "action",
                 "tick": tick,
@@ -264,12 +336,10 @@ class SimulationTranscript:
         return [r for r in self.records if r.get("type") == record_type]
 
     def canonical_lines(self, include_timing: bool = False) -> list[str]:
-        lines = []
-        for record in self.records:
-            if not include_timing:
-                record = {k: v for k, v in record.items() if k not in _TIMING_KEYS}
-            lines.append(_canonical(record))
-        return lines
+        records = self.records
+        if not include_timing:
+            records = [{k: v for k, v in r.items() if k not in _TIMING_KEYS} for r in records]
+        return _encode_lines(records).decode("ascii").split("\n")[:-1]
 
     # -- file round-trip ----------------------------------------------------
 
@@ -281,15 +351,13 @@ class SimulationTranscript:
         """
         sha = hashlib.sha256()
         records = self.records
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(path, "wb") as fh:
             for start in range(0, len(records), _WRITE_CHUNK):
-                chunk = "".join(
-                    _canonical(r) + "\n" for r in records[start : start + _WRITE_CHUNK]
-                )
-                sha.update(chunk.encode("utf-8"))
+                chunk = _encode_lines(records[start : start + _WRITE_CHUNK])
+                sha.update(chunk)
                 fh.write(chunk)
             digest = sha.hexdigest()
-            fh.write(_canonical({"type": "checksum", "sha256": digest}) + "\n")
+            fh.write(_encode_lines([{"type": "checksum", "sha256": digest}]))
         return digest
 
     @classmethod
@@ -298,7 +366,11 @@ class SimulationTranscript:
             text = Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise TranscriptError(f"cannot read transcript {path}: {exc}") from exc
-        lines = text.splitlines()
+        # Only "\n" ends a line: str.splitlines would also split at U+2028,
+        # U+0085 and other characters that a string value may hold raw.
+        lines = text.split("\n")
+        if lines[-1] == "":
+            lines.pop()
         if not lines:
             raise TranscriptError(f"transcript {path} is empty")
         records = []

@@ -639,12 +639,14 @@ class TestMetricsWorker:
             out = tmp_path / path
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(experiment_module, "_fork_worthwhile", lambda: path == "worker")
-                run_experiment(small_spec(out_dir=out))
+                report, _ = run_experiment(small_spec(out_dir=out))
             keys[path] = set(MetricsReport.load(out / "report.json").metadata["durations_s"])
+            assert set(report.metadata["durations_s"]) == keys[path]
         assert keys["worker"] == keys["inline"] == {
             "generate",
             "validate",
             "simulate",
+            "write_transcript",
             "evaluate",
             "evaluate_recommendation",
             "evaluate_prediction",

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import enum
+import hashlib
 import json
+import math
+import uuid
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import auss.runtime as runtime_module
 
@@ -380,6 +386,142 @@ class TestTranscriptFile:
             assert "wall_ns" not in line
         timed = "".join(transcript.canonical_lines(include_timing=True))
         assert "wall_ns" in timed
+
+    def test_reader_splits_lines_at_newline_only(self, tmp_path):
+        # json.loads accepts these characters raw inside a string, and
+        # str.splitlines would break the line at each of them.
+        header = {"type": "header", "format_version": 1}
+        action = {"type": "action", "tick": 0, "detail": {"note": "a\u2028b\x85c"}}
+        body = "".join(
+            json.dumps(r, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+            for r in (header, action)
+        )
+        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        path = tmp_path / "t.jsonl"
+        path.write_text(body + json.dumps({"type": "checksum", "sha256": digest}) + "\n", "utf-8")
+        assert SimulationTranscript.from_jsonl(path).records == [header, action]
+
+
+class _Colour(enum.Enum):
+    RED = "red"
+
+
+_GUARDED_FLOATS = [
+    0.0,
+    -0.0,
+    5e-324,
+    1e-310,
+    2.2250738585072014e-308,
+    1e-05,
+    9.999999999999999e-05,
+    1e-4,
+    9999999999999998.0,
+    1e16,
+    1e300,
+    math.nan,
+    math.inf,
+    -math.inf,
+]
+_GUARDED_INTS = [2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64 - 1, 2**64]
+_GUARDED_TEXT = [
+    "",
+    "null",
+    "e-5",
+    "1e16",
+    "0.00001",
+    "\x7f",
+    "\u2028",
+    "\u2029",
+    "\x85",
+    "\x00\x1f\n\t",
+    "\u00e9",
+    "\u65e5\u672c",
+    "\ud800",
+    "\udfff x",
+    '"\\/',
+]
+
+_floats = st.one_of(st.floats(), st.sampled_from(_GUARDED_FLOATS))
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from(_GUARDED_INTS),
+    _floats,
+    _floats.map(np.float64),
+    st.text(st.characters(blacklist_categories=()), max_size=8),
+    st.sampled_from(_GUARDED_TEXT),
+)
+_keys = st.one_of(
+    st.text(st.characters(blacklist_categories=()), max_size=6),
+    st.sampled_from(_GUARDED_TEXT),
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_keys, inner, max_size=4),
+        # json writes int, float, bool and None keys as strings; orjson refuses them
+        st.dictionaries(st.one_of(st.integers(), _floats, st.booleans(), st.none()), inner, max_size=2),
+    ),
+    max_leaves=12,
+)
+_records = st.lists(st.dictionaries(_keys, _values, max_size=5), max_size=6)
+
+
+def _deep(depth: int) -> dict:
+    value: object = 1
+    for _ in range(depth):
+        value = [value]
+    return {"v": value}
+
+
+class TestTranscriptEncoding:
+    """``to_jsonl`` and ``canonical_lines`` spell every record as ``_canonical`` does."""
+
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(records=_records, chunk=st.integers(1, 4))
+    @example(records=[{"v": 1e16}], chunk=1)
+    @example(records=[{"v": 1e-05}], chunk=1)
+    @example(records=[{"v": math.nan}], chunk=1)
+    @example(records=[{"v": "\x7f"}], chunk=1)
+    @example(records=[{"v": "\u00e9"}], chunk=1)
+    @example(records=[{"a": 1}, {"v": 2**64}, {"b": 1e+300}, {"c": "x"}], chunk=3)
+    @example(records=[_deep(253), _deep(254), _deep(300)], chunk=2)
+    def test_matches_json_byte_for_byte(self, tmp_path, monkeypatch, records, chunk):
+        monkeypatch.setattr(runtime_module, "_WRITE_CHUNK", chunk)
+        transcript = SimulationTranscript()
+        transcript.records = records
+        path = tmp_path / "t.jsonl"
+        try:
+            expected = [runtime_module._canonical(r) for r in records]
+        except (TypeError, ValueError) as exc:
+            for encode in (lambda: transcript.to_jsonl(path), transcript.canonical_lines):
+                with pytest.raises(type(exc)) as raised:
+                    encode()
+                assert type(raised.value) is type(exc)
+            return
+        body = "".join(line + "\n" for line in expected)
+        digest = hashlib.sha256(body.encode("ascii")).hexdigest()
+        checksum = runtime_module._canonical({"type": "checksum", "sha256": digest})
+        assert transcript.to_jsonl(path) == digest
+        assert path.read_bytes() == (body + checksum + "\n").encode("ascii")
+        assert transcript.canonical_lines(include_timing=True) == expected
+
+    @pytest.mark.parametrize(
+        "value, spelled",
+        [(_Colour.RED, '"red"'), (uuid.UUID(int=5), '"00000000-0000-0000-0000-000000000005"')],
+    )
+    def test_orjson_encodes_what_json_refuses(self, value, spelled):
+        # A plain Enum member or a UUID is written, as its value or its string.
+        with pytest.raises(TypeError):
+            runtime_module._canonical({"v": value})
+        transcript = SimulationTranscript()
+        transcript.records = [{"v": value}]
+        assert transcript.canonical_lines() == ['{"v":' + spelled + "}"]
 
 
 class TestLatency:
