@@ -91,7 +91,7 @@ def cmd_generate(args: argparse.Namespace) -> dict:
         "out": args.out,
         "students": len(cohort.students),
         "events": len(cohort.event_columns),
-        "assessments": len(cohort.assessments),
+        "assessments": len(cohort.assessment_columns),
         "resources": len(cohort.resources),
         "dropouts": len(truth.dropped_students),
     }

@@ -4,8 +4,8 @@ assessments.csv, and ground_truth.json.
 Column and field names are frozen (documented in FORMATS.md); unknown
 event fields and malformed values are rejected with the offending line.
 Floats are written with repr so a round-trip reproduces them exactly.
-Events are written from, and read straight into, the cohort's event
-columns; no per-event object is built.
+Events and assessments are written from, and read straight into, the
+cohort's columns; no per-event or per-assessment object is built.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from .domain import (
-    AssessmentRecord,
+    AssessmentColumns,
     Cohort,
     EventColumns,
     EventColumnsBuilder,
@@ -70,15 +70,10 @@ def write_cohort(cohort: Cohort, directory: str | Path) -> None:
     with (directory / ASSESSMENTS_FILE).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_ASSESSMENT_COLUMNS)
-        for assessment in cohort.assessments:
-            writer.writerow(
-                [
-                    assessment.student_id,
-                    assessment.item_id,
-                    assessment.response,
-                    "" if assessment.score is None else repr(assessment.score),
-                ]
-            )
+        writer.writerows(
+            (sid, item, response, "" if score is None else repr(score))
+            for sid, item, response, score in cohort.assessment_columns.rows()
+        )
 
     if cohort.ground_truth is not None:
         write_ground_truth(cohort.ground_truth, directory / GROUND_TRUTH_FILE)
@@ -162,6 +157,37 @@ def _csv_rows(fh: TextIO, path: Path) -> Iterator[list[str]]:
         ) from exc
 
 
+def _csv_table(
+    path: Path, columns: list[str], *, prefix: bool = False
+) -> Iterator[tuple[int, list[str]]]:
+    """(line number, row) of each row of a CSV file, the header first as line 1.
+
+    The header must be ``columns``, or with ``prefix`` start with them, and
+    every later row must be as wide as the header.
+    """
+    with _utf8_file(path, newline="") as fh:
+        reader = _csv_rows(fh, path)
+        header = next(reader, None)
+        if header is None or (header[: len(columns)] if prefix else header) != columns:
+            rule = "start with" if prefix else "be"
+            raise CohortFormatError(
+                f"header must {rule} {','.join(columns)}", path=str(path), line=1
+            )
+        yield 1, header
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise CohortFormatError(
+                    f"expected {len(header)} columns, got {len(row)}", path=str(path), line=line_no
+                )
+            yield line_no, row
+
+
+def _key_mismatch(keys: set[str], expected: set[str], name: str) -> str:
+    """The message 'unknown {name} [...]; missing {name} [...]', without an empty half."""
+    halves = (("unknown", sorted(keys - expected)), ("missing", sorted(expected - keys)))
+    return "; ".join(f"{which} {name} {found}" for which, found in halves if found)
+
+
 def _json_error(exc: ValueError | RecursionError) -> str:
     """Message for a json.loads failure: bad syntax, an integer over Python's
     4,300-digit conversion limit, or nesting deeper than the recursion limit."""
@@ -180,14 +206,8 @@ def read_ground_truth(path: str | Path) -> GroundTruth:
     if not isinstance(data, dict):
         raise CohortFormatError("ground truth must be a JSON object", path=str(path), line=1)
     if set(data) != _GROUND_TRUTH_KEYS:
-        unknown = sorted(set(data) - _GROUND_TRUTH_KEYS)
-        missing = sorted(_GROUND_TRUTH_KEYS - set(data))
-        parts = []
-        if unknown:
-            parts.append(f"unknown ground-truth keys {unknown}")
-        if missing:
-            parts.append(f"missing ground-truth keys {missing}")
-        raise CohortFormatError("; ".join(parts), path=str(path), line=1)
+        message = _key_mismatch(set(data), _GROUND_TRUTH_KEYS, "ground-truth keys")
+        raise CohortFormatError(message, path=str(path), line=1)
     try:
         return GroundTruth(
             abilities={sid: _number(v, "ability") for sid, v in data["abilities"].items()},
@@ -310,14 +330,8 @@ def _append_json_event(
     if not isinstance(data, dict):
         raise CohortFormatError("an event must be a JSON object", path=str(path), line=line_no)
     if set(data) != _EVENT_FIELDS:
-        unexpected = sorted(set(data) - _EVENT_FIELDS)
-        missing = sorted(_EVENT_FIELDS - set(data))
-        parts = []
-        if unexpected:
-            parts.append(f"unknown fields {unexpected}")
-        if missing:
-            parts.append(f"missing fields {missing}")
-        raise CohortFormatError("; ".join(parts), path=str(path), line=line_no)
+        message = _key_mismatch(set(data), _EVENT_FIELDS, "fields")
+        raise CohortFormatError(message, path=str(path), line=line_no)
     try:
         kind = EventKind(data["kind"])
     except ValueError as exc:
@@ -344,88 +358,42 @@ def read_cohort(directory: str | Path) -> Cohort:
 
     students = []
     students_path = directory / STUDENTS_FILE
-    with _utf8_file(students_path, newline="") as fh:
-        reader = _csv_rows(fh, students_path)
-        header = next(reader, None)
-        if header is None or header[:2] != ["student_id", "enrollment_tick"]:
-            raise CohortFormatError(
-                "header must start with student_id,enrollment_tick",
-                path=str(students_path),
-                line=1,
-            )
-        feature_names = header[2:]
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise CohortFormatError(
-                    f"expected {len(header)} columns, got {len(row)}",
-                    path=str(students_path),
-                    line=line_no,
-                )
-            features = {}
-            for name, text in zip(feature_names, row[2:]):
-                if text != "":
-                    features[name] = _parse_float(
-                        text, path=str(students_path), line=line_no, column=name
-                    )
-            try:
-                enrollment = int(row[1])
-            except ValueError as exc:
-                raise CohortFormatError(
-                    f"enrollment_tick {row[1]!r} is not an integer",
-                    path=str(students_path),
-                    line=line_no,
-                ) from exc
-            students.append(StudentRecord(row[0], features, enrollment))
+    rows = _csv_table(students_path, ["student_id", "enrollment_tick"], prefix=True)
+    feature_names = next(rows)[1][2:]
+    path = str(students_path)
+    for line_no, row in rows:
+        features = {}
+        for name, text in zip(feature_names, row[2:]):
+            if text != "":
+                features[name] = _parse_float(text, path=path, line=line_no, column=name)
+        try:
+            enrollment = int(row[1])
+        except ValueError as exc:
+            message = f"enrollment_tick {row[1]!r} is not an integer"
+            raise CohortFormatError(message, path=path, line=line_no) from exc
+        students.append(StudentRecord(row[0], features, enrollment))
 
     resources = []
     resources_path = directory / RESOURCES_FILE
-    with _utf8_file(resources_path, newline="") as fh:
-        reader = _csv_rows(fh, resources_path)
-        header = next(reader, None)
-        if header != _RESOURCE_COLUMNS:
-            raise CohortFormatError(
-                f"header must be {','.join(_RESOURCE_COLUMNS)}", path=str(resources_path), line=1
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise CohortFormatError(
-                    f"expected 3 columns, got {len(row)}", path=str(resources_path), line=line_no
-                )
-            resources.append(
-                LearningResource(
-                    row[0],
-                    row[1],
-                    _parse_float(row[2], path=str(resources_path), line=line_no, column="difficulty"),
-                )
-            )
+    rows = _csv_table(resources_path, _RESOURCE_COLUMNS)
+    next(rows)
+    path = str(resources_path)
+    for line_no, row in rows:
+        difficulty = _parse_float(row[2], path=path, line=line_no, column="difficulty")
+        resources.append(LearningResource(row[0], row[1], difficulty))
 
-    events = EventColumnsBuilder(
-        [s.student_id for s in students], [r.resource_id for r in resources]
-    )
+    student_ids = [s.student_id for s in students]
+    events = EventColumnsBuilder(student_ids, [r.resource_id for r in resources])
     _read_events(directory / EVENTS_FILE, events)
 
-    assessments = []
+    assessments = []  # (student id, item id, response, score or None) per row
     assessments_path = directory / ASSESSMENTS_FILE
-    with _utf8_file(assessments_path, newline="") as fh:
-        reader = _csv_rows(fh, assessments_path)
-        header = next(reader, None)
-        if header != _ASSESSMENT_COLUMNS:
-            raise CohortFormatError(
-                f"header must be {','.join(_ASSESSMENT_COLUMNS)}",
-                path=str(assessments_path),
-                line=1,
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise CohortFormatError(
-                    f"expected 4 columns, got {len(row)}",
-                    path=str(assessments_path),
-                    line=line_no,
-                )
-            score = None
-            if row[3] != "":
-                score = _parse_float(row[3], path=str(assessments_path), line=line_no, column="score")
-            assessments.append(AssessmentRecord(row[0], row[1], row[2], score))
+    rows = _csv_table(assessments_path, _ASSESSMENT_COLUMNS)
+    next(rows)
+    path = str(assessments_path)
+    for line_no, (student_id, item_id, response, text) in rows:
+        score = None if text == "" else _parse_float(text, path=path, line=line_no, column="score")
+        assessments.append((student_id, item_id, response, score))
 
     truth = None
     truth_path = directory / GROUND_TRUTH_FILE
@@ -435,7 +403,7 @@ def read_cohort(directory: str | Path) -> Cohort:
     return Cohort(
         students=tuple(students),
         events=events.build(),
-        assessments=tuple(assessments),
+        assessments=AssessmentColumns.from_rows(assessments, student_ids),
         resources=tuple(resources),
         ground_truth=truth,
     )

@@ -11,6 +11,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import starmap
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -323,6 +324,72 @@ class EventColumns:
         return {tick: self.take(order[first:stop]) for tick, first, stop in spans}
 
 
+@dataclass(eq=False, slots=True)
+class AssessmentColumns:
+    """A cohort's assessments as columns, one entry per record, in record order.
+
+    ``student`` indexes ``student_ids``, a table built as for
+    :class:`EventColumns`; ``score`` is 0.0 where ``ungraded``. Records
+    given as objects or read from a file keep their item ids and responses
+    in ``stored``. A generated cohort stores none: its item is
+    ``exam-{tick:03d}`` and its response the score to 4 places, spelled
+    only when a file is written or the records are read.
+    """
+
+    student: np.ndarray
+    score: np.ndarray
+    ungraded: np.ndarray
+    student_ids: tuple
+    tick: np.ndarray | None = None
+    stored: tuple[Sequence[str], Sequence[str]] | None = None  # (item ids, responses)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple], student_ids: Sequence = ()) -> "AssessmentColumns":
+        """Columns of (student id, item id, response, score or None) rows, with an id
+        table that starts with the given ids. A score must be a number or None."""
+        sids, items, responses, scores = list(zip(*rows)) or ((),) * 4
+        bad = [s for s in scores if s is not None and not isinstance(s, (int, float))]
+        if bad:
+            raise TypeError(f"assessment score {bad[0]!r} is not a number")
+        ids = EventColumnsBuilder(student_ids)
+        return cls(
+            np.array(ids._rows(ids.student_ids, ids._student_row, sids), dtype=np.intp),
+            np.array([0.0 if s is None else s for s in scores], dtype=float),
+            np.array([s is None for s in scores], dtype=bool),
+            tuple(ids.student_ids),
+            stored=(items, responses),
+        )
+
+    def __len__(self) -> int:
+        return len(self.student)
+
+    def rows(self) -> Iterable[tuple]:
+        """(student id, item id, response, score or None) per record, in record order."""
+        if self.stored is None:
+            items = [f"exam-{t:03d}" for t in self.tick.tolist()]
+            responses = [f"{s:.4f}" for s in self.score.tolist()]
+        else:
+            items, responses = self.stored
+        students = [self.student_ids[i] for i in self.student.tolist()]
+        scores = [None if u else s for s, u in zip(self.score.tolist(), self.ungraded.tolist())]
+        return zip(students, items, responses, scores)
+
+    def to_records(self) -> tuple[AssessmentRecord, ...]:
+        return tuple(starmap(AssessmentRecord, self.rows()))
+
+    def __eq__(self, other: object) -> bool:
+        # Equal when the records are, however each side holds its strings.
+        if not isinstance(other, AssessmentColumns):
+            return NotImplemented
+        return len(self) == len(other) and list(self.rows()) == list(other.rows())
+
+    def reindexed(self, student_ids: Sequence) -> "AssessmentColumns":
+        """These assessments with an id table that starts with the given ids (self when it does)."""
+        if self.student_ids[: len(student_ids)] == tuple(student_ids):
+            return self
+        return AssessmentColumns.from_rows(self.rows(), student_ids)
+
+
 @dataclass(frozen=True, eq=False)
 class Cohort:
     """Container for one dataset: students plus their behavioral streams.
@@ -331,9 +398,12 @@ class Cohort:
     as :class:`EventColumns`; the cohort keeps only the columns, as
     ``event_columns``, with id tables that start with ``student_ids`` and
     ``resource_ids`` (the ids in cohort order). ``student_rows`` holds
-    each student's row in those tables. ``cohort.events`` is a tuple view
-    of the columns, built on first access and cached; nothing in a run
-    reads it.
+    each student's row in those tables. ``assessments`` may likewise be
+    records or :class:`AssessmentColumns`, kept as ``assessment_columns``
+    with a student table that starts with ``student_ids``.
+    ``cohort.events`` and ``cohort.assessments`` are tuple views of the
+    columns, built on first access and cached; nothing in a run reads
+    them.
 
     Order and exactness rules for everything that reads the columns:
     events keep stream order (for a generated cohort: tick-major, then
@@ -349,13 +419,14 @@ class Cohort:
 
     students: tuple[StudentRecord, ...]
     events: Sequence[EngagementEvent] | EventColumns = field(repr=False)
-    assessments: tuple[AssessmentRecord, ...] = ()
+    # A default factory leaves no class attribute, so the view reaches __getattr__.
+    assessments: Sequence[AssessmentRecord] | AssessmentColumns = field(default_factory=tuple)
     resources: tuple[LearningResource, ...] = ()
     ground_truth: GroundTruth | None = None
 
     def __post_init__(self) -> None:
         # Accept any sequence at construction, store as tuples.
-        for name in ("students", "assessments", "resources"):
+        for name in ("students", "resources"):
             value = getattr(self, name)
             if not isinstance(value, tuple):
                 object.__setattr__(self, name, tuple(value))
@@ -366,10 +437,18 @@ class Cohort:
             columns = events.reindexed(student_ids, resource_ids)
         else:
             columns = EventColumns.from_events(events, student_ids, resource_ids)
+        assessments = vars(self).pop("assessments")
+        if isinstance(assessments, AssessmentColumns):
+            assessments = assessments.reindexed(student_ids)
+        else:
+            assessments = AssessmentColumns.from_rows(
+                ((a.student_id, a.item_id, a.response, a.score) for a in assessments), student_ids
+            )
         row_of = {sid: i for i, sid in enumerate(student_ids)}
         object.__setattr__(self, "student_ids", student_ids)
         object.__setattr__(self, "resource_ids", resource_ids)
         object.__setattr__(self, "event_columns", columns)
+        object.__setattr__(self, "assessment_columns", assessments)
         object.__setattr__(
             self,
             "student_rows",
@@ -378,20 +457,21 @@ class Cohort:
 
     def __getattr__(self, name: str):
         # Only reached for attributes not set on the instance: build the
-        # events view once.
-        if name != "events":
+        # events or assessments view once.
+        if name == "events":
+            view = self.event_columns.to_events()
+        elif name == "assessments":
+            view = self.assessment_columns.to_records()
+        else:
             raise AttributeError(name)
-        events = self.event_columns.to_events()
-        object.__setattr__(self, "events", events)
-        return events
+        object.__setattr__(self, name, view)
+        return view
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return all(
-            getattr(self, name) == getattr(other, name)
-            for name in ("students", "event_columns", "assessments", "resources", "ground_truth")
-        )
+        names = ("students", "event_columns", "assessment_columns", "resources", "ground_truth")
+        return all(getattr(self, name) == getattr(other, name) for name in names)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -464,8 +544,9 @@ def validate_cohort(cohort: Cohort) -> list[Violation]:
     """Check every cohort invariant; an empty list means the data is clean.
 
     Violations are data, not errors: callers decide whether to proceed.
-    Events are checked with array predicates over the columns; their
-    violations come event by event, in rule order within one event.
+    Events and assessments are checked with array predicates over their
+    columns; their violations come record by record, in rule order within
+    one record.
     """
     violations: list[Violation] = []
     seen_ids: set[str] = set()
@@ -485,7 +566,6 @@ def validate_cohort(cohort: Cohort) -> list[Violation]:
                     )
                 )
 
-    student_ids = set(seen_ids)
     resource_ids = set()
     for resource in cohort.resources:
         resource_ids.add(resource.resource_id)
@@ -500,21 +580,24 @@ def validate_cohort(cohort: Cohort) -> list[Violation]:
 
     violations.extend(_event_violations(cohort))
 
-    for assessment in cohort.assessments:
-        if assessment.student_id not in student_ids:
+    assessments = cohort.assessment_columns
+    score = assessments.score
+    flags = np.column_stack(
+        [
+            assessments.student >= len(cohort.students),
+            ~assessments.ungraded & ~(np.isfinite(score) & (score >= 0.0) & (score <= 1.0)),
+        ]
+    )
+    for i, rule in zip(*(axis.tolist() for axis in np.nonzero(flags))):
+        sid = assessments.student_ids[assessments.student[i]]
+        if rule == 0:
             violations.append(
-                Violation(
-                    assessment.student_id, "unknown_student", "assessment references unknown student"
-                )
+                Violation(sid, "unknown_student", "assessment references unknown student")
             )
-        if assessment.score is not None and not (
-            _is_finite(assessment.score) and 0.0 <= assessment.score <= 1.0
-        ):
+        else:
             violations.append(
                 Violation(
-                    assessment.student_id,
-                    "assessment_score_range",
-                    f"score {assessment.score!r} outside [0, 1]",
+                    sid, "assessment_score_range", f"score {float(score[i])!r} outside [0, 1]"
                 )
             )
 

@@ -20,12 +20,16 @@ def _is_number(value: object) -> bool:
 def check_config_types(
     section: str, data: Mapping[str, object], defaults: Mapping[str, object]
 ) -> None:
-    """ConfigError naming the first key of ``data`` whose value has the wrong type.
+    """ConfigError naming the keys of ``data`` without a default, else the
+    first key whose value has the wrong type.
 
     Each key's default decides: an integer default takes an integer, a
     float default any number, a list default a list of numbers. A boolean
     is neither an integer nor a number here.
     """
+    unknown = set(data) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown {section} config keys: {sorted(unknown)}")
     for key, value in data.items():
         default = defaults[key]
         if isinstance(default, (list, tuple)):

@@ -20,7 +20,7 @@ import signal
 import threading
 import time
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -103,24 +103,11 @@ class EvaluationConfig:
             raise ConfigError(f"predictor_window_len must be >= 1, got {self.predictor_window_len}")
 
     def to_dict(self) -> dict:
-        return {
-            "predictor_split": self.predictor_split,
-            "predictor_window_len": self.predictor_window_len,
-            "blend_weight": self.blend_weight,
-            "recommend_neighborhood": self.recommend_neighborhood,
-            "quiz_items": self.quiz_items,
-            "sloppy_answer_rate": self.sloppy_answer_rate,
-            "risk_split": self.risk_split,
-            "risk_threshold": self.risk_threshold,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "EvaluationConfig":
-        defaults = cls().to_dict()
-        unknown = set(data) - set(defaults)
-        if unknown:
-            raise ConfigError(f"unknown evaluation config keys: {sorted(unknown)}")
-        check_config_types("evaluation", data, defaults)
+        check_config_types("evaluation", data, cls().to_dict())
         return cls(**data)  # type: ignore[arg-type]
 
 
@@ -163,16 +150,7 @@ class ExperimentSpec:
             isinstance(name, str) for name in metrics
         ):
             raise ConfigError(f"experiment spec metrics must be a list of strings, got {metrics!r}")
-        known = {
-            "generator",
-            "scheduler",
-            "policy",
-            "evaluation",
-            "metrics",
-            "cohort_dir",
-            "output_dir",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown experiment spec keys: {sorted(unknown)}")
         try:
@@ -247,18 +225,7 @@ class MetricsReport:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
 
     def to_dict(self) -> dict:
-        return {
-            "recommendation_top1_accuracy": self.recommendation_top1_accuracy,
-            "prediction_accuracy": self.prediction_accuracy,
-            "grading_match_rate": self.grading_match_rate,
-            "risk_precision": self.risk_precision,
-            "risk_recall": self.risk_recall,
-            "risk_f1": self.risk_f1,
-            "latency_ms": self.latency_ms,
-            "load_counts": self.load_counts,
-            "load_shares": self.load_shares,
-            "metadata": self.metadata,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "MetricsReport":

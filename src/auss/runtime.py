@@ -15,7 +15,7 @@ import re
 import time
 from abc import ABC, abstractmethod
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
@@ -79,11 +79,7 @@ class SchedulerConfig:
             raise ConfigError(f"agent_order contains duplicates: {self.agent_order}")
 
     def to_dict(self) -> dict:
-        return {
-            "max_ticks": self.max_ticks,
-            "agent_order": list(self.agent_order),
-            "rng_seed": self.rng_seed,
-        }
+        return {**asdict(self), "agent_order": list(self.agent_order)}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SchedulerConfig":

@@ -555,12 +555,12 @@ class StudentAgent(Agent):
                 and event.payload.get("action") == "send_recommendation"
             ):
                 requests.append(target)
-        recommend: list[str] = []
-        for sid in requests:
-            last = self._last_recommended.get(sid)
-            cooled_down = last is None or view.tick - last >= self.detector.window_len
-            if cooled_down and sid not in recommend:
-                recommend.append(sid)
+        cooled_down = [
+            last is None or view.tick - last >= self.detector.window_len
+            for last in map(self._last_recommended.get, requests)
+        ]
+        # Cooled-down requests in first-occurrence order, once each.
+        recommend = list(dict.fromkeys(sid for sid, ok in zip(requests, cooled_down) if ok))
         return {"tick": view.tick, "gaps": gaps, "recommend": recommend}
 
     def act(self, decisions: dict, publish: Publisher) -> list[Action]:

@@ -13,8 +13,9 @@ matched, analyzable target:
   peer view patterns encode preferences;
 - absences occur with probability absence_rate * (1 - e_t); an absent
   student emits only the absence event that tick;
-- assessments land every assess_every ticks as a submission event plus an
-  AssessmentRecord with the same score;
+- assessments land every assess_every ticks as a submission event; the
+  cohort's assessment columns are those events (item exam-{tick:03d}, the
+  score to 4 places as the response);
 - dropout is evaluated every dropout_check_every ticks with probability
   logistic(hazard_bias + hazard_weights . aggregate features so far);
   dropped students emit no further events.
@@ -22,14 +23,14 @@ matched, analyzable target:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .cohort_files import read_cohort, write_cohort
 from .domain import (
-    AssessmentRecord,
+    AssessmentColumns,
     Cohort,
     EventColumns,
     EventKind,
@@ -92,31 +93,11 @@ class GeneratorConfig:
                 raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
-        return {
-            "n_students": self.n_students,
-            "n_resources": self.n_resources,
-            "n_ticks": self.n_ticks,
-            "seed": self.seed,
-            "ability_alpha": self.ability_alpha,
-            "ability_beta": self.ability_beta,
-            "engagement_persistence": self.engagement_persistence,
-            "noise_scale": self.noise_scale,
-            "hazard_bias": self.hazard_bias,
-            "hazard_weights": list(self.hazard_weights),
-            "dropout_check_every": self.dropout_check_every,
-            "assess_every": self.assess_every,
-            "view_temperature": self.view_temperature,
-            "forum_rate": self.forum_rate,
-            "absence_rate": self.absence_rate,
-        }
+        return {**asdict(self), "hazard_weights": list(self.hazard_weights)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorConfig":
-        defaults = cls().to_dict()
-        unknown = set(data) - set(defaults)
-        if unknown:
-            raise ConfigError(f"unknown generator config keys: {sorted(unknown)}")
-        check_config_types("generator", data, defaults)
+        check_config_types("generator", data, cls().to_dict())
         kwargs = dict(data)
         if "hazard_weights" in kwargs:
             kwargs["hazard_weights"] = tuple(kwargs["hazard_weights"])
@@ -153,15 +134,8 @@ def generate_cohort(config: GeneratorConfig) -> tuple[Cohort, GroundTruth]:
     width = max(4, len(str(n - 1)))
     student_ids = [f"s{i:0{width}d}" for i in range(n)]
     students = tuple(
-        StudentRecord(
-            student_id=student_ids[i],
-            static_features={
-                "prior_gpa": float(4.0 * min(1.0, max(0.0, ability[i] + gpa_noise[i]))),
-                "credits_attempted": float(credits[i]),
-            },
-            enrollment_tick=0,
-        )
-        for i in range(n)
+        StudentRecord(sid, {"prior_gpa": gpa, "credits_attempted": float(c)})
+        for sid, gpa, c in zip(student_ids, (4.0 * _clip01(ability + gpa_noise)).tolist(), credits)
     )
 
     difficulties = np.array([0.5]) if m == 1 else np.arange(m) / (m - 1)
@@ -195,10 +169,7 @@ def generate_cohort(config: GeneratorConfig) -> tuple[Cohort, GroundTruth]:
     affinity = np.exp(-np.abs(difficulties[None, :] - ability[:, None]) / config.view_temperature)
     cum_weights = np.cumsum(affinity, axis=1)
     cum_weights /= cum_weights[:, -1:]
-    view_choice = np.empty((n, t_max), dtype=int)
-    for i in range(n):
-        view_choice[i] = np.searchsorted(cum_weights[i], u_view[i], side="right")
-    view_choice = np.minimum(view_choice, m - 1)
+    view_choice = np.minimum(_view_choices(cum_weights, u_view), m - 1)
 
     # Per-tick engagement mean over the non-absence events a tick will emit:
     # login + view always, forum when drawn, submission on assessment ticks.
@@ -223,13 +194,12 @@ def generate_cohort(config: GeneratorConfig) -> tuple[Cohort, GroundTruth]:
         tuple(r.resource_id for r in resources),
     )
     submitted = events.kind == EventKind.SUBMISSION.code
-    assessments = tuple(
-        AssessmentRecord(student_ids[i], f"exam-{t:03d}", f"{score:.4f}", score)
-        for i, t, score in zip(
-            events.student[submitted].tolist(),
-            events.tick[submitted].tolist(),
-            events.value[submitted].tolist(),
-        )
+    assessments = AssessmentColumns(
+        events.student[submitted],
+        events.value[submitted],
+        np.zeros(np.count_nonzero(submitted), dtype=bool),
+        events.student_ids,
+        tick=events.tick[submitted],
     )
 
     # Rank resources by (|difficulty - ability|, resource id), per student.
@@ -255,6 +225,18 @@ def generate_cohort(config: GeneratorConfig) -> tuple[Cohort, GroundTruth]:
         ground_truth=truth,
     )
     return cohort, truth
+
+
+def _view_choices(cum_weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row i, ``np.searchsorted(cum_weights[i], u[i], side="right")``.
+
+    Each row of ``cum_weights`` is non-decreasing, so that index is the
+    count of its entries <= u, added up one resource column at a time.
+    """
+    count = np.zeros(u.shape, dtype=np.intp)
+    for column in cum_weights.T:
+        count += column[:, None] <= u
+    return count
 
 
 def _dropout_ticks(

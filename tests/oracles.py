@@ -515,6 +515,27 @@ def scalar_validate_events(
     return found
 
 
+def scalar_validate_assessments(
+    student_ids: Sequence[str], assessments: Sequence[AssessmentRecord]
+) -> list[tuple[str, str, str]]:
+    """The assessment rules, one record at a time: (entity id, rule, message) per violation."""
+    students = set(student_ids)
+    found = []
+    for assessment in assessments:
+        if assessment.student_id not in students:
+            found.append(
+                (assessment.student_id, "unknown_student", "assessment references unknown student")
+            )
+        score = assessment.score
+        if score is not None and not (
+            isinstance(score, (int, float)) and math.isfinite(score) and 0.0 <= score <= 1.0
+        ):
+            found.append(
+                (assessment.student_id, "assessment_score_range", f"score {score!r} outside [0, 1]")
+            )
+    return found
+
+
 def scalar_class_report(
     roster: Sequence[str], events: Sequence, window: tuple[int, int], risk_flags
 ) -> tuple[float | None, int]:

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import auss.student as student_module
-from auss.bus import TriggerKind
+from auss.bus import AgentName, Event, TriggerKind
 from auss.domain import EngagementEvent, EventKind, StudentRecord
 from auss.errors import InsufficientDataError, UnknownStudentError
 from auss.experiment import evaluate_recommendations
 from auss.institution import FeatureTracker
+from auss.runtime import TickView
 from auss.student import (
     GapDetector,
     InteractionMatrix,
@@ -529,3 +530,78 @@ class TestGapPassMatchesOracle:
                 rules.extend((kind, sid, value) for kind, value in oracle.gaps(engagement, points))
             assert [(s.kind.value, s.student_id, s.value) for s in signals] == expected
             assert [(s.kind.value, s.student_id, s.value) for s in uncooled] == rules
+
+
+def list_scan_requests(inbox, last_recommended, tick, window_len) -> list[str]:
+    """The recommendation requests of an inbox, deduplicated by scanning a list."""
+    recommend = []
+    for event in inbox:
+        sid = event.payload.get("student_id")
+        wanted = event.kind is TriggerKind.AT_RISK_FLAG or (
+            event.kind is TriggerKind.INTERVENTION_REQUEST
+            and event.payload.get("action") == "send_recommendation"
+        )
+        if sid is None or not wanted:
+            continue
+        last = last_recommended.get(sid)
+        if (last is None or tick - last >= window_len) and sid not in recommend:
+            recommend.append(sid)
+    return recommend
+
+
+_REQUEST_IDS = ("s0", "s1", "s2", "s3", "s4", "s5")
+
+
+class TestReasonRequests:
+    @staticmethod
+    def reason(inbox, last_recommended, tick=6):
+        cohort = make_cohort(students=[StudentRecord(sid, {}) for sid in _REQUEST_IDS])
+        tracker = FeatureTracker(cohort, window_len=5)
+        events = cohort.event_columns.window(tick, tick)
+        tracker.ingest(tick, events)
+        agent = student_module.StudentAgent(cohort)
+        agent._last_recommended.update(last_recommended)
+        view = TickView(
+            tick, events, cohort, tracker, tracker.policy_signals(), tracker.active_rows(events)
+        )
+        return agent.reason({"view": view, "inbox": tuple(inbox)})["recommend"]
+
+    @staticmethod
+    def request(sid, kind=TriggerKind.AT_RISK_FLAG, action="send_recommendation"):
+        return Event(6, AgentName.INSTITUTION, kind, {"student_id": sid, "action": action})
+
+    def test_repeated_and_cooled_down_requests_come_once_in_first_occurrence_order(self):
+        inbox = [
+            self.request("s3"),
+            self.request("s1"),  # recommended at tick 4: still cooling down
+            self.request("s3", TriggerKind.INTERVENTION_REQUEST),
+            self.request("s0"),  # recommended at tick 1: cooled down
+            self.request("s2", TriggerKind.INTERVENTION_REQUEST, action="send_alert"),
+            self.request("s0"),
+            self.request("s2"),
+        ]
+        assert self.reason(inbox, {"s1": 4, "s0": 1}) == ["s3", "s0", "s2"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_REQUEST_IDS),
+                st.sampled_from(
+                    [
+                        TriggerKind.AT_RISK_FLAG,
+                        TriggerKind.INTERVENTION_REQUEST,
+                        TriggerKind.GRADE_POSTED,
+                    ]
+                ),
+                st.sampled_from(["send_recommendation", "send_alert"]),
+            ),
+            max_size=40,
+        ),
+        st.dictionaries(st.sampled_from(_REQUEST_IDS), st.integers(0, 6)),
+    )
+    def test_equals_a_list_scan(self, requests, last_recommended):
+        inbox = [self.request(*drawn) for drawn in requests]
+        assert self.reason(inbox, last_recommended) == list_scan_requests(
+            inbox, last_recommended, tick=6, window_len=5
+        )

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from auss.cohort_files import EVENTS_FILE, GROUND_TRUTH_FILE, STUDENTS_FILE
 from auss.domain import validate_cohort
@@ -12,6 +13,7 @@ from auss.errors import CohortFormatError, ConfigError
 from auss.institution import FEATURE_ORDER, aggregate_features
 from auss.synthetic import (
     GeneratorConfig,
+    _view_choices,
     export_cohort,
     generate_cohort,
     import_cohort,
@@ -147,6 +149,52 @@ class TestGenerate:
         value = [*default[:-1], bad] if isinstance(default, list) else bad
         with pytest.raises(ConfigError, match=f"^{key} must be finite"):
             GeneratorConfig.from_dict({key: value})
+
+
+@st.composite
+def view_draws(draw):
+    """(cum_weights, u): normalised cumulative weights per row, so each row
+    ends in 1.0, with zero weights that repeat a cumulative weight; each u
+    is a uniform, 0.0, 1.0 or exactly one of its row's cumulative weights."""
+    n, m, t = draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    weight = st.one_of(st.just(0.0), st.sampled_from([0.25, 1.0, 1e-300]), st.floats(0.0, 1.0))
+    rows = []
+    for _ in range(n):
+        row = np.cumsum(draw(st.lists(weight, min_size=m, max_size=m)))
+        rows.append(row / row[-1] if row[-1] > 0 else row)
+    cum_weights = np.array(rows)
+    u = np.array(
+        [
+            draw(
+                st.lists(
+                    st.one_of(
+                        st.floats(0.0, 1.0, exclude_max=True),
+                        st.sampled_from([0.0, 1.0, *row.tolist()]),
+                    ),
+                    min_size=t,
+                    max_size=t,
+                )
+            )
+            for row in cum_weights
+        ]
+    )
+    return cum_weights, u
+
+
+class TestViewChoices:
+    @settings(max_examples=300, deadline=None)
+    @given(view_draws())
+    def test_count_equals_per_row_searchsorted(self, drawn):
+        cum_weights, u = drawn
+        expected = np.array(
+            [np.searchsorted(row, u_row, side="right") for row, u_row in zip(cum_weights, u)]
+        )
+        assert np.array_equal(_view_choices(cum_weights, u), expected)
+
+    def test_u_on_a_repeated_cumulative_weight_counts_every_copy(self):
+        cum_weights = np.array([[0.25, 0.25, 0.5, 1.0, 1.0]])
+        u = np.array([[0.0, 0.25, 0.3, 0.5, 0.999, 1.0]])
+        assert _view_choices(cum_weights, u).tolist() == [[0, 2, 2, 3, 3, 5]]
 
 
 class TestRoundTrip:
