@@ -5,7 +5,8 @@ Column and field names are frozen (documented in FORMATS.md); unknown
 event fields and malformed values are rejected with the offending line.
 Floats are written with repr so a round-trip reproduces them exactly.
 Events and assessments are written from, and read straight into, the
-cohort's columns; no per-event or per-assessment object is built.
+cohort's columns; no per-event or per-assessment object is built. Events
+are read in one orjson pass; a file it refuses is read line by line.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-import re
 from contextlib import contextmanager
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -255,67 +256,65 @@ def _parse_float(text: str, *, path: str, line: int, column: str) -> float:
     return value
 
 
-#: An event line as ``_write_events`` spells it: keys sorted, no spaces, ids
-#: as JSON strings with no escape or control character, a tick of at most 18
-#: digits (inside the 64-bit range) and a value with a fraction or an
-#: exponent. ``json.loads`` reads such a line to the same ids, tick and float
-#: as the groups do; it would read an integer-spelled value such as ``-0`` as
-#: an int, so those take the general path. ``[0-9]``, not ``\d``, which would
-#: also match digits JSON does not have.
-_WRITER_EVENT = re.compile(
-    r'\{"kind":"([^"\\\x00-\x1f]*)",'
-    r'"resource_id":(?:null|"([^"\\\x00-\x1f]*)"),'
-    r'"student_id":"([^"\\\x00-\x1f]*)",'
-    r'"tick":(-?(?:0|[1-9][0-9]{0,17})),'
-    r'"value":(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))\}'
-)
 _KIND_CODE = {kind.value: kind.code for kind in EventKind}
-#: Writer-spelled lines parsed before they are handed to the builder in one
-#: call; bounded, so the pending groups stay small next to the columns.
-_CHUNK_LINES = 4096
+_EVENT_VALUES = itemgetter("student_id", "tick", "kind", "value", "resource_id")
+#: Bytes per block of the whole-file pass, read on to a line end: small next to the columns.
+_BLOCK_BYTES = 1 << 16
 
 
-def _read_events(path: Path, events: EventColumnsBuilder) -> None:
-    """Append every event of an events.jsonl file to ``events``, in line order.
+def _read_events(path: Path, student_ids: list, resource_ids: list) -> EventColumns:
+    """The events of an events.jsonl file, in line order, into id tables
+    that start with the given ids.
 
-    A line spelled as the writer spells it is parsed by one regular
-    expression, and up to ``_CHUNK_LINES`` such lines go to the builder in
-    one ``extend``. Every other line goes through ``_append_json_event``,
-    which holds the format's rules and errors; the lines pending before it
-    are added first, so stream order and id first-seen order are those of
-    the file.
+    One pass parses each line with ``orjson.loads``. It is adopted only if
+    no byte is a carriage return and every line holds exactly the five
+    fields: a known kind, a str student id, a str or null resource id, an
+    int tick in the 64-bit range and a float value, which ``json.loads``
+    reads the same. Any other file is read by ``_read_json_events``.
     """
-    fullmatch = _WRITER_EVENT.fullmatch
-    pending: list[tuple[str, ...]] = []
+    import orjson  # imported here so that ``import auss`` does not pay for it
+
+    events = EventColumnsBuilder(student_ids, resource_ids)
+    with path.open("rb") as fh:
+        while block := fh.read(_BLOCK_BYTES) + fh.readline():
+            if b"\r" in block or not _extend_checked(events, block.splitlines(), orjson.loads):
+                events = EventColumnsBuilder(student_ids, resource_ids)
+                _read_json_events(path, events)
+                break
+    return events.build()
+
+
+def _extend_checked(events: EventColumnsBuilder, lines: list[bytes], loads) -> bool:
+    """Append the events of a block's lines, all or none; False if a line
+    breaks a rule of the whole-file pass (``events`` is then dropped)."""
+    try:
+        records = list(map(loads, lines))
+        if set(map(type, records)) != {dict} or set(map(len, records)) != {5}:
+            return False
+        student, tick, kind, value, resource = zip(*map(_EVENT_VALUES, records))
+        if not (
+            set(map(type, student)) == {str}
+            and set(map(type, tick)) == {int}
+            and set(map(type, value)) == {float}
+            and set(map(type, resource)) <= {str, type(None)}
+            and set(map(type, kind)) == {str}
+            and set(kind) <= _KIND_CODE.keys()
+        ):
+            return False
+        # A tick outside the 64-bit range is a ValueError here, as a bad line is.
+        events.extend(student, tick, list(map(_KIND_CODE.get, kind)), value, resource)
+    except (ValueError, KeyError):
+        return False
+    return True
+
+
+def _read_json_events(path: Path, events: EventColumnsBuilder) -> None:
+    """Append every event of an events.jsonl file to ``events``, one ``json.loads`` per line."""
     with _utf8_file(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
-            match = fullmatch(line)
-            if match is not None and match[1] in _KIND_CODE:
-                pending.append(match.groups())
-                if len(pending) == _CHUNK_LINES:
-                    _extend_writer_events(events, pending)
-                    pending = []
-                continue
-            _extend_writer_events(events, pending)
-            pending = []
-            _append_json_event(events, line, path, line_no)
-    _extend_writer_events(events, pending)
-
-
-def _extend_writer_events(events: EventColumnsBuilder, groups: list[tuple[str, ...]]) -> None:
-    """Append the events of ``_WRITER_EVENT`` match groups, in order."""
-    if groups:
-        kinds, resource_ids, student_ids, ticks, values = zip(*groups)
-        events.extend(
-            student_ids,
-            list(map(int, ticks)),
-            [_KIND_CODE[kind] for kind in kinds],
-            list(map(float, values)),
-            resource_ids,
-        )
+            if line:
+                _append_json_event(events, line, path, line_no)
 
 
 def _append_json_event(
@@ -383,8 +382,7 @@ def read_cohort(directory: str | Path) -> Cohort:
         resources.append(LearningResource(row[0], row[1], difficulty))
 
     student_ids = [s.student_id for s in students]
-    events = EventColumnsBuilder(student_ids, [r.resource_id for r in resources])
-    _read_events(directory / EVENTS_FILE, events)
+    events = _read_events(directory / EVENTS_FILE, student_ids, [r.resource_id for r in resources])
 
     assessments = []  # (student id, item id, response, score or None) per row
     assessments_path = directory / ASSESSMENTS_FILE
@@ -402,7 +400,7 @@ def read_cohort(directory: str | Path) -> Cohort:
 
     return Cohort(
         students=tuple(students),
-        events=events.build(),
+        events=events,
         assessments=AssessmentColumns.from_rows(assessments, student_ids),
         resources=tuple(resources),
         ground_truth=truth,

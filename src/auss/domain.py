@@ -493,14 +493,16 @@ def _event_violations(cohort: Cohort) -> list[Violation]:
     """The event rules over the columns, event by event and in rule order per event."""
     events = cohort.event_columns
     student, tick, value = events.student, events.tick, events.value
-    # The previous tick of the same student, in stream order.
-    order = np.argsort(student, kind="stable")
-    same_student = student[order][1:] == student[order][:-1]
-    back = np.flatnonzero(same_student & (tick[order][1:] < tick[order][:-1]))
     previous = np.zeros(len(events), dtype=np.int64)
-    previous[order[back + 1]] = tick[order][back]
     regress = np.zeros(len(events), dtype=bool)
-    regress[order[back + 1]] = True
+    # The previous tick of the same student, in stream order; none goes back in
+    # a stream in tick order, as every generated cohort is.
+    if not (tick[1:] >= tick[:-1]).all():
+        order = np.argsort(student, kind="stable")
+        same_student = student[order][1:] == student[order][:-1]
+        back = np.flatnonzero(same_student & (tick[order][1:] < tick[order][:-1]))
+        previous[order[back + 1]] = tick[order][back]
+        regress[order[back + 1]] = True
     flags = np.column_stack(
         [
             student >= len(cohort.students),

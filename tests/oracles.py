@@ -560,7 +560,9 @@ def json_events_reader(
     lists (-1 for no resource) and the two id tables, which start with the
     given ids and gain an unknown id the first time a line names it. A line
     that breaks the format raises ``CohortFormatError`` with the message and
-    line the package's reader gives; the first check that fails names it.
+    line the package's reader gives; the first check that fails names it. A
+    byte that is not UTF-8 is one too, once the text reader's block holding
+    it is decoded, so a line error in an earlier block comes first.
     """
     fields = {"student_id", "tick", "kind", "value", "resource_id"}
     kinds = [kind.value for kind in EventKind]
@@ -578,47 +580,59 @@ def json_events_reader(
     def fail(message: str, line_no: int):
         raise CohortFormatError(message, path=str(path), line=line_no)
 
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    def text_lines():
+        """(line number, line) of the file read as text, which decodes it in
+        blocks; a byte that is not UTF-8 fails at the line of the file's first."""
+        with open(path, encoding="utf-8") as fh:
             try:
-                data = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                fail(f"invalid JSON: {getattr(exc, 'msg', exc)}", line_no)
-            if not isinstance(data, dict):
-                fail("an event must be a JSON object", line_no)
-            if set(data) != fields:
-                unknown, missing = sorted(set(data) - fields), sorted(fields - set(data))
-                parts = [f"unknown fields {unknown}"] if unknown else []
-                parts += [f"missing fields {missing}"] if missing else []
-                fail("; ".join(parts), line_no)
-            if data["kind"] not in kinds:
-                fail(f"unknown event kind {data['kind']!r}", line_no)
-            student = str(data["student_id"])
-            tick = data["tick"]
-            if isinstance(tick, float) and tick.is_integer():
-                tick = int(tick)
-            elif isinstance(tick, bool) or not isinstance(tick, int):
-                fail(f"tick {tick!r} is not an integer", line_no)
-            value = data["value"]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                fail(f"value {value!r} is not a number", line_no)
-            try:
-                value = float(value)
-            except OverflowError:
-                fail("value is an integer too large for a float", line_no)
-            if not -(2**63) <= tick < 2**63:
-                fail(f"tick {tick} is outside the 64-bit integer range", line_no)
-            columns[0].append(row(students, student_row, student))
-            columns[1].append(tick)
-            columns[2].append(kinds.index(data["kind"]))
-            columns[3].append(value)
-            resource = data["resource_id"]
-            if resource is not None:
-                resource = row(resources, resource_row, str(resource))
-            columns[4].append(-1 if resource is None else resource)
+                yield from enumerate(fh, start=1)
+            except UnicodeDecodeError:
+                data = open(path, "rb").read()
+                try:
+                    data.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    fail(f"not valid UTF-8 ({exc.reason})", data.count(b"\n", 0, exc.start) + 1)
+
+    for line_no, line in text_lines():
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            data = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            fail(f"invalid JSON: {getattr(exc, 'msg', exc)}", line_no)
+        if not isinstance(data, dict):
+            fail("an event must be a JSON object", line_no)
+        if set(data) != fields:
+            unknown, missing = sorted(set(data) - fields), sorted(fields - set(data))
+            parts = [f"unknown fields {unknown}"] if unknown else []
+            parts += [f"missing fields {missing}"] if missing else []
+            fail("; ".join(parts), line_no)
+        if data["kind"] not in kinds:
+            fail(f"unknown event kind {data['kind']!r}", line_no)
+        student = str(data["student_id"])
+        tick = data["tick"]
+        if isinstance(tick, float) and tick.is_integer():
+            tick = int(tick)
+        elif isinstance(tick, bool) or not isinstance(tick, int):
+            fail(f"tick {tick!r} is not an integer", line_no)
+        value = data["value"]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            fail(f"value {value!r} is not a number", line_no)
+        try:
+            value = float(value)
+        except OverflowError:
+            fail("value is an integer too large for a float", line_no)
+        if not -(2**63) <= tick < 2**63:
+            fail(f"tick {tick} is outside the 64-bit integer range", line_no)
+        columns[0].append(row(students, student_row, student))
+        columns[1].append(tick)
+        columns[2].append(kinds.index(data["kind"]))
+        columns[3].append(value)
+        resource = data["resource_id"]
+        if resource is not None:
+            resource = row(resources, resource_row, str(resource))
+        columns[4].append(-1 if resource is None else resource)
     return (*columns, students, resources)
 
 

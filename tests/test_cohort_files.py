@@ -10,6 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -343,30 +344,115 @@ def _writer_line(**tokens: str) -> str:
     return "{" + ",".join(f'"{field}":{token}' for field, token in fields.items()) + "}"
 
 
+def _lines(*lines: str) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+_LINE = _writer_line()
+#: Line 1 ends inside a student id that line 2 closes, and line 3 holds two
+#: objects: joined into one JSON array, the three lines read as three events.
+SPANNING_LINES = _lines(
+    '{"kind":"login","resource_id":null,"student_id":"s}',
+    '{x","tick":1,"value":0.5}',
+    _LINE + "," + _LINE,
+)
+#: A lone carriage return ends a line for the text reader; JSON reads it as a space.
+LONE_CR_IN_LINE = _lines(_LINE.replace(",", ",\r", 1))
+LONE_CR_BETWEEN_LINES = _LINE + "\r" + _writer_line(tick="1")
+CRLF_LINES = _LINE + "\r\n" + _writer_line(tick="1") + "\r\n"
+BOM_FIRST = ("\ufeff" + _lines(_LINE)).encode("utf-8")
+#: Characters ``str.splitlines`` splits at: before a line, on a line of their own, after one.
+UNICODE_BREAKS = "\x0c" + _LINE + "\n\x85\n" + _LINE + "\u2028\n" + _writer_line(kind='"bogus"')
+#: A JSON error at line 2, then a byte that is not UTF-8 inside and beyond the
+#: text reader's first 8 KB block.
+JSON_ERROR_THEN_BAD_BYTE_NEAR = (_lines(_LINE, "{") + _lines(_LINE) * 3).encode() + b"\xff\n"
+JSON_ERROR_THEN_BAD_BYTE_FAR = (_lines(_LINE, "{") + _lines(_LINE) * 200).encode() + b"\xff\n"
+#: Halfway between two doubles: reads as the float of the integer, rounded to even.
+TIE_ROUNDING_INTEGER = str(2**64 + 2**11)
+DUPLICATE_KEY = _writer_line(tick="1")[:-1] + ',"tick":3}'
+EXTRA_FIELD = _writer_line(extra="1")
+FIVE_ELEMENT_ARRAY = "[1,2,3,4,5]"
+
+
 @settings(max_examples=400, deadline=None)
 @given(text=events_text())
 @example(text=_writer_line(value="-0"))
 @example(text=_writer_line(resource_id='"a\x01b"'))
 @example(text=_writer_line(tick="1\u0663"))
 @example(text=_writer_line(value="0.\u0665"))
+@example(text=SPANNING_LINES)
+@example(text=LONE_CR_IN_LINE)
+@example(text=LONE_CR_BETWEEN_LINES)
+@example(text=CRLF_LINES)
+@example(text=BOM_FIRST)
+@example(text=UNICODE_BREAKS)
+@example(text=JSON_ERROR_THEN_BAD_BYTE_NEAR)
+@example(text=JSON_ERROR_THEN_BAD_BYTE_FAR)
+@example(text=_writer_line(tick=str(2**64)))
+@example(text=_writer_line(tick=str(-(2**63) - 1)))
+@example(text=_writer_line(tick=TIE_ROUNDING_INTEGER))
+@example(text=_writer_line(value=str(2**64)))
+@example(text=_writer_line(value=str(-(2**63) - 1)))
+@example(text=_writer_line(value=TIE_ROUNDING_INTEGER))
+@example(text=_writer_line(tick=str(2**63)))
+@example(text=_writer_line(value="NaN"))
+@example(text=_writer_line(value="1e400"))
+@example(text=_writer_line(student_id='"\\ud800"'))
+@example(text=DUPLICATE_KEY)
+@example(text=_writer_line(tick="true"))
+@example(text=_writer_line(value="true"))
+@example(text=_writer_line(value="1"))
+@example(text=_writer_line(student_id="5"))
+@example(text=_writer_line(resource_id="7"))
+@example(text=_writer_line(kind='"bogus"'))
+@example(text=_writer_line(kind='["login"]'))
+@example(text=EXTRA_FIELD)
+@example(text=FIVE_ELEMENT_ARRAY)
+@example(text=_lines(_LINE, "", "  ", _LINE))
+@example(text=_LINE)
+@example(text="")
 def test_events_reader_matches_json_oracle(cohort_bytes, cohort_ids, text):
     with tempfile.TemporaryDirectory() as directory:
         directory = Path(directory)
-        _write(directory, dict(cohort_bytes, **{EVENTS_FILE: text.encode("utf-8")}))
+        data = text if isinstance(text, bytes) else text.encode("utf-8")
+        _write(directory, dict(cohort_bytes, **{EVENTS_FILE: data}))
         expected = _read_outcome(lambda: json_events_reader(directory / EVENTS_FILE, *cohort_ids))
         assert _read_outcome(lambda: _package_columns(directory)) == expected
 
 
+def test_orjson_reads_as_the_events_pass_assumes():
+    """The whole-file pass relies on these readings: what orjson refuses goes
+    to the line-by-line reader, an integer past 64 bits fails the int-tick
+    rule, and a float is the double ``json.loads`` gives. An orjson that read
+    any of them otherwise would change what the pass accepts."""
+    for text in (b"NaN", b"Infinity", b"1e400", b'"\\ud800"', b"\xff", b"\xef\xbb\xbf{}"):
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(text)
+    for number in (2**64, -(2**63) - 1):
+        read = orjson.loads(str(number))
+        assert type(read) is float and read == float(number)
+    # Halfway between two doubles and just past it; halfway to and past 5e-324.
+    for text in (
+        "1.00000000000000011102230246251565404236316680908203125",
+        "1.00000000000000011102230246251565404236316680908203126",
+        "2.4703282292062327e-324",
+        "2.4703282292062328e-324",
+    ):
+        assert orjson.loads(text) == float(text)
+    assert orjson.loads(b'{"tick":1,"tick":2}') == {"tick": 2}
+    assert orjson.loads(b'\r{"tick":1}\r') == {"tick": 1}
+
+
 @settings(max_examples=200, deadline=None)
-@given(text=events_text(), chunk_lines=st.integers(1, 3))
-def test_events_reader_matches_json_oracle_across_chunk_boundaries(
-    cohort_bytes, cohort_ids, text, chunk_lines
+@given(text=events_text(), block_bytes=st.integers(1, 64))
+def test_events_reader_matches_json_oracle_across_block_boundaries(
+    cohort_bytes, cohort_ids, text, block_bytes
 ):
-    """Writer-spelled lines reach the builder in chunks; with chunks of 1-3
-    lines, chunk ends fall next to general-path lines and new ids."""
+    """The whole-file pass reads blocks of whole lines; with blocks of a
+    few bytes, block ends fall next to new ids and next to a line it refuses."""
     with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
         directory = Path(directory)
-        patch.setattr(cohort_files, "_CHUNK_LINES", chunk_lines)
+        patch.setattr(cohort_files, "_BLOCK_BYTES", block_bytes)
         _write(directory, dict(cohort_bytes, **{EVENTS_FILE: text.encode("utf-8")}))
         expected = _read_outcome(lambda: json_events_reader(directory / EVENTS_FILE, *cohort_ids))
         assert _read_outcome(lambda: _package_columns(directory)) == expected
@@ -385,13 +471,18 @@ def _columns_bytes(events: EventColumns) -> tuple:
 
 
 def _round_trip_without_fallback(cohort: Cohort, directory: Path) -> Cohort:
-    """Write ``cohort`` and read it back; a line read with json.loads fails."""
+    """Write ``cohort`` and read it back; a file the whole-file pass refuses,
+    or a line read with json.loads, fails."""
+
+    def line_by_line(path, events):
+        raise AssertionError(f"{path} was read line by line")
 
     def fallback(events, line, path, line_no):
         raise AssertionError(f"line {line_no} took the json.loads path: {line}")
 
     write_cohort(cohort, directory)
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cohort_files, "_read_json_events", line_by_line)
         patch.setattr(cohort_files, "_append_json_event", fallback)
         return read_cohort(directory)
 

@@ -7,7 +7,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from auss.cohort_files import EVENTS_FILE, read_cohort, write_cohort
 from auss.domain import (
@@ -88,6 +88,16 @@ def _known_only(students, events):
     return [e for e in events if e.student_id in known]
 
 
+def _drawn(*events: tuple) -> tuple[list, list, list]:
+    """(students, resources, events) for two known students, as ``event_streams`` draws them."""
+    students = [StudentRecord(sid, {"credits_attempted": 12.0}, 0) for sid in _KNOWN[:2]]
+    resources = [LearningResource(rid, "topic", 0.5) for rid in _RESOURCES]
+    return students, resources, [EngagementEvent(*event) for event in events]
+
+
+_LOGIN, _VIEW = EventKind.LOGIN, EventKind.RESOURCE_VIEW
+
+
 class TestColumnsMatchObjects:
     @settings(max_examples=200, deadline=None)
     @given(event_streams())
@@ -115,6 +125,27 @@ class TestColumnsMatchObjects:
 
     @settings(max_examples=200, deadline=None)
     @given(event_streams(valid_values=False))
+    # In tick order, breaking every rule but the tick order.
+    @example(
+        _drawn(
+            ("ghost", -1, _LOGIN, 0.5),
+            ("s0", 0, _VIEW, 1.5, "rx"),
+            ("s1", 0, _LOGIN, math.nan),
+            ("s0", 2, _VIEW, -0.5, "r1"),
+        )
+    )
+    # Out of tick order, with one student's tick going back and one's not.
+    @example(
+        _drawn(
+            ("s0", 3, _LOGIN, 0.5),
+            ("s1", 1, _LOGIN, 0.5),
+            ("s0", 2, _LOGIN, 0.5),
+            ("s1", 4, _LOGIN, 0.5),
+        )
+    )
+    @example(_drawn(("s0", 2, _LOGIN, 0.5), ("s1", 2, _LOGIN, 1.5), ("s0", 2, _LOGIN, 0.5)))
+    @example(_drawn(("ghost", -1, _LOGIN, math.inf)))
+    @example(_drawn())
     def test_validation_equals_scalar_rules(self, drawn):
         students, resources, events = drawn
         cohort = Cohort(students, events, resources=resources)

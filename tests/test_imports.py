@@ -7,11 +7,17 @@ A name counts as used when the module loads it anywhere; the modules use
 private helper is a module-level function or class whose name starts with
 one underscore; nothing outside its module should need it, so one that its
 own module never loads is dead code.
+
+Importing the package, or its cohort-file module, loads no orjson: only
+writing a transcript and reading events.jsonl import it.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +74,13 @@ def test_module_uses_every_private_helper(path):
         and node.name not in loaded
     )
     assert not unused, f"private helpers never loaded: {unused}"
+
+
+@pytest.mark.parametrize("module", ["auss", "auss.cohort_files"])
+def test_import_leaves_orjson_unloaded(module):
+    code = f"import sys, {module}; print('orjson' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "False\n"
