@@ -14,7 +14,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping
 
-from .errors import BusCapacityError, SchedulerProtocolError, UnknownSubscriberError
+from .errors import SchedulerProtocolError, UnknownSubscriberError
 
 
 class AgentName(str, Enum):
@@ -86,10 +86,7 @@ class EventBus:
     sequence number); delivery is driven by exactly one scheduler context.
     """
 
-    def __init__(self, capacity: int | None = None, transcript_path: str | Path | None = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 when set, got {capacity}")
-        self._capacity = capacity
+    def __init__(self, transcript_path: str | Path | None = None):
         self._lock = threading.Lock()
         self._next_id = 1
         self._pending: list[Event] = []
@@ -123,10 +120,6 @@ class EventBus:
         """Queue an event for the next delivery; returns the assigned id."""
         _validate_payload(event.payload)
         with self._lock:
-            if self._capacity is not None and len(self._pending) >= self._capacity:
-                raise BusCapacityError(
-                    f"pending queue full (capacity {self._capacity}); apply back-pressure"
-                )
             stamped = Event(
                 event.tick, event.source_agent, event.kind, event.payload, self._next_id
             )

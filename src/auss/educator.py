@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bus import AgentName, Event, TriggerKind
+from .bus import AgentName, TriggerKind
 from .domain import AssessmentRecord, Cohort, EventKind
 from .errors import ConfigError, MetricInputError
 from .runtime import Action, Agent, Publisher, TickView
@@ -291,13 +291,11 @@ class EducatorAgent(Agent):
         }
     )
 
-    def __init__(self, cohort: Cohort, *, report_every: int = 10):
-        self.cohort = cohort
-        self.report_every = report_every
-        self.flagged: set[str] = set()
+    report_every = 10
 
-    def perceive(self, view: TickView, inbox: Sequence[Event]) -> dict:
-        return {"view": view, "inbox": tuple(inbox)}
+    def __init__(self, cohort: Cohort):
+        self.cohort = cohort
+        self.flagged: set[str] = set()
 
     def reason(self, percepts: dict) -> dict:
         view: TickView = percepts["view"]
@@ -309,7 +307,7 @@ class EducatorAgent(Agent):
         rows, values = events.student[submitted].tolist(), events.value[submitted].tolist()
         submissions = [(events.student_ids[i], value) for i, value in zip(rows, values)]
         report = None
-        if self.report_every > 0 and (view.tick + 1) % self.report_every == 0:
+        if (view.tick + 1) % self.report_every == 0:
             window = (max(0, view.tick - self.report_every + 1), view.tick)
             report = generate_class_report(
                 view.cohort, window, risk_flags=frozenset(self.flagged)

@@ -64,10 +64,6 @@ class CohortFormatError(AussError):
         super().__init__(prefix + message)
 
 
-class BusCapacityError(AussError):
-    """Publish rejected because the pending queue is at capacity."""
-
-
 class UnknownSubscriberError(AussError):
     """Subscription attempted for a subscriber id never registered."""
 

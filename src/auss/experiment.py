@@ -86,6 +86,11 @@ class EvaluationConfig:
     risk_threshold: float = 0.5
 
     def __post_init__(self) -> None:
+        check_config_types(
+            "evaluation",
+            {f.name: getattr(self, f.name) for f in fields(self)},
+            {f.name: f.default for f in fields(self)},
+        )
         for name in ("predictor_split", "risk_split"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in (0, 1), got {getattr(self, name)}")
@@ -729,7 +734,7 @@ def replay(
     While it re-runs the simulation, the cohort metrics are computed as
     ``run_experiment`` computes them: in a forked worker where it may fork.
     """
-    transcript = SimulationTranscript.from_jsonl(transcript_path, verify=True)
+    transcript = SimulationTranscript.from_jsonl(transcript_path)
     spec_data = transcript.header.get("experiment")
     if not spec_data:
         raise TranscriptError("transcript does not embed an experiment spec; cannot replay")

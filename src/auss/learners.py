@@ -319,14 +319,13 @@ class LogisticModel:
         return np.asarray(sigmoid((z[:, None, :] @ self.weights)[:, 0] + self.bias))
 
 
-def fit_logistic(
-    x: np.ndarray,
-    y: np.ndarray,
-    *,
-    learning_rate: float = 0.5,
-    n_iterations: int = 500,
-    l2: float = 1e-4,
-) -> LogisticModel:
+#: ``fit_logistic``'s step size, number of steps and L2 weight.
+_LEARNING_RATE = 0.5
+_N_ITERATIONS = 500
+_L2 = 1e-4
+
+
+def fit_logistic(x: np.ndarray, y: np.ndarray) -> LogisticModel:
     """Batch gradient descent on cross-entropy with standardized features.
 
     Weights start at zero, so the fit is deterministic; a small L2 term
@@ -349,11 +348,11 @@ def fit_logistic(
     n = len(y)
     w = np.zeros(x.shape[1])
     b = 0.0
-    for _ in range(n_iterations):
+    for _ in range(_N_ITERATIONS):
         p = sigmoid(xs @ w + b)
         error = p - y
-        grad_w = xs.T @ error / n + l2 * w
+        grad_w = xs.T @ error / n + _L2 * w
         grad_b = float(error.mean())
-        w -= learning_rate * grad_w
-        b -= learning_rate * grad_b
+        w -= _LEARNING_RATE * grad_w
+        b -= _LEARNING_RATE * grad_b
     return LogisticModel(weights=w, bias=b, feature_means=means, feature_stds=stds)

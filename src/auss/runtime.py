@@ -176,9 +176,9 @@ class Agent(ABC):
     name: AgentName
     subscriptions: frozenset[TriggerKind] = frozenset()
 
-    @abstractmethod
     def perceive(self, view: TickView, inbox: Sequence[Event]) -> Any:
-        """Turn raw tick data plus delivered events into percepts."""
+        """Turn raw tick data plus delivered events into percepts; by default, both as a dict."""
+        return {"view": view, "inbox": tuple(inbox)}
 
     @abstractmethod
     def reason(self, percepts: Any) -> Any:
@@ -357,7 +357,7 @@ class SimulationTranscript:
         return digest
 
     @classmethod
-    def from_jsonl(cls, path: str | Path, verify: bool = True) -> "SimulationTranscript":
+    def from_jsonl(cls, path: str | Path) -> "SimulationTranscript":
         try:
             text = Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
@@ -386,13 +386,12 @@ class SimulationTranscript:
         footer = records[-1]
         if footer.get("type") != "checksum":
             raise TranscriptError(f"transcript {path} has no checksum footer")
-        if verify:
-            body = "".join(line + "\n" for line in lines[:-1])
-            digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-            if digest != footer.get("sha256"):
-                raise TranscriptChecksumError(
-                    f"transcript {path} checksum mismatch: content was altered"
-                )
+        body = "".join(line + "\n" for line in lines[:-1])
+        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        if digest != footer.get("sha256"):
+            raise TranscriptChecksumError(
+                f"transcript {path} checksum mismatch: content was altered"
+            )
         transcript = cls()
         transcript.records = records[:-1]
         header = transcript.records[0] if transcript.records else {}
@@ -624,35 +623,27 @@ def run(
             agent = by_name[agent_name]
             inbox = inboxes.get(agent_name, [])
 
-            start = time.perf_counter_ns()
+            # One stamp before the phases and one after each; a phase that
+            # raises is the one after the last stamp.
+            stamps = [time.perf_counter_ns()]
             try:
                 percepts = agent.perceive(view, inbox)
-            except Exception as exc:  # noqa: BLE001 - contract: identify the phase
-                raise AgentPhaseError(agent_name, tick, "perceive", exc) from exc
-            t_perceive = time.perf_counter_ns()
-            try:
+                stamps.append(time.perf_counter_ns())
                 decisions = agent.reason(percepts)
-            except Exception as exc:  # noqa: BLE001
-                raise AgentPhaseError(agent_name, tick, "reason", exc) from exc
-            t_reason = time.perf_counter_ns()
-            publisher._open(agent.name, tick)
-            try:
-                actions = agent.act(decisions, publisher)
-            except Exception as exc:  # noqa: BLE001
-                raise AgentPhaseError(agent_name, tick, "act", exc) from exc
-            finally:
-                publisher._close()
-            t_act = time.perf_counter_ns()
-            try:
+                stamps.append(time.perf_counter_ns())
+                publisher._open(agent.name, tick)
+                try:
+                    actions = agent.act(decisions, publisher)
+                finally:
+                    publisher._close()
+                stamps.append(time.perf_counter_ns())
                 agent.evaluate(TickOutcome(tick=tick, actions=tuple(actions)))
-            except Exception as exc:  # noqa: BLE001
-                raise AgentPhaseError(agent_name, tick, "evaluate", exc) from exc
-            t_evaluate = time.perf_counter_ns()
+                stamps.append(time.perf_counter_ns())
+            except Exception as exc:  # noqa: BLE001 - contract: identify the phase
+                raise AgentPhaseError(agent_name, tick, PHASES[len(stamps) - 1], exc) from exc
 
-            transcript.record_phase(tick, agent_name, "perceive", t_perceive - start)
-            transcript.record_phase(tick, agent_name, "reason", t_reason - t_perceive)
-            transcript.record_phase(tick, agent_name, "act", t_act - t_reason)
-            transcript.record_phase(tick, agent_name, "evaluate", t_evaluate - t_act)
+            for phase, begin, end in zip(PHASES, stamps, stamps[1:]):
+                transcript.record_phase(tick, agent_name, phase, end - begin)
             for action in actions:
                 transcript.record_action(tick, agent_name, action)
 

@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bus import AgentName, Event, TriggerKind
+from .bus import AgentName, TriggerKind
 from .domain import (
     Cohort,
     EventColumns,
@@ -465,10 +465,11 @@ def _gap_rules(
 class GapDetector:
     """Applies the gap rules with an at-most-once-per-window cooldown."""
 
-    def __init__(self, window_len: int = 5, engagement_threshold: float = 0.33, slope_threshold: float = -0.01):
+    engagement_threshold = 0.33
+    slope_threshold = -0.01
+
+    def __init__(self, window_len: int = 5):
         self.window_len = window_len
-        self.engagement_threshold = engagement_threshold
-        self.slope_threshold = slope_threshold
         self._last_emitted: dict[tuple[str, TriggerKind], int] = {}
 
     def update_many(
@@ -513,10 +514,11 @@ class StudentAgent(Agent):
         {TriggerKind.AT_RISK_FLAG, TriggerKind.INTERVENTION_REQUEST, TriggerKind.GRADE_POSTED}
     )
 
-    def __init__(self, cohort: Cohort, *, top_k: int = 3, neighborhood: int = 10):
+    top_k = 3
+    neighborhood = 10
+
+    def __init__(self, cohort: Cohort):
         self.cohort = cohort
-        self.top_k = top_k
-        self.neighborhood = neighborhood
         self.detector: GapDetector | None = None
         _id_indexes(cohort.student_ids, cohort.resource_ids)  # rejects duplicate ids
         self._student_ids = np.array(cohort.student_ids, dtype=object)
@@ -524,9 +526,6 @@ class StudentAgent(Agent):
             (len(cohort.students), len(cohort.resources)), dtype=np.int64
         )
         self._last_recommended: dict[str, int] = {}
-
-    def perceive(self, view: TickView, inbox: Sequence[Event]) -> dict:
-        return {"view": view, "inbox": tuple(inbox)}
 
     def reason(self, percepts: dict) -> dict:
         view: TickView = percepts["view"]

@@ -23,7 +23,7 @@ matched, analyzable target:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +63,11 @@ class GeneratorConfig:
     absence_rate: float = 0.5
 
     def __post_init__(self) -> None:
+        check_config_types(
+            "generator",
+            {f.name: getattr(self, f.name) for f in fields(self)},
+            {f.name: f.default for f in fields(self)},
+        )
         object.__setattr__(self, "hazard_weights", tuple(float(w) for w in self.hazard_weights))
         for name, value in self.to_dict().items():
             if isinstance(value, (float, list)) and not np.isfinite(value).all():
@@ -98,10 +103,7 @@ class GeneratorConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorConfig":
         check_config_types("generator", data, cls().to_dict())
-        kwargs = dict(data)
-        if "hazard_weights" in kwargs:
-            kwargs["hazard_weights"] = tuple(kwargs["hazard_weights"])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 def _clip01(values: np.ndarray) -> np.ndarray:

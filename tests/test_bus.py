@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from auss.bus import AgentName, Event, EventBus, Subscription, TriggerKind
-from auss.errors import BusCapacityError, SchedulerProtocolError, UnknownSubscriberError
+from auss.errors import SchedulerProtocolError, UnknownSubscriberError
 
 
 def make_event(kind=TriggerKind.DISENGAGEMENT, tick=0, payload=None):
@@ -27,12 +27,6 @@ class TestPublish:
         bus = EventBus()
         assert bus.publish(make_event()) == 1
         assert bus.publish(make_event()) == 2
-
-    def test_capacity_back_pressure(self):
-        bus = EventBus(capacity=1)
-        bus.publish(make_event())
-        with pytest.raises(BusCapacityError):
-            bus.publish(make_event())
 
     def test_payload_validation(self):
         bus = EventBus()

@@ -782,6 +782,23 @@ class TestSpecSerialization:
         with pytest.raises(ConfigError, match=f"policy config {key} must be"):
             ExperimentSpec.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "config, key, value, expected",
+        [
+            (EvaluationConfig, "predictor_window_len", "3", "an integer"),
+            (EvaluationConfig, "quiz_items", 2.5, "an integer"),
+            (EvaluationConfig, "recommend_neighborhood", True, "an integer"),
+            (EvaluationConfig, "blend_weight", "0.5", "a number"),
+            (GeneratorConfig, "n_students", 2.5, "an integer"),
+            (GeneratorConfig, "noise_scale", None, "a number"),
+            (GeneratorConfig, "hazard_weights", "abcdef", "a list of numbers"),
+        ],
+    )
+    def test_config_types_checked_at_construction(self, config, key, value, expected):
+        section = "evaluation" if config is EvaluationConfig else "generator"
+        with pytest.raises(ConfigError, match=f"^{section} config {key} must be {expected}, got"):
+            config(**{key: value})
+
     def test_derive_seed_stable_and_label_sensitive(self):
         assert derive_seed(42, "quiz") == derive_seed(42, "quiz")
         assert derive_seed(42, "quiz") != derive_seed(42, "risk-split")

@@ -8,6 +8,10 @@ private helper is a module-level function or class whose name starts with
 one underscore; nothing outside its module should need it, so one that its
 own module never loads is dead code.
 
+A public module-level name bound by assignment in ``src/auss`` (a constant
+or type alias) is dead code when no file under ``src``, ``tests`` or
+``perfbench`` loads it, as a bare name or as an attribute.
+
 Importing the package, or its cohort-file module, loads no orjson: only
 writing a transcript and reading events.jsonl import it.
 """
@@ -15,6 +19,7 @@ writing a transcript and reading events.jsonl import it.
 from __future__ import annotations
 
 import ast
+import functools
 import os
 import subprocess
 import sys
@@ -26,6 +31,9 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "auss"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(TESTS.glob("*.py"))
+READERS = [
+    p for directory in (SRC, TESTS, TESTS.parent / "perfbench") for p in directory.rglob("*.py")
+]
 
 
 def _module_imports(tree: ast.Module) -> dict[str, int]:
@@ -74,6 +82,34 @@ def test_module_uses_every_private_helper(path):
         and node.name not in loaded
     )
     assert not unused, f"private helpers never loaded: {unused}"
+
+
+@functools.cache
+def _names_read() -> frozenset[str]:
+    """Every name that some reader loads, as a bare name or an attribute."""
+    read = set()
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return frozenset(read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_constant_is_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unread = sorted(
+        f"{path.name}:{node.lineno} {target.id}"
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+        and not target.id.startswith("_")
+        and target.id not in _names_read()
+    )
+    assert not unread, f"public constants no file reads: {unread}"
 
 
 @pytest.mark.parametrize("module", ["auss", "auss.cohort_files"])

@@ -17,7 +17,6 @@ from auss.experiment import ExperimentSpec, load_experiment_cohort, simulate
 from auss.institution import (
     FEATURE_ORDER,
     FeatureTracker,
-    InstitutionAgent,
     aggregate_features,
     assess_risk,
     f1_score,
@@ -461,8 +460,3 @@ class TestInstitutionAgent:
         ]
         assert students
         assert len(set(students)) == len(students)
-
-    def test_bad_threshold_rejected_at_construction(self):
-        for threshold in (0.0, 1.0, float("nan")):
-            with pytest.raises(ValueError, match="risk_threshold"):
-                InstitutionAgent(risk_threshold=threshold)

@@ -189,12 +189,29 @@ class TestEventFlow:
         assert exc_info.value.phase == "evaluate"
         assert isinstance(exc_info.value.cause, PhaseDisciplineError)
 
-    def test_agent_failure_identifies_agent_tick_phase(self):
+    @pytest.mark.parametrize("phase", ["perceive", "reason", "act", "evaluate"])
+    def test_agent_failure_identifies_agent_tick_phase(self, phase):
         class Broken(NoOpAgent):
-            def reason(self, percepts):
-                if percepts["tick"] == 2:
+            """Raises in ``phase`` at tick 2."""
+
+            def _phase(self, name, tick):
+                if name == phase and tick == 2:
                     raise RuntimeError("boom")
+
+            def perceive(self, view, inbox):
+                self._phase("perceive", view.tick)
+                return super().perceive(view, inbox)
+
+            def reason(self, percepts):
+                self._phase("reason", percepts["tick"])
                 return percepts
+
+            def act(self, decisions, publish):
+                self._phase("act", decisions["tick"])
+                return []
+
+            def evaluate(self, outcome):
+                self._phase("evaluate", outcome.tick)
 
         agents = [
             NoOpAgent(AgentName.STUDENT),
@@ -205,7 +222,8 @@ class TestEventFlow:
             run(make_cohort(), agents, SchedulerConfig(max_ticks=5))
         assert exc_info.value.agent == "educator_agent"
         assert exc_info.value.tick == 2
-        assert exc_info.value.phase == "reason"
+        assert exc_info.value.phase == phase
+        assert isinstance(exc_info.value.cause, RuntimeError)
 
 
 class TestPolicedRun:
