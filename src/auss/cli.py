@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .domain import validate_cohort
-from .errors import AussError, ConfigError
+from .errors import AussError, ConfigError, read_config
 from .experiment import (
     ExperimentSpec,
     replay as replay_transcript,
@@ -70,16 +70,17 @@ def _load_json(path: str) -> dict:
 
 def _spec_from_sim_config(config_path: str | None, cohort_dir: str, out_dir: str) -> ExperimentSpec:
     data = _load_json(config_path) if config_path else {}
-    data.setdefault("scheduler", {"max_ticks": 50})
-    data["cohort_dir"] = cohort_dir
-    data["output_dir"] = out_dir
-    data.setdefault("generator", None)
-    return ExperimentSpec.from_dict(data)
+    set_by_flags = {"generator", "cohort_dir", "output_dir"} & set(data)
+    if set_by_flags:
+        raise ConfigError(
+            f"config {config_path}: {sorted(set_by_flags)} are set by --cohort and --out"
+        )
+    return ExperimentSpec.from_dict({**data, "cohort_dir": cohort_dir, "output_dir": out_dir})
 
 
 def cmd_generate(args: argparse.Namespace) -> dict:
-    config = (
-        GeneratorConfig.from_dict(_load_json(args.config)) if args.config else GeneratorConfig()
+    config = read_config(
+        GeneratorConfig, "generator", _load_json(args.config) if args.config else None
     )
     cohort, truth = generate_cohort(config)
     violations = validate_cohort(cohort)
@@ -159,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the multi-agent simulation over a cohort")
     p.add_argument("--cohort", required=True, help="cohort directory (from generate)")
-    p.add_argument("--config", help="JSON with scheduler/policy/evaluation sections")
+    p.add_argument("--config", help="JSON with scheduler/policy/evaluation/metrics keys")
     p.add_argument("--out", required=True, help="run directory for transcript output")
     p.add_argument("--runs", type=int, default=1, help="run N seeds in turn and merge reports")
     p.set_defaults(fn=cmd_simulate)

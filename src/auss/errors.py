@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Mapping
+import math
+from dataclasses import fields
+from typing import Mapping, TypeVar
+
+_Config = TypeVar("_Config")
 
 
 class AussError(Exception):
@@ -13,36 +17,61 @@ class ConfigError(AussError):
     """A configuration value is missing, unknown, or out of range."""
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _fits(kind: type, value: object) -> bool:
+    """``value`` is of a default's type ``kind``: an int counts as a float, a bool as neither."""
+    types = (int, float) if kind is float else kind
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
-def check_config_types(
-    section: str, data: Mapping[str, object], defaults: Mapping[str, object]
-) -> None:
-    """ConfigError naming the keys of ``data`` without a default, else the
-    first key whose value has the wrong type.
+def _is_finite(value: float) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
 
-    Each key's default decides: an integer default takes an integer, a
-    float default any number, a list default a list of numbers. A boolean
-    is neither an integer nor a number here.
-    """
+
+#: How a refusal names a default's type: for one value, and for a list's entries.
+_NAMES = {
+    int: ("an integer", "integers"),
+    float: ("a number", "numbers"),
+    str: ("a string", "strings"),
+}
+
+
+def check_config_types(section: str, config: object) -> None:
+    """ConfigError naming the first field of the dataclass ``config`` whose value breaks the rule
+    of its default's type: an integer takes an integer, a float a number that is finite as a
+    float, and a tuple a list (or tuple) of its entries' type."""
+    for field in fields(config):  # type: ignore[arg-type]
+        key, value, default = field.name, getattr(config, field.name), field.default
+        is_list = isinstance(default, tuple)
+        kind = type(default[0] if is_list else default)
+        entries = value if is_list else (value,)
+        if not isinstance(entries, (list, tuple)) or not all(_fits(kind, v) for v in entries):
+            one, many = _NAMES[kind]
+            expected = f"a list of {many}" if is_list else one
+            raise ConfigError(f"{section} config {key} must be {expected}, got {value!r}")
+        if kind is float and not all(_is_finite(v) for v in entries):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
+
+
+def read_config(cls: type[_Config], section: str, data: object) -> _Config:
+    """``cls`` of the spec section ``section``'s JSON value: None (absent) means every default,
+    anything else must be an object of ``cls``'s fields. A float with no fractional part is
+    read as that integer where the field's default is an integer; ``cls`` checks the rest."""
+    if data is None:
+        return cls()
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"{section} config must be a JSON object, got {data!r}")
+    defaults = {field.name: field.default for field in fields(cls)}  # type: ignore[arg-type]
     unknown = set(data) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown {section} config keys: {sorted(unknown)}")
+    values = dict(data)
     for key, value in data.items():
-        default = defaults[key]
-        if isinstance(default, (list, tuple)):
-            valid = isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)
-            expected = "a list of numbers"
-        elif isinstance(default, int):
-            valid = isinstance(value, int) and not isinstance(value, bool)
-            expected = "an integer"
-        else:
-            valid = _is_number(value)
-            expected = "a number"
-        if not valid:
-            raise ConfigError(f"{section} config {key} must be {expected}, got {value!r}")
+        if isinstance(value, float) and value.is_integer() and _fits(int, defaults[key]):
+            values[key] = int(value)
+    return cls(**values)
 
 
 class UnknownStudentError(AussError):

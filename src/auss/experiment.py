@@ -34,6 +34,7 @@ from .errors import (
     StageError,
     TranscriptError,
     check_config_types,
+    read_config,
 )
 from .institution import (
     FeatureTracker,
@@ -86,11 +87,7 @@ class EvaluationConfig:
     risk_threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        check_config_types(
-            "evaluation",
-            {f.name: getattr(self, f.name) for f in fields(self)},
-            {f.name: f.default for f in fields(self)},
-        )
+        check_config_types("evaluation", self)
         for name in ("predictor_split", "risk_split"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in (0, 1), got {getattr(self, name)}")
@@ -110,16 +107,11 @@ class EvaluationConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "EvaluationConfig":
-        check_config_types("evaluation", data, cls().to_dict())
-        return cls(**data)  # type: ignore[arg-type]
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     generator: GeneratorConfig | None = None
-    scheduler: SchedulerConfig = SchedulerConfig(max_ticks=50)
+    scheduler: SchedulerConfig = SchedulerConfig()
     policy: PolicyConfig = PolicyConfig()
     evaluation: EvaluationConfig = EvaluationConfig()
     metrics: tuple[str, ...] = METRIC_NAMES
@@ -147,7 +139,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ExperimentSpec":
-        """Spec of a JSON object; a missing key takes its default, a present one is used as given."""
+        """Spec of a JSON object; a missing key takes its default, a section goes to read_config."""
         if not isinstance(data, Mapping):
             raise ConfigError(f"experiment spec must be a JSON object, got {data!r}")
         metrics = data.get("metrics", METRIC_NAMES)
@@ -158,25 +150,22 @@ class ExperimentSpec:
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown experiment spec keys: {sorted(unknown)}")
-        try:
-            policy_data = dict(data.get("policy") or {})
-            policy_unknown = set(policy_data) - set(asdict(PolicyConfig()))
-            if policy_unknown:
-                raise ConfigError(f"unknown policy config keys: {sorted(policy_unknown)}")
-            generator = data.get("generator")
-            scheduler = data.get("scheduler") or {"max_ticks": 50}
-            return cls(
-                generator=None if generator is None else GeneratorConfig.from_dict(dict(generator)),
-                scheduler=SchedulerConfig.from_dict(dict(scheduler)),
-                policy=PolicyConfig(**policy_data),
-                evaluation=EvaluationConfig.from_dict(dict(data.get("evaluation") or {})),
-                metrics=tuple(metrics),
-                cohort_dir=data.get("cohort_dir"),  # type: ignore[arg-type]
-                output_dir=data.get("output_dir"),  # type: ignore[arg-type]
-            )
-        except (TypeError, ValueError) as exc:
-            # a section or value of the wrong JSON type that no named check caught
-            raise ConfigError(f"invalid experiment config: {exc}") from exc
+        for key in ("cohort_dir", "output_dir"):
+            value = data.get(key)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"experiment spec {key} must be a string or null, got {value!r}")
+        generator = data.get("generator")
+        return cls(
+            generator=(
+                None if generator is None else read_config(GeneratorConfig, "generator", generator)
+            ),
+            scheduler=read_config(SchedulerConfig, "scheduler", data.get("scheduler")),
+            policy=read_config(PolicyConfig, "policy", data.get("policy")),
+            evaluation=read_config(EvaluationConfig, "evaluation", data.get("evaluation")),
+            metrics=tuple(metrics),
+            cohort_dir=data.get("cohort_dir"),  # type: ignore[arg-type]
+            output_dir=data.get("output_dir"),  # type: ignore[arg-type]
+        )
 
 
 def derive_seed(base: int, label: str) -> int:

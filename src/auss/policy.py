@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -91,11 +91,7 @@ class PolicyConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        check_config_types(
-            "policy",
-            {f.name: getattr(self, f.name) for f in fields(self)},
-            {f.name: f.default for f in fields(self)},
-        )
+        check_config_types("policy", self)
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0.0 <= self.gamma < 1.0:

@@ -62,17 +62,13 @@ DEFAULT_AGENT_ORDER = (
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    max_ticks: int
+    max_ticks: int = 50
     agent_order: tuple[str, ...] = DEFAULT_AGENT_ORDER
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        check_config_types("scheduler", self)
         object.__setattr__(self, "agent_order", tuple(self.agent_order))
-        check_config_types(
-            "scheduler",
-            {"max_ticks": self.max_ticks, "rng_seed": self.rng_seed},
-            {"max_ticks": 0, "rng_seed": 0},
-        )
         if self.max_ticks < 0:
             raise ConfigError(f"max_ticks must be >= 0, got {self.max_ticks}")
         if sorted(self.agent_order) != sorted(set(self.agent_order)):
@@ -80,30 +76,6 @@ class SchedulerConfig:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "agent_order": list(self.agent_order)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "SchedulerConfig":
-        known = {"max_ticks", "agent_order", "rng_seed"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown scheduler config keys: {sorted(unknown)}")
-        if "max_ticks" not in data:
-            raise ConfigError("scheduler config is missing max_ticks")
-        integers = {}
-        for key, default in (("max_ticks", None), ("rng_seed", 0)):
-            value = data.get(key, default)
-            # As for cohort ticks: a float with no fractional part is that integer.
-            if isinstance(value, float) and value.is_integer():
-                value = int(value)
-            integers[key] = value
-        agent_order = data.get("agent_order", DEFAULT_AGENT_ORDER)
-        if not isinstance(agent_order, (list, tuple)) or not all(
-            isinstance(name, str) for name in agent_order
-        ):
-            raise ConfigError(
-                f"scheduler config agent_order must be a list of strings, got {agent_order!r}"
-            )
-        return cls(agent_order=tuple(agent_order), **integers)
 
 
 @dataclass(frozen=True)

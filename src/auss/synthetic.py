@@ -23,7 +23,7 @@ matched, analyzable target:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,15 +63,8 @@ class GeneratorConfig:
     absence_rate: float = 0.5
 
     def __post_init__(self) -> None:
-        check_config_types(
-            "generator",
-            {f.name: getattr(self, f.name) for f in fields(self)},
-            {f.name: f.default for f in fields(self)},
-        )
+        check_config_types("generator", self)
         object.__setattr__(self, "hazard_weights", tuple(float(w) for w in self.hazard_weights))
-        for name, value in self.to_dict().items():
-            if isinstance(value, (float, list)) and not np.isfinite(value).all():
-                raise ConfigError(f"{name} must be finite, got {value!r}")
         for name in ("n_students", "n_resources", "n_ticks"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -99,11 +92,6 @@ class GeneratorConfig:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "hazard_weights": list(self.hazard_weights)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GeneratorConfig":
-        check_config_types("generator", data, cls().to_dict())
-        return cls(**data)
 
 
 def _clip01(values: np.ndarray) -> np.ndarray:

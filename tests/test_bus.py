@@ -170,7 +170,7 @@ class TestProperties:
                 paths.append(path)
             assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_no_event_loss_below_capacity(self):
+    def test_no_event_loss(self):
         bus = EventBus()
         bus.register_subscriber("a")
         bus.subscribe(Subscription("a", frozenset(TriggerKind)))

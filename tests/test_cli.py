@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from auss.cli import main
 from auss.runtime import SimulationTranscript
+
+#: A 40-student, 6-resource, 12-tick run at seed 3, written by an earlier build.
+COMMITTED_TRANSCRIPT = Path(__file__).parent / "data" / "transcript_40x6x12_seed3.jsonl"
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, dict | None, str]:
@@ -191,7 +195,7 @@ class TestCliErrors:
             ('{"policy": {"alpha": true}}', "policy config alpha must be a number, got True"),
             ('{"policy": {"rng_seed": null}}', "policy config rng_seed must be an integer, got None"),
             ('{"policy": {"rng_seed": "abc"}}', "rng_seed must be an integer, got 'abc'"),
-            ('{"generator": {"n_students": "x"}}', "generator config n_students must be"),
+            ('{"generator": {"n_students": "x"}}', "['generator'] are set by --cohort and --out"),
             ('{"evaluation": {"quiz_items": "x"}}', "evaluation config quiz_items must be"),
             ('{"scheduler": {"max_ticks": 12.7}}', "max_ticks must be an integer, got 12.7"),
             ('{"scheduler": {"max_ticks": "12"}}', "max_ticks must be an integer, got '12'"),
@@ -272,6 +276,72 @@ class TestCliErrors:
         assert "generator config n_students must be an integer, got 'x'" in error["message"]
         assert not (tmp_path / "cohort").exists()
 
+    @pytest.mark.parametrize("key", ["generator", "cohort_dir", "output_dir"])
+    @pytest.mark.parametrize("runs", ["1", "2"])
+    def test_simulate_config_may_not_choose_the_cohort(
+        self, tmp_path, capsys, gen_config, key, runs
+    ):
+        # A generator section would be simulated in place of --cohort, or named in the
+        # header of a run that simulated --cohort.
+        cohort_dir = tmp_path / "cohort"
+        run_cli(capsys, "generate", "--config", str(gen_config), "--out", str(cohort_dir))
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({key: {"n_students": 60} if key == "generator" else "x"}))
+        code, out, err = run_cli(
+            capsys,
+            "simulate",
+            "--cohort", str(cohort_dir),
+            "--config", str(path),
+            "--out", str(tmp_path / "run"),
+            "--runs", runs,
+        )
+        assert code == 1
+        assert out is None
+        error = json.loads(err)
+        assert error["error"] == "ConfigError"
+        assert f"['{key}'] are set by --cohort and --out" in error["message"]
+        assert not (tmp_path / "run").exists()
+
+    def test_simulate_scheduler_without_max_ticks_runs_fifty_ticks(
+        self, tmp_path, capsys, gen_config
+    ):
+        cohort_dir = tmp_path / "cohort"
+        run_cli(capsys, "generate", "--config", str(gen_config), "--out", str(cohort_dir))
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({"scheduler": {"rng_seed": 1}}))
+        code, out, _ = run_cli(
+            capsys,
+            "simulate",
+            "--cohort", str(cohort_dir),
+            "--config", str(path),
+            "--out", str(tmp_path / "run"),
+        )
+        assert code == 0
+        assert out["ticks"] == 50
+        spec = json.loads((tmp_path / "run" / "run.json").read_text())["spec"]
+        assert spec["scheduler"]["max_ticks"] == 50 and spec["scheduler"]["rng_seed"] == 1
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ('{"noise_scale": 1%s}' % ("0" * 400), "noise_scale"),
+            ('{"hazard_weights": [1%s, 0, 0, 0, 0, 0]}' % ("0" * 400), "hazard_weights"),
+        ],
+        ids=["noise_scale", "hazard_weights"],
+    )
+    def test_generate_with_an_integer_past_the_float_range(self, tmp_path, capsys, config, key):
+        path = tmp_path / "gen.json"
+        path.write_text(config)
+        code, out, err = run_cli(
+            capsys, "generate", "--config", str(path), "--out", str(tmp_path / "cohort")
+        )
+        assert code == 1
+        assert out is None
+        error = json.loads(err)
+        assert error["error"] == "ConfigError"
+        assert error["message"].startswith(f"{key} must be finite, got ")
+        assert not (tmp_path / "cohort").exists()
+
     @pytest.mark.parametrize(
         "bad_line, needle",
         [("1" * 5001, "line 2: invalid JSON"), ('{"type": ', "line 2: invalid JSON")],
@@ -303,6 +373,27 @@ class TestCliErrors:
         error = json.loads(err)
         assert error["error"] == "ConfigError"
         assert f"experiment spec must be a JSON object, got {spec!r}" in error["message"]
+
+    @pytest.mark.parametrize("command", ["replay", "evaluate"])
+    @pytest.mark.parametrize("key", ["cohort_dir", "output_dir"])
+    @pytest.mark.parametrize("value", [5, ["x"], {"a": 1}], ids=["integer", "list", "object"])
+    def test_replay_of_non_string_spec_path(self, tmp_path, capsys, command, key, value):
+        transcript = SimulationTranscript.from_jsonl(COMMITTED_TRANSCRIPT)
+        experiment = transcript.header["experiment"]
+        experiment[key] = value
+        if key == "cohort_dir":
+            experiment["generator"] = None  # so the cohort would be read from cohort_dir
+        transcript.to_jsonl(tmp_path / "transcript.jsonl")
+        if command == "replay":
+            argv = ["replay", "--transcript", str(tmp_path / "transcript.jsonl")]
+        else:
+            argv = ["evaluate", "--run", str(tmp_path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out is None
+        error = json.loads(err)
+        assert error["error"] == "ConfigError"
+        assert f"experiment spec {key} must be a string or null, got {value!r}" in error["message"]
 
     def test_simulate_with_non_integer_tick(self, tmp_path, capsys, gen_config):
         cohort_dir = tmp_path / "cohort"

@@ -7,9 +7,10 @@ import math
 import os
 import pickle
 import random
+import re
 import threading
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,7 @@ from auss.errors import (
     StageError,
     TranscriptChecksumError,
     TranscriptError,
+    read_config,
 )
 from auss.experiment import (
     METRIC_NAMES,
@@ -763,7 +765,7 @@ class TestSpecSerialization:
         with pytest.raises(ConfigError):
             ExperimentSpec.from_dict({"generator": None, "cohort_dir": ".", "bogus": 1})
         with pytest.raises(ConfigError):
-            EvaluationConfig.from_dict({"quiz_items": 3, "bogus": 1})
+            read_config(EvaluationConfig, "evaluation", {"quiz_items": 3, "bogus": 1})
 
     @pytest.mark.parametrize(
         "key, value",
@@ -803,3 +805,73 @@ class TestSpecSerialization:
         assert derive_seed(42, "quiz") == derive_seed(42, "quiz")
         assert derive_seed(42, "quiz") != derive_seed(42, "risk-split")
         assert derive_seed(42, "quiz") != derive_seed(43, "quiz")
+
+
+#: Each section of an experiment spec and the config class it is read into.
+SPEC_SECTIONS = {
+    "generator": GeneratorConfig,
+    "scheduler": SchedulerConfig,
+    "policy": PolicyConfig,
+    "evaluation": EvaluationConfig,
+}
+
+
+class TestSpecReader:
+    """Every spec section is read by ``read_config``, under the same rules."""
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("generator", "n_students", 40.0),
+            ("evaluation", "quiz_items", 5.0),
+            ("policy", "rng_seed", 3.0),
+        ],
+    )
+    def test_integral_float_is_read_as_that_integer(self, section, key, value):
+        spec = ExperimentSpec.from_dict({"cohort_dir": ".", section: {key: value}})
+        read = getattr(getattr(spec, section), key)
+        assert read == value and type(read) is int
+
+    @pytest.mark.parametrize("section", SPEC_SECTIONS)
+    @pytest.mark.parametrize(
+        "value",
+        [[], 0, False, "", "x", [["alpha", 0.5]]],
+        ids=["empty_list", "zero", "false", "empty_string", "string", "pairs"],
+    )
+    def test_non_object_section_is_refused(self, section, value):
+        with pytest.raises(ConfigError, match=f"^{section} config must be a JSON object, got "):
+            ExperimentSpec.from_dict({"cohort_dir": ".", section: value})
+
+    @pytest.mark.parametrize("section", SPEC_SECTIONS)
+    def test_unknown_key_is_refused(self, section):
+        with pytest.raises(ConfigError, match=rf"^unknown {section} config keys: \['bogus'\]$"):
+            ExperimentSpec.from_dict({"cohort_dir": ".", section: {"bogus": 1}})
+
+    @pytest.mark.parametrize("key", ["noise_scale", "hazard_weights"])
+    def test_integer_past_the_float_range_is_refused(self, key):
+        value = 10**400 if key == "noise_scale" else [10**400, 0, 0, 0, 0, 0]
+        with pytest.raises(ConfigError, match=f"^{key} must be finite, got "):
+            ExperimentSpec.from_dict({"generator": {key: value}})
+
+    @pytest.mark.parametrize("make_spec", [reference_spec, small_spec], ids=["reference", "small"])
+    def test_json_round_trip(self, make_spec):
+        spec = make_spec()
+        read = ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert read == spec
+        assert read.to_dict() == spec.to_dict()
+
+    def test_formats_md_lists_every_section_field(self):
+        text = (Path(__file__).parents[1] / "FORMATS.md").read_text(encoding="utf-8")
+        section = text.split("\n## Experiment spec\n", 1)[1].split("\n## ", 1)[0]
+        listed = {
+            (row[0], row[1]): row[2]
+            for row in re.findall(r"^\| `(\w+)` \| `(\w+)` \| `(.+)` \|$", section, re.MULTILINE)
+        }
+        expected = {
+            (name, field.name): json.dumps(
+                list(field.default) if isinstance(field.default, tuple) else field.default
+            )
+            for name, cls in SPEC_SECTIONS.items()
+            for field in fields(cls)
+        }
+        assert listed == expected

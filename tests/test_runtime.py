@@ -21,6 +21,7 @@ from auss.errors import (
     TranscriptChecksumError,
     TranscriptError,
     TranscriptVersionError,
+    read_config,
 )
 from auss.policy import PolicyConfig
 from auss.runtime import (
@@ -573,11 +574,11 @@ class TestLatency:
 class TestSchedulerConfig:
     def test_round_trip(self):
         config = SchedulerConfig(max_ticks=7, rng_seed=3)
-        assert SchedulerConfig.from_dict(config.to_dict()) == config
+        assert read_config(SchedulerConfig, "scheduler", config.to_dict()) == config
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
-            SchedulerConfig.from_dict({"max_ticks": 5, "surprise": 1})
+            read_config(SchedulerConfig, "scheduler", {"max_ticks": 5, "surprise": 1})
 
     def test_duplicate_agents_rejected(self):
         with pytest.raises(ConfigError):
@@ -597,6 +598,5 @@ class TestSchedulerConfig:
             SchedulerConfig(**kwargs)
 
     def test_from_dict_coerces_integral_floats(self):
-        assert SchedulerConfig.from_dict({"max_ticks": 12.0, "rng_seed": 3.0}) == SchedulerConfig(
-            max_ticks=12, rng_seed=3
-        )
+        read = read_config(SchedulerConfig, "scheduler", {"max_ticks": 12.0, "rng_seed": 3.0})
+        assert read == SchedulerConfig(max_ticks=12, rng_seed=3)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from auss.cohort_files import EVENTS_FILE, GROUND_TRUTH_FILE, STUDENTS_FILE
 from auss.domain import validate_cohort
-from auss.errors import CohortFormatError, ConfigError
+from auss.errors import CohortFormatError, ConfigError, read_config
 from auss.institution import FEATURE_ORDER, aggregate_features
 from auss.synthetic import (
     GeneratorConfig,
@@ -137,7 +137,7 @@ class TestGenerate:
         with pytest.raises(ConfigError, match="hazard_weights"):
             GeneratorConfig(hazard_weights=(1.0, 2.0))
         with pytest.raises(ConfigError, match="unknown"):
-            GeneratorConfig.from_dict({"n_studentz": 5})
+            read_config(GeneratorConfig, "generator", {"n_studentz": 5})
 
     @pytest.mark.parametrize(
         "key",
@@ -148,7 +148,7 @@ class TestGenerate:
         default = GeneratorConfig().to_dict()[key]
         value = [*default[:-1], bad] if isinstance(default, list) else bad
         with pytest.raises(ConfigError, match=f"^{key} must be finite"):
-            GeneratorConfig.from_dict({key: value})
+            read_config(GeneratorConfig, "generator", {key: value})
 
 
 @st.composite
