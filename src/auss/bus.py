@@ -3,6 +3,16 @@
 Agents publish typed trigger events; the bus queues them and fans them out
 to matching subscribers when the scheduler calls :meth:`EventBus.deliver_tick`.
 A global sequence number makes delivery transcripts reproducible.
+
+Batches: :meth:`EventBus.publish_many` queues the triggers of one source at
+one tick, one kind per item, so a batch may interleave kinds. It checks
+every payload before it stamps any, so a bad payload anywhere in a batch
+raises the ``ValueError`` that payload's own publish would raise, and
+queues and writes nothing. It then stamps the batch one contiguous id
+range in batch order under one lock, and appends the batch's lines to the
+JSONL sink in one write. Its ids, queue order, deliveries and sink lines
+equal those of a loop of :meth:`EventBus.publish` calls over its items;
+an empty batch takes no id. ``publish`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -11,8 +21,9 @@ import json
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import SchedulerProtocolError, UnknownSubscriberError
 
@@ -118,18 +129,43 @@ class EventBus:
 
     def publish(self, event: Event) -> int:
         """Queue an event for the next delivery; returns the assigned id."""
-        _validate_payload(event.payload)
+        (event_id,) = self.publish_many(
+            event.tick, event.source_agent, (event.kind,), (event.payload,)
+        )
+        return event_id
+
+    def publish_many(
+        self,
+        tick: int,
+        source_agent: AgentName,
+        kinds: Sequence[TriggerKind],
+        payloads: Sequence[Mapping[str, object]],
+    ) -> range:
+        """Queue one event per (kind, payload), in order; returns their ids.
+
+        Every payload is checked before any id is stamped, so a bad one
+        queues nothing. The ids are one contiguous range.
+        """
+        if len(kinds) != len(payloads):
+            raise ValueError(f"{len(kinds)} kinds for {len(payloads)} payloads")
+        for payload in payloads:
+            _validate_payload(payload)
         with self._lock:
-            stamped = Event(
-                event.tick, event.source_agent, event.kind, event.payload, self._next_id
+            first = self._next_id
+            stamped = [
+                Event(tick, source_agent, kind, payload, event_id)
+                for event_id, kind, payload in zip(count(first), kinds, payloads)
+            ]
+            self._next_id = first + len(stamped)
+            self._pending.extend(stamped)
+        if self._transcript_path is not None and stamped:
+            lines = "".join(
+                json.dumps(event.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+                for event in stamped
             )
-            self._next_id += 1
-            self._pending.append(stamped)
-        if self._transcript_path is not None:
-            line = json.dumps(stamped.to_json_dict(), sort_keys=True, separators=(",", ":"))
             with self._transcript_path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-        return stamped.event_id
+                fh.write(lines)
+        return range(first, first + len(stamped))
 
     @property
     def pending_count(self) -> int:
@@ -152,9 +188,7 @@ class EventBus:
         with self._lock:
             batch = self._pending
             self._pending = []
-        inboxes: dict[str, list[Event]] = {name: [] for name in self._subscriptions}
-        for event in batch:
-            for subscriber, kinds in self._subscriptions.items():
-                if event.kind in kinds:
-                    inboxes[subscriber].append(event)
-        return inboxes
+        return {
+            subscriber: [event for event in batch if event.kind in kinds]
+            for subscriber, kinds in self._subscriptions.items()
+        }

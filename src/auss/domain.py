@@ -489,6 +489,13 @@ def _is_finite(x: float) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
 
 
+def _flagged(flags: np.ndarray) -> list[tuple[int, int]]:
+    """(row, rule column) of every set flag, row by row; a clean table skips ``nonzero``."""
+    if not flags.any():
+        return []
+    return list(zip(*(axis.tolist() for axis in np.nonzero(flags))))
+
+
 def _event_violations(cohort: Cohort) -> list[Violation]:
     """The event rules over the columns, event by event and in rule order per event."""
     events = cohort.event_columns
@@ -513,7 +520,7 @@ def _event_violations(cohort: Cohort) -> list[Violation]:
         ]
     )
     violations = []
-    for i, rule in zip(*(axis.tolist() for axis in np.nonzero(flags))):
+    for i, rule in _flagged(flags):
         sid = events.student_ids[student[i]]
         if rule == 0:
             violations.append(Violation(sid, "unknown_student", "event references unknown student"))
@@ -590,7 +597,7 @@ def validate_cohort(cohort: Cohort) -> list[Violation]:
             ~assessments.ungraded & ~(np.isfinite(score) & (score >= 0.0) & (score <= 1.0)),
         ]
     )
-    for i, rule in zip(*(axis.tolist() for axis in np.nonzero(flags))):
+    for i, rule in _flagged(flags):
         sid = assessments.student_ids[assessments.student[i]]
         if rule == 0:
             violations.append(

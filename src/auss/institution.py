@@ -178,7 +178,10 @@ class FeatureTracker:
         submission = events.kind == EventKind.SUBMISSION.code
 
         self._last_event_tick[rows] = np.maximum(self._last_event_tick[rows], tick)
-        self._absence_ticks[np.unique(rows[absent])] += 1
+        # A row mask: np.unique would import numpy.ma on the first ingest.
+        absentees = np.zeros(len(self._ids), dtype=bool)
+        absentees[rows[absent]] = True
+        self._absence_ticks[absentees] += 1
         x = float(tick)
         engaged, engagement_means = self._tick_means(rows[~absent], values[~absent])
         self._engagement.add(engaged, x, engagement_means)
@@ -408,10 +411,11 @@ class InstitutionAgent(Agent):
         return decisions
 
     def act(self, decisions: dict, publish: Publisher) -> list[Action]:
-        actions: list[Action] = []
-        for payload in decisions["new_flags"]:
-            sid = payload["student_id"]
-            self.flagged.add(sid)
-            publish.publish(TriggerKind.AT_RISK_FLAG, payload)
-            actions.append(Action(kind="flag_at_risk", student_id=sid, detail=payload))
-        return actions
+        """Publish the new flags as one batch."""
+        flags = decisions["new_flags"]
+        self.flagged.update(payload["student_id"] for payload in flags)
+        publish.publish_many([TriggerKind.AT_RISK_FLAG] * len(flags), flags)
+        return [
+            Action(kind="flag_at_risk", student_id=payload["student_id"], detail=payload)
+            for payload in flags
+        ]

@@ -334,10 +334,10 @@ def fit_logistic(x: np.ndarray, y: np.ndarray) -> LogisticModel:
     x, y = _finite_inputs(x, y, "logistic regression")
     if len(y) == 0:
         raise InsufficientDataError("cannot fit logistic regression on zero samples")
-    classes = np.unique(y)
-    if not np.all(np.isin(classes, (0.0, 1.0))):
-        raise MetricInputError(f"labels must be binary 0/1, got {classes}")
-    if len(classes) < 2:
+    # Plain comparisons: np.unique would import numpy.ma on every fit.
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise MetricInputError(f"labels must be binary 0/1, got {np.unique(y)}")
+    if np.all(y == y[0]):
         raise InsufficientDataError("labels contain a single class; need both outcomes")
 
     means = x.mean(axis=0)

@@ -113,7 +113,16 @@ class TickOutcome:
 
 
 class Publisher:
-    """Bus handle that only works while the scheduler holds it open."""
+    """Bus handle that only works while the scheduler holds it open.
+
+    ``publish_many(kinds, payloads)`` publishes an act's triggers as one
+    batch, one kind per payload: the bus validates the whole batch before
+    it stamps any id (a bad payload publishes and records nothing), stamps
+    one contiguous id range in batch order, and the transcript gets one
+    ``event`` record per item in that order. That equals a loop of
+    ``publish`` calls over the items, which is a batch of one. The bus
+    queues a copy of each payload, and the transcript records another.
+    """
 
     def __init__(self, bus: EventBus, transcript: "SimulationTranscript"):
         self._bus = bus
@@ -130,16 +139,21 @@ class Publisher:
         self._tick = None
 
     def publish(self, kind: TriggerKind, payload: Mapping[str, object] | None = None) -> int:
+        (event_id,) = self.publish_many((kind,), (payload or {},))
+        return event_id
+
+    def publish_many(
+        self, kinds: Sequence[TriggerKind], payloads: Sequence[Mapping[str, object]]
+    ) -> range:
+        """Publish ``payloads[i]`` as a ``kinds[i]`` trigger, in order; returns the ids."""
         if self._source is None or self._tick is None:
             raise PhaseDisciplineError(
                 "publishing is only allowed from the act phase (or the policy step)"
             )
-        event = Event(
-            tick=self._tick, source_agent=self._source, kind=kind, payload=dict(payload or {})
-        )
-        event_id = self._bus.publish(event)
-        self._transcript.record_event(event, event_id)
-        return event_id
+        payloads = [dict(payload) for payload in payloads]
+        event_ids = self._bus.publish_many(self._tick, self._source, kinds, payloads)
+        self._transcript.record_events(self._tick, self._source, kinds, payloads, event_ids)
+        return event_ids
 
 
 class Agent(ABC):
@@ -258,16 +272,25 @@ class SimulationTranscript:
 
     # The scheduler's own writers build a fresh record and skip the copy.
 
-    def record_event(self, event: Event, event_id: int) -> None:
-        self.records.append(
+    def record_events(
+        self,
+        tick: int,
+        source: AgentName,
+        kinds: Sequence[TriggerKind],
+        payloads: Sequence[Mapping[str, object]],
+        event_ids: Sequence[int],
+    ) -> None:
+        source_agent = source.value
+        self.records.extend(
             {
                 "type": "event",
                 "event_id": event_id,
-                "tick": event.tick,
-                "source_agent": event.source_agent.value,
-                "kind": event.kind.value,
-                "payload": dict(event.payload),
+                "tick": tick,
+                "source_agent": source_agent,
+                "kind": kind.value,
+                "payload": dict(payload),
             }
+            for event_id, kind, payload in zip(event_ids, kinds, payloads)
         )
 
     def record_delivery(self, tick: int, subscriber: str, event_ids: Sequence[int]) -> None:
@@ -280,8 +303,8 @@ class SimulationTranscript:
             {"type": "phase", "tick": tick, "agent": agent, "phase": phase, "wall_ns": wall_ns}
         )
 
-    def record_action(self, tick: int, agent: str, action: Action) -> None:
-        self.records.append(
+    def record_actions(self, tick: int, agent: str, actions: Sequence[Action]) -> None:
+        self.records.extend(
             {
                 "type": "action",
                 "tick": tick,
@@ -290,6 +313,7 @@ class SimulationTranscript:
                 "student_id": action.student_id,
                 "detail": dict(action.detail),
             }
+            for action in actions
         )
 
     # -- readers ----------------------------------------------------------
@@ -616,8 +640,7 @@ def run(
 
             for phase, begin, end in zip(PHASES, stamps, stamps[1:]):
                 transcript.record_phase(tick, agent_name, phase, end - begin)
-            for action in actions:
-                transcript.record_action(tick, agent_name, action)
+            transcript.record_actions(tick, agent_name, actions)
 
         if policy_driver is not None:
             publisher._open(AgentName.ENVIRONMENT, tick)

@@ -487,19 +487,22 @@ class GapDetector:
         means, disengaged, slopes, declining = _gap_rules(
             engagement, scores, self.engagement_threshold, self.slope_threshold
         )
+        rows = np.flatnonzero(disengaged | declining)
+        # The hit rows' flags and values as Python lists, read once each.
+        rules = (
+            (TriggerKind.DISENGAGEMENT, disengaged[rows].tolist(), means[rows].tolist()),
+            (TriggerKind.PERFORMANCE_DECLINE, declining[rows].tolist(), slopes[rows].tolist()),
+        )
         signals: list[GapSignal] = []
-        for i in np.flatnonzero(disengaged | declining).tolist():
+        for j, i in enumerate(rows.tolist()):
             student_id = student_ids[i]
-            for kind, hit, values in (
-                (TriggerKind.DISENGAGEMENT, disengaged, means),
-                (TriggerKind.PERFORMANCE_DECLINE, declining, slopes),
-            ):
-                if not hit[i]:
+            for kind, hit, values in rules:
+                if not hit[j]:
                     continue
                 last = self._last_emitted.get((student_id, kind))
                 if last is None or tick - last >= self.window_len:
                     self._last_emitted[(student_id, kind)] = tick
-                    signals.append(GapSignal(kind, student_id, float(values[i])))
+                    signals.append(GapSignal(kind, student_id, values[j]))
         return signals
 
 
@@ -563,26 +566,29 @@ class StudentAgent(Agent):
         return {"tick": view.tick, "gaps": gaps, "recommend": recommend}
 
     def act(self, decisions: dict, publish: Publisher) -> list[Action]:
-        actions: list[Action] = []
-        for gap in decisions["gaps"]:
-            payload = {"student_id": gap.student_id, "value": gap.value}
-            publish.publish(gap.kind, payload)
-            actions.append(Action(kind=gap.kind.value, student_id=gap.student_id, detail=payload))
-        if decisions["recommend"]:
+        """Publish the gap triggers, then the recommendations, each as one batch."""
+        gaps = decisions["gaps"]
+        payloads = [{"student_id": gap.student_id, "value": gap.value} for gap in gaps]
+        publish.publish_many([gap.kind for gap in gaps], payloads)
+        actions = [
+            Action(kind=gap.kind.value, student_id=gap.student_id, detail=payload)
+            for gap, payload in zip(gaps, payloads)
+        ]
+        requested = decisions["recommend"]
+        if requested:
             matrix = InteractionMatrix.from_counts(
                 self._interaction_counts, self.cohort.student_ids, self.cohort.resource_ids
             )
-            recommendations = recommend_top_k(
-                matrix, decisions["recommend"], self.top_k, self.neighborhood
-            )
-            for sid, recommendation in zip(decisions["recommend"], recommendations):
-                self._last_recommended[sid] = decisions["tick"]
-                if not recommendation.items:
-                    continue
-                payload = {
-                    "student_id": sid,
-                    "resource_ids": list(recommendation.resource_ids),
-                }
-                publish.publish(TriggerKind.RECOMMENDATION_ISSUED, payload)
-                actions.append(Action(kind="recommend", student_id=sid, detail=payload))
+            recommendations = recommend_top_k(matrix, requested, self.top_k, self.neighborhood)
+            self._last_recommended.update(dict.fromkeys(requested, decisions["tick"]))
+            issued = [
+                {"student_id": sid, "resource_ids": list(recommendation.resource_ids)}
+                for sid, recommendation in zip(requested, recommendations)
+                if recommendation.items
+            ]
+            publish.publish_many([TriggerKind.RECOMMENDATION_ISSUED] * len(issued), issued)
+            actions += [
+                Action(kind="recommend", student_id=payload["student_id"], detail=payload)
+                for payload in issued
+            ]
         return actions

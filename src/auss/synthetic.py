@@ -44,6 +44,10 @@ from .institution import FEATURE_ORDER
 from .learners import sigmoid
 
 
+#: The largest size numpy accepts for an array dimension.
+_MAX_SIZE = np.iinfo(np.intp).max
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     n_students: int = 1000
@@ -68,6 +72,11 @@ class GeneratorConfig:
         for name in ("n_students", "n_resources", "n_ticks"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            if getattr(self, name) > _MAX_SIZE:
+                raise ConfigError(
+                    f"{name} must be at most {_MAX_SIZE}, the largest numpy array size, "
+                    f"got {getattr(self, name)}"
+                )
         if not 0.0 <= self.engagement_persistence < 1.0:
             raise ConfigError(
                 f"engagement_persistence must be in [0, 1), got {self.engagement_persistence}"

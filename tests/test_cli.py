@@ -342,6 +342,29 @@ class TestCliErrors:
         assert error["message"].startswith(f"{key} must be finite, got ")
         assert not (tmp_path / "cohort").exists()
 
+    # Only sizes past numpy's array-size limit: numpy refuses them before it
+    # allocates anything, where a size below the limit would try to allocate it.
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ('{"n_students": 1%s}' % ("0" * 30), "n_students"),
+            ('{"n_resources": 1e30}', "n_resources"),
+        ],
+        ids=["n_students", "n_resources"],
+    )
+    def test_generate_with_a_size_past_numpys_limit(self, tmp_path, capsys, config, key):
+        path = tmp_path / "gen.json"
+        path.write_text(config)
+        code, out, err = run_cli(
+            capsys, "generate", "--config", str(path), "--out", str(tmp_path / "cohort")
+        )
+        assert code == 1
+        assert out is None
+        error = json.loads(err)
+        assert error["error"] == "ConfigError"
+        assert error["message"].startswith(f"{key} must be at most {2**63 - 1}")
+        assert not (tmp_path / "cohort").exists()
+
     @pytest.mark.parametrize(
         "bad_line, needle",
         [("1" * 5001, "line 2: invalid JSON"), ('{"type": ', "line 2: invalid JSON")],

@@ -13,7 +13,8 @@ or type alias) is dead code when no file under ``src``, ``tests`` or
 ``perfbench`` loads it, as a bare name or as an attribute.
 
 Importing the package, or its cohort-file module, loads no orjson: only
-writing a transcript and reading events.jsonl import it.
+writing a transcript and reading events.jsonl import it. A simulation and
+its cohort metrics load no ``numpy.ma``.
 """
 
 from __future__ import annotations
@@ -115,6 +116,34 @@ def test_every_public_constant_is_read(path):
 @pytest.mark.parametrize("module", ["auss", "auss.cohort_files"])
 def test_import_leaves_orjson_unloaded(module):
     code = f"import sys, {module}; print('orjson' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "False\n"
+
+
+def test_run_leaves_numpy_ma_unloaded():
+    # numpy 2.4's np.unique(ar) imports numpy.ma (about 10 ms) through np.ma.is_masked.
+    code = (
+        "import sys\n"
+        "from auss.experiment import (\n"
+        "    EvaluationConfig, ExperimentSpec, _cohort_metrics, load_experiment_cohort, simulate,\n"
+        ")\n"
+        "from auss.policy import PolicyConfig\n"
+        "from auss.runtime import SchedulerConfig\n"
+        "from auss.synthetic import GeneratorConfig\n"
+        "spec = ExperimentSpec(\n"
+        "    generator=GeneratorConfig(n_students=30, n_resources=6, n_ticks=12, seed=5),\n"
+        "    scheduler=SchedulerConfig(max_ticks=12, rng_seed=5),\n"
+        "    policy=PolicyConfig(rng_seed=5),\n"
+        "    evaluation=EvaluationConfig(quiz_items=5, recommend_neighborhood=5),\n"
+        ")\n"
+        "cohort = load_experiment_cohort(spec)\n"
+        "simulate(cohort, spec)\n"
+        "_cohort_metrics(cohort, spec)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     run = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
