@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -115,36 +116,40 @@ class TransitionSample:
 
 
 class QTable:
-    """Dense action-value table: all 27 x 5 entries always present."""
+    """Dense action-value table: every (state, action) entry present, 0.0 at start.
 
-    def __init__(self, values: dict[tuple[SystemState, InterventionAction], float] | None = None):
-        self._values: dict[tuple[SystemState, InterventionAction], float] = {
-            (s, a): 0.0 for s in all_states() for a in ACTIONS
+    ``states=None`` means ``all_states()``, so ``QTable()`` is the run's 27 x 5
+    table; ``train_on_mdp`` passes ``range(n_states)`` and ``range(n_actions)``.
+    ``actions`` fixes the order in which ``greedy_action`` breaks ties and
+    ``select_action`` explores.
+    """
+
+    def __init__(
+        self, states: Iterable[Hashable] | None = None, actions: Iterable[Hashable] = ACTIONS
+    ):
+        self.actions = tuple(actions)
+        self._values: dict[tuple[Hashable, Hashable], float] = {
+            (s, a): 0.0 for s in (all_states() if states is None else states) for a in self.actions
         }
-        if values is not None:
-            for key, value in values.items():
-                if key not in self._values:
-                    raise ValueError(f"unknown state/action pair {key!r}")
-                self._values[key] = float(value)
 
-    def get(self, state: SystemState, action: InterventionAction) -> float:
+    def get(self, state: Hashable, action: Hashable) -> float:
         return self._values[(state, action)]
 
-    def set(self, state: SystemState, action: InterventionAction, value: float) -> None:
+    def set(self, state: Hashable, action: Hashable, value: float) -> None:
         if not math.isfinite(value):
             raise ValueError(f"Q value must be finite, got {value!r}")
         if (state, action) not in self._values:
             raise ValueError(f"unknown state/action pair {(state, action)!r}")
         self._values[(state, action)] = float(value)
 
-    def max_value(self, state: SystemState) -> float:
-        return max(self._values[(state, a)] for a in ACTIONS)
+    def max_value(self, state: Hashable) -> float:
+        return max(self._values[(state, a)] for a in self.actions)
 
-    def greedy_action(self, state: SystemState) -> InterventionAction:
-        """First maximal action in enum order (the deterministic tie-break)."""
-        best = ACTIONS[0]
+    def greedy_action(self, state: Hashable) -> Hashable:
+        """First maximal action in ``actions`` order (the deterministic tie-break)."""
+        best = self.actions[0]
         best_value = self._values[(state, best)]
-        for action in ACTIONS[1:]:
+        for action in self.actions[1:]:
             value = self._values[(state, action)]
             if value > best_value:
                 best, best_value = action, value
@@ -152,9 +157,6 @@ class QTable:
 
     def items(self):
         return self._values.items()
-
-    def as_dict(self) -> dict[tuple[SystemState, InterventionAction], float]:
-        return dict(self._values)
 
 
 def q_update(table: QTable, sample: TransitionSample, config: PolicyConfig) -> QTable:
@@ -168,16 +170,16 @@ def q_update(table: QTable, sample: TransitionSample, config: PolicyConfig) -> Q
     return table
 
 
-def select_action(
-    table: QTable, state: SystemState, config: PolicyConfig, rng: random.Random
-) -> InterventionAction:
-    """Epsilon-greedy selection; exploitation breaks ties by enum order.
+def select_action(table: QTable, state: Hashable, epsilon: float, rng: random.Random) -> Hashable:
+    """Epsilon-greedy selection over ``table.actions``; exploitation is
+    ``table.greedy_action``.
 
     Always consumes one uniform draw so replayed seeds stay aligned
-    regardless of epsilon.
+    regardless of epsilon. The run passes its config's epsilon on every
+    tick; ``train_on_mdp`` passes its decayed value.
     """
-    if rng.random() < config.epsilon:
-        return ACTIONS[rng.randrange(len(ACTIONS))]
+    if rng.random() < epsilon:
+        return table.actions[rng.randrange(len(table.actions))]
     return table.greedy_action(state)
 
 
@@ -241,7 +243,7 @@ def compute_reward(
     return reward
 
 
-# -- generic finite-MDP training (test fixtures and benchmarks) -------------
+# -- generic finite-MDP training (test fixtures) ------------------------------
 
 
 @dataclass(frozen=True)
@@ -263,6 +265,10 @@ class FiniteMDP:
             raise ValueError("MDP needs at least one state and one action")
         if len(self.next_states) != self.n_states or len(self.rewards) != self.n_states:
             raise ValueError("transition/reward tables must cover every state")
+        if not 0 <= self.start_state < self.n_states:
+            raise ValueError(f"start state {self.start_state} is outside the state space")
+        if not all(0 <= s < self.n_states for s in self.terminal_states):
+            raise ValueError(f"terminal states {sorted(self.terminal_states)} leave the space")
         for s in range(self.n_states):
             if len(self.next_states[s]) != self.n_actions or len(self.rewards[s]) != self.n_actions:
                 raise ValueError(f"state {s} is missing action entries")
@@ -279,20 +285,17 @@ def train_on_mdp(
     episodes: int,
     *,
     max_steps_per_episode: int = 50,
-    initial_q: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[float]]:
-    """Run epsilon-greedy Q-learning episodes on a finite MDP fixture.
+    """Run epsilon-greedy Q-learning episodes on a finite MDP fixture, with the
+    run's ``QTable``, ``select_action`` and ``q_update``.
 
-    Returns the learned Q array of shape (n_states, n_actions) and the
-    undiscounted per-episode return curve. Zero episodes return the initial
-    table unchanged.
+    Epsilon starts at ``config.epsilon`` and is multiplied by
+    ``config.epsilon_decay`` after each episode. A terminal state's row is never
+    updated, so it stays 0.0 and a step into it has target r. Returns the
+    learned Q array of shape (n_states, n_actions) and the undiscounted
+    per-episode return curve; zero episodes return the zero table.
     """
-    if initial_q is None:
-        q = np.zeros((mdp.n_states, mdp.n_actions))
-    else:
-        q = np.array(initial_q, dtype=float)
-        if q.shape != (mdp.n_states, mdp.n_actions):
-            raise ValueError(f"initial_q has shape {q.shape}, expected {(mdp.n_states, mdp.n_actions)}")
+    table = QTable(range(mdp.n_states), range(mdp.n_actions))
     rng = random.Random(config.rng_seed)
     epsilon = config.epsilon
     curve: list[float] = []
@@ -302,19 +305,12 @@ def train_on_mdp(
         for _ in range(max_steps_per_episode):
             if state in mdp.terminal_states:
                 break
-            if rng.random() < epsilon:
-                action = rng.randrange(mdp.n_actions)
-            else:
-                action = int(np.argmax(q[state]))
+            action = select_action(table, state, epsilon, rng)
             next_state = mdp.next_states[state][action]
             reward = mdp.rewards[state][action]
+            q_update(table, TransitionSample(state, action, reward, next_state), config)
             episode_return += reward
-            if next_state in mdp.terminal_states:
-                target = reward
-            else:
-                target = reward + config.gamma * float(np.max(q[next_state]))
-            q[state, action] += config.alpha * (target - q[state, action])
             state = next_state
         curve.append(episode_return)
         epsilon *= config.epsilon_decay
-    return q, curve
+    return np.array([[table.get(s, a) for a in table.actions] for s in range(mdp.n_states)]), curve

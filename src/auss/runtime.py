@@ -458,9 +458,9 @@ class PolicyDriver:
     features.
     """
 
-    def __init__(self, config: PolicyConfig, table: QTable | None = None):
+    def __init__(self, config: PolicyConfig):
         self.config = config
-        self.table = table if table is not None else QTable()
+        self.table = QTable()
         self.rng = random.Random(config.rng_seed)
         # (state, action, row) of the last decision, settled at the next tick.
         self.pending: tuple[SystemState, InterventionAction, int] | None = None
@@ -502,7 +502,7 @@ class PolicyDriver:
         # smallest student id.
         row = int(active[np.argmax(snapshot.risk[active])])
         state = discretize_state(*snapshot.signals(row))
-        action = select_action(self.table, state, self.config, self.rng)
+        action = select_action(self.table, state, self.config.epsilon, self.rng)
         if action is not InterventionAction.NO_OP:
             publisher.publish(
                 TriggerKind.INTERVENTION_REQUEST,

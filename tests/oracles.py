@@ -190,6 +190,42 @@ def value_iteration(
     return q
 
 
+def numpy_train_on_mdp(
+    mdp, config, episodes: int, *, max_steps_per_episode: int = 50
+) -> tuple[np.ndarray, list[float]]:
+    """Epsilon-greedy Q-learning on a numpy table, with its own greedy choice
+    (``np.argmax``), epsilon draw and terminal-case TD target (r alone).
+
+    ``policy.train_on_mdp`` must give the same Q bytes and return curve.
+    """
+    q = np.zeros((mdp.n_states, mdp.n_actions))
+    rng = random.Random(config.rng_seed)
+    epsilon = config.epsilon
+    curve: list[float] = []
+    for _ in range(episodes):
+        state = mdp.start_state
+        episode_return = 0.0
+        for _ in range(max_steps_per_episode):
+            if state in mdp.terminal_states:
+                break
+            if rng.random() < epsilon:
+                action = rng.randrange(mdp.n_actions)
+            else:
+                action = int(np.argmax(q[state]))
+            next_state = mdp.next_states[state][action]
+            reward = mdp.rewards[state][action]
+            episode_return += reward
+            if next_state in mdp.terminal_states:
+                target = reward
+            else:
+                target = reward + config.gamma * float(np.max(q[next_state]))
+            q[state, action] += config.alpha * (target - q[state, action])
+            state = next_state
+        curve.append(episode_return)
+        epsilon *= config.epsilon_decay
+    return q, curve
+
+
 def confusion_f1(
     predicted: Mapping[str, bool], actual: Mapping[str, bool]
 ) -> tuple[float, float, float]:

@@ -8,6 +8,7 @@ import os
 import pickle
 import random
 import re
+import struct
 import threading
 import warnings
 from dataclasses import fields, replace
@@ -49,7 +50,17 @@ from auss.experiment import (
     simulate,
 )
 from auss.institution import load_report
-from auss.policy import PolicyConfig
+from auss.policy import (
+    EngagementLevel,
+    InterventionAction,
+    PerformanceTrend,
+    PolicyConfig,
+    QTable,
+    RiskTier,
+    SystemState,
+    TransitionSample,
+    q_update,
+)
 from auss.runtime import SchedulerConfig, SimulationTranscript
 from auss.student import InteractionMatrix
 from auss.synthetic import GeneratorConfig, export_cohort, generate_cohort
@@ -405,6 +416,41 @@ def test_reference_agent_activity_from_transcript():
         "flags_raised": 690,
     }
     assert activity["events_processed"] == load_report(transcript).counts["institution_agent"]
+
+
+def _system_state(names) -> SystemState:
+    engagement, trend, risk = names
+    return SystemState(EngagementLevel(engagement), PerformanceTrend(trend), RiskTier(risk))
+
+
+@pytest.mark.parametrize("source", ["committed", "reference"])
+def test_final_qtable_is_the_rewards_folded_through_q_update(source):
+    """The ``qtable`` record is every ``reward`` record, in order, applied by
+    ``q_update`` to a fresh table with the header's alpha and gamma."""
+    if source == "committed":
+        transcript = SimulationTranscript.from_jsonl(COMMITTED_TRANSCRIPT)
+    else:
+        spec = reference_spec()
+        transcript = simulate(load_experiment_cohort(spec), spec)
+    policy = transcript.header["experiment"]["policy"]
+    config = PolicyConfig(alpha=policy["alpha"], gamma=policy["gamma"])
+    table = QTable()
+    rewards = transcript.of_type("reward")
+    for record in rewards:
+        sample = TransitionSample(
+            _system_state(record["state"]),
+            InterventionAction(record["action"]),
+            record["reward"],
+            _system_state(record["next_state"]),
+        )
+        q_update(table, sample, config)
+    folded = {
+        "|".join([*state.as_tuple(), action.value]): struct.pack("<d", value)
+        for (state, action), value in table.items()
+    }
+    (final,) = transcript.of_type("qtable")
+    assert {key: struct.pack("<d", value) for key, value in final["values"].items()} == folded
+    assert len(rewards) == {"committed": 11, "reference": 49}[source]
 
 
 class TestReplay:

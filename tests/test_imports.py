@@ -10,7 +10,10 @@ own module never loads is dead code.
 
 A public module-level name bound by assignment in ``src/auss`` (a constant
 or type alias) is dead code when no file under ``src``, ``tests`` or
-``perfbench`` loads it, as a bare name or as an attribute.
+``perfbench`` loads it, as a bare name or as an attribute. So is a public
+module-level function or class, or a public method of a module-level class.
+``perfbench/tracing.py`` names the functions and methods it wraps as strings;
+each of its strings counts as a read.
 
 Importing the package, or its cohort-file module, loads no orjson: only
 writing a transcript and reading events.jsonl import it. A simulation and
@@ -35,6 +38,7 @@ TEST_MODULES = sorted(TESTS.glob("*.py"))
 READERS = [
     p for directory in (SRC, TESTS, TESTS.parent / "perfbench") for p in directory.rglob("*.py")
 ]
+TRACING = TESTS.parent / "perfbench" / "tracing.py"
 
 
 def _module_imports(tree: ast.Module) -> dict[str, int]:
@@ -87,7 +91,8 @@ def test_module_uses_every_private_helper(path):
 
 @functools.cache
 def _names_read() -> frozenset[str]:
-    """Every name that some reader loads, as a bare name or an attribute."""
+    """Every name that some reader loads, as a bare name or an attribute, and
+    every string in ``perfbench/tracing.py``, which names what it wraps."""
     read = set()
     for path in READERS:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
@@ -95,6 +100,8 @@ def _names_read() -> frozenset[str]:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
+            elif path == TRACING and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
     return frozenset(read)
 
 
@@ -111,6 +118,29 @@ def test_every_public_constant_is_read(path):
         and target.id not in _names_read()
     )
     assert not unread, f"public constants no file reads: {unread}"
+
+
+def _public_defs(tree: ast.Module):
+    """(line, name, label) of each public module-level function and class, and
+    of each public method of a module-level class (labelled ``Class.method``)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.lineno, node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.lineno, item.name, f"{node.name}.{item.name}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_function_class_and_method_is_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unread = sorted(
+        f"{path.name}:{line} {label}"
+        for line, name, label in _public_defs(tree)
+        if name not in _names_read()
+    )
+    assert not unread, f"public functions, classes and methods no file reads: {unread}"
 
 
 @pytest.mark.parametrize("module", ["auss", "auss.cohort_files"])

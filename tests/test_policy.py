@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from auss.errors import ConfigError
 from auss.policy import (
@@ -25,7 +27,7 @@ from auss.policy import (
     train_on_mdp,
 )
 
-from oracles import value_iteration
+from oracles import numpy_train_on_mdp, value_iteration
 
 S_LOW = SystemState(EngagementLevel.LOW, PerformanceTrend.FLAT, RiskTier.OK)
 S_HIGH = SystemState(EngagementLevel.HIGH, PerformanceTrend.IMPROVING, RiskTier.CRITICAL)
@@ -63,10 +65,10 @@ class TestQUpdate:
         for state in all_states():
             for action in ACTIONS:
                 table.set(state, action, rng.uniform(-1, 1))
-        before = table.as_dict()
+        before = dict(table.items())
         sample = TransitionSample(S_LOW, InterventionAction.ESCALATE_TO_EDUCATOR, 0.7, S_HIGH)
         q_update(table, sample, PolicyConfig(alpha=0.3, gamma=0.5))
-        after = table.as_dict()
+        after = dict(table.items())
         changed = [key for key in before if before[key] != after[key]]
         assert changed == [(S_LOW, InterventionAction.ESCALATE_TO_EDUCATOR)]
 
@@ -87,21 +89,19 @@ class TestSelectAction:
     def test_greedy_picks_unique_max(self):
         table = QTable()
         table.set(S_LOW, InterventionAction.SEND_ALERT, 3.0)
-        config = PolicyConfig(epsilon=0.0)
-        action = select_action(table, S_LOW, config, random.Random(0))
+        action = select_action(table, S_LOW, 0.0, random.Random(0))
         assert action is InterventionAction.SEND_ALERT
 
     def test_all_equal_breaks_tie_to_first_action(self):
         table = QTable()
-        action = select_action(table, S_LOW, PolicyConfig(epsilon=0.0), random.Random(0))
+        action = select_action(table, S_LOW, 0.0, random.Random(0))
         assert action is InterventionAction.NO_OP
 
     def test_full_exploration_replays_with_seed(self):
         table = QTable()
-        config = PolicyConfig(epsilon=1.0)
         rng_a, rng_b = random.Random(99), random.Random(99)
-        first = [select_action(table, S_LOW, config, rng_a) for _ in range(10)]
-        second = [select_action(table, S_LOW, config, rng_b) for _ in range(10)]
+        first = [select_action(table, S_LOW, 1.0, rng_a) for _ in range(10)]
+        second = [select_action(table, S_LOW, 1.0, rng_b) for _ in range(10)]
         assert first == second
         assert len(set(first)) > 1  # the draw actually explores
 
@@ -113,11 +113,11 @@ class TestSelectAction:
                 for action in ACTIONS:
                     table.set(state, action, rng.uniform(-2, 2))
             state = rng.choice(all_states())
-            base = select_action(table, state, PolicyConfig(epsilon=0.0), random.Random(0))
-            scaled = QTable({k: 7.5 * v for k, v in table.items()})
-            assert (
-                select_action(scaled, state, PolicyConfig(epsilon=0.0), random.Random(0)) is base
-            )
+            base = select_action(table, state, 0.0, random.Random(0))
+            scaled = QTable()
+            for (s, a), value in table.items():
+                scaled.set(s, a, 7.5 * value)
+            assert select_action(scaled, state, 0.0, random.Random(0)) is base
 
 
 class TestDiscretize:
@@ -219,20 +219,90 @@ class TestTrainOnMdp:
                 assert q[s, a] == pytest.approx(oracle[s][a], abs=1e-3), f"Q({s},{a})"
 
     def test_zero_episodes_returns_initial_table(self):
-        initial = np.full((1, 2), 3.25)
-        q, curve = train_on_mdp(
-            one_state_mdp(), PolicyConfig(), episodes=0, initial_q=initial
-        )
-        assert np.array_equal(q, initial)
+        q, curve = train_on_mdp(one_state_mdp(), PolicyConfig(), episodes=0)
+        assert q.dtype == np.float64
+        assert np.array_equal(q, np.zeros((1, 2)))
         assert curve == []
 
     def test_invalid_mdp_rejected(self):
-        with pytest.raises(ValueError):
-            FiniteMDP(n_states=1, n_actions=1, next_states=((1,),), rewards=((0.0,),))
-        with pytest.raises(ValueError):
-            FiniteMDP(
-                n_states=1, n_actions=1, next_states=((0,),), rewards=((float("nan"),),)
-            )
+        valid = dict(n_states=2, n_actions=1, next_states=((1,), (0,)), rewards=((0.0,), (0.0,)))
+        for changes in (
+            {"next_states": ((2,), (0,))},
+            {"rewards": ((float("nan"),), (0.0,))},
+            {"start_state": -1},
+            {"start_state": 5},
+            {"terminal_states": {7}},
+            {"terminal_states": {0, -1}},
+        ):
+            with pytest.raises(ValueError):
+                FiniteMDP(**{**valid, **changes})
+
+
+@st.composite
+def finite_mdps(draw) -> FiniteMDP:
+    n_states = draw(st.integers(1, 7))
+    n_actions = draw(st.integers(1, 5))
+    state = st.integers(0, n_states - 1)
+    # Tied rewards, and full-mantissa ones bounded so that Q stays finite at gamma 0.99.
+    reward = st.sampled_from([-0.0, 0.0, 1.0, -1.0]) | st.floats(-100.0, 100.0)
+
+    def table(element):
+        return st.tuples(*[st.tuples(*[element] * n_actions)] * n_states)
+
+    return FiniteMDP(
+        n_states=n_states,
+        n_actions=n_actions,
+        next_states=draw(table(state)),
+        rewards=draw(table(reward)),
+        start_state=draw(state),
+        terminal_states=draw(st.frozensets(state)),
+    )
+
+
+def _bits(values) -> list[bytes]:
+    return [struct.pack("<d", value) for value in values]
+
+
+class TestTrainOnMdpMatchesNumpyOracle:
+    """The run's table, select_action and q_update reproduce the numpy loop
+    in ``tests/oracles.py``: its argmax tie-break, its epsilon draw and its
+    terminal-case target, to the bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mdp=finite_mdps(),
+        alpha=st.sampled_from([1.0, 0.5]) | st.floats(0.01, 1.0),
+        gamma=st.sampled_from([0.0, 0.9, 0.99]),
+        epsilon=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        epsilon_decay=st.sampled_from([1.0, 0.99, 0.5]),
+        rng_seed=st.integers(0, 2**32),
+        episodes=st.integers(0, 40),
+        max_steps=st.integers(1, 30),
+    )
+    @example(  # a terminal start: every episode is empty
+        mdp=FiniteMDP(2, 2, ((1, 0), (0, 1)), ((1.0, -0.0), (0.5, 0.5)), 1, frozenset({1})),
+        alpha=0.5, gamma=0.9, epsilon=0.3, epsilon_decay=0.99, rng_seed=0, episodes=5,
+        max_steps=10,
+    )
+    @example(  # zero episodes
+        mdp=FiniteMDP(1, 3, ((0, 0, 0),), ((-0.0, 0.0, -0.0),)),
+        alpha=1.0, gamma=0.0, epsilon=0.0, epsilon_decay=0.5, rng_seed=1, episodes=0,
+        max_steps=5,
+    )
+    def test_q_bytes_and_return_curve_equal(
+        self, mdp, alpha, gamma, epsilon, epsilon_decay, rng_seed, episodes, max_steps
+    ):
+        config = PolicyConfig(
+            alpha=alpha, gamma=gamma, epsilon=epsilon, epsilon_decay=epsilon_decay,
+            rng_seed=rng_seed,
+        )
+        q, curve = train_on_mdp(mdp, config, episodes, max_steps_per_episode=max_steps)
+        oracle_q, oracle_curve = numpy_train_on_mdp(
+            mdp, config, episodes, max_steps_per_episode=max_steps
+        )
+        assert q.dtype == oracle_q.dtype and q.shape == oracle_q.shape
+        assert q.tobytes() == oracle_q.tobytes()
+        assert _bits(curve) == _bits(oracle_curve)
 
 
 class TestPolicyConfig:
