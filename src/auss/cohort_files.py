@@ -42,6 +42,7 @@ GROUND_TRUTH_FILE = "ground_truth.json"
 _EVENT_FIELDS = {"student_id", "tick", "kind", "value", "resource_id"}
 _ASSESSMENT_COLUMNS = ["student_id", "item_id", "response", "score"]
 _RESOURCE_COLUMNS = ["resource_id", "topic_tag", "difficulty"]
+_INT64 = np.iinfo(np.int64)
 
 
 def write_cohort(cohort: Cohort, directory: str | Path) -> None:
@@ -370,6 +371,9 @@ def read_cohort(directory: str | Path) -> Cohort:
         except ValueError as exc:
             message = f"enrollment_tick {row[1]!r} is not an integer"
             raise CohortFormatError(message, path=path, line=line_no) from exc
+        if not _INT64.min <= enrollment <= _INT64.max:
+            message = f"enrollment_tick {enrollment} is outside the 64-bit integer range"
+            raise CohortFormatError(message, path=path, line=line_no)
         students.append(StudentRecord(row[0], features, enrollment))
 
     resources = []

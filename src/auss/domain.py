@@ -565,6 +565,14 @@ def validate_cohort(cohort: Cohort) -> list[Violation]:
                 Violation(student.student_id, "unique_student_id", "duplicate student id")
             )
         seen_ids.add(student.student_id)
+        if student.enrollment_tick < 0:
+            violations.append(
+                Violation(
+                    student.student_id,
+                    "enrollment_tick_nonnegative",
+                    f"enrollment_tick {student.enrollment_tick} < 0",
+                )
+            )
         for name, value in student.static_features.items():
             if not _is_finite(value):
                 violations.append(

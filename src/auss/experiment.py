@@ -57,8 +57,8 @@ from .runtime import (
 from .student import (
     InteractionMatrix,
     StudentAgent,
-    _holdout_split,
     fit_predictors,
+    holdout_split,
     recommend_top_k,
 )
 from .synthetic import GeneratorConfig, generate_cohort, import_cohort
@@ -381,7 +381,7 @@ def evaluate_risk(
     """
     truth = _require_truth(cohort)
     dropped = np.array([truth.dropped(sid) for sid in cohort.student_ids], dtype=bool)
-    train, test = _holdout_split(len(dropped), split, derive_seed(seed, "risk-split"))
+    train, test = holdout_split(len(dropped), split, derive_seed(seed, "risk-split"))
     n_dropped = int(dropped[train].sum())
     if n_dropped in (0, len(train)):
         raise MetricInputError(

@@ -5,7 +5,7 @@ precision/recall/F1 evaluation, and per-agent load accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -19,9 +19,6 @@ from .errors import (
 )
 from .learners import LogisticModel, fit_logistic
 from .runtime import Action, Agent, Publisher, SimulationTranscript, TickView
-
-if TYPE_CHECKING:
-    from .student import EngagementWindows, ScoreWindows
 
 #: Canonical ordering of the aggregate feature vector.
 FEATURE_ORDER = (
@@ -99,14 +96,29 @@ _NO_EVENT = np.iinfo(np.int64).min
 class FeatureSnapshot:
     """Every student's signals at one tick, one row per student in cohort order.
 
-    ``risk`` equals ``monitor.predict_proba_one`` of each ``features`` row
-    bit for bit; ``engagement_mean`` is each padded engagement window summed
-    left to right over its fill count, 0.0 for an empty window.
+    - ``features``: the FEATURE_ORDER rows of ``FeatureTracker.feature_matrix``.
+    - ``risk``: ``monitor.predict_proba_one`` of each ``features`` row, bit
+      for bit.
+    - ``engagement_mean``: each engagement window's ``sum(window) /
+      len(window)`` over its filled columns, 0.0 for an empty window.
+    - ``engagement_fill``: how many per-tick engagement means each window
+      holds, at most ``window_len``.
+    - ``window_score_slope``: the least-squares slope of each score window's
+      (tick, score) points, :func:`~auss.domain.series_mean_slope` of their
+      running sums added oldest first; 0.0 below two points. It equals that
+      scalar fit over the window's points bit for bit, and unlike the
+      cumulative ``score_slope`` feature it forgets points that left the
+      window.
+
+    Each row is computed on its own, so a reader that takes a subset of the
+    rows gets the floats a computation over that subset alone would give.
     """
 
     features: np.ndarray
     risk: np.ndarray
     engagement_mean: np.ndarray
+    engagement_fill: np.ndarray
+    window_score_slope: np.ndarray
 
     def signals(self, row: int) -> tuple[float, float, float]:
         """(windowed engagement mean, cumulative score slope, monitor risk) of one row."""
@@ -130,9 +142,9 @@ class FeatureTracker:
     count per student: the newest value sits in the last column and the
     unfilled columns on the left hold 0.0. A left-to-right sum over a
     padded row therefore equals ``sum()`` of its filled columns bit for
-    bit (0.0 + 0.0 stays 0.0, and 0.0 + v is v), which is what lets the
-    gap rules run over all students at once. ``windows`` hands out the
-    padded rows with their fill counts.
+    bit (0.0 + 0.0 stays 0.0, and 0.0 + v is v), which is what lets
+    ``policy_signals`` reduce every student's windows at once. The
+    snapshot carries the reduced windows; the layout stays in this module.
 
     A simulation run has one tracker. Per tick the scheduler ingests the
     tick's events, then puts one ``policy_signals`` snapshot and the
@@ -226,22 +238,24 @@ class FeatureTracker:
             ]
         )
 
-    def windows(self, rows: np.ndarray) -> tuple[EngagementWindows, ScoreWindows]:
-        """The engagement and score windows of ``rows``, one window row per entry."""
-        engagement, scores = self._window_engagement, self._window_scores
-        return (
-            (engagement.window[rows], engagement.fill[rows]),
-            (self._window_score_ticks.window[rows], scores.window[rows], scores.fill[rows]),
-        )
-
     def policy_signals(self) -> FeatureSnapshot:
-        """The snapshot of every student's features, monitor risk and window mean."""
+        """The snapshot of every student's features, monitor risk and window signals."""
         features = self.feature_matrix()
-        fill = self._window_engagement.fill
+        engagement, scores = self._window_engagement, self._window_scores
+        fill = engagement.fill.copy()
         filled = fill > 0
         engagement_mean = np.zeros(len(fill))
-        engagement_mean[filled] = row_sums(self._window_engagement.window)[filled] / fill[filled]
-        return FeatureSnapshot(features, self.monitor.predict_proba_rows(features), engagement_mean)
+        engagement_mean[filled] = row_sums(engagement.window)[filled] / fill[filled]
+        ticks, values = self._window_score_ticks.window, scores.window
+        _mean, score_slope = series_mean_slope(
+            scores.fill,
+            row_sums(values),
+            row_sums(ticks),
+            row_sums(ticks * values),
+            row_sums(ticks * ticks),
+        )
+        risk = self.monitor.predict_proba_rows(features)
+        return FeatureSnapshot(features, risk, engagement_mean, fill, score_slope)
 
 
 def aggregate_features(cohort: Cohort, tick: int) -> np.ndarray:

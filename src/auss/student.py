@@ -10,14 +10,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bus import AgentName, TriggerKind
-from .domain import (
-    Cohort,
-    EventColumns,
-    row_sums,
-    series_mean_slope,
-    window_feature_rows,
-)
+from .domain import Cohort, EventColumns, window_feature_rows
 from .errors import ConfigError, InsufficientDataError, UnknownStudentError
+from .institution import FeatureSnapshot
 from .learners import BaggedTreeRegressor, fit_logistic
 from .runtime import Action, Agent, Publisher, TickView
 
@@ -359,7 +354,7 @@ def _neighbours(
 # -- performance prediction ----------------------------------------------------
 
 
-def _holdout_split(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def holdout_split(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(train rows, test rows) of a seeded permutation of range(n); each side keeps >= 1 row."""
     order = np.random.default_rng(seed).permutation(n)
     n_train = min(n - 1, max(1, int(round(train_fraction * n))))
@@ -406,7 +401,7 @@ def fit_predictors(
     x_lag = lag_rows[cohort.student_rows[labeled]]
     ability = np.array([truth.abilities[s.student_id] for s in students])
     binary = (ability >= 0.5).astype(float)
-    train, test = _holdout_split(len(labeled), split, seed)
+    train, test = holdout_split(len(labeled), split, seed)
 
     static_model = BaggedTreeRegressor(seed=seed).fit(x_static[train], ability[train])
     temporal_model = fit_logistic(x_lag[train], binary[train])
@@ -426,84 +421,59 @@ class GapSignal:
     value: float
 
 
-#: One window per student, right-aligned with 0.0 on the left: (values (k, w), fill (k,)).
-EngagementWindows = tuple[np.ndarray, np.ndarray]
-#: Score windows laid out the same way: (ticks (k, w), scores (k, w), fill (k,)).
-ScoreWindows = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _gap_rules(
-    engagement: EngagementWindows,
-    scores: ScoreWindows,
-    engagement_threshold: float,
-    slope_threshold: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(window mean, disengaged, score slope, declining) per student.
-
-    The mean is ``sum(window) / len(window)`` of the filled columns, and
-    the slope is :func:`~auss.domain.series_mean_slope` of the score
-    points' running sums added oldest first, bit for bit: the left padding
-    adds 0.0 terms ahead of the window, which leave every left-to-right
-    sum unchanged.
-    """
-    values, engagement_fill = engagement
-    ticks, score_values, score_fill = scores
-    with np.errstate(divide="ignore", invalid="ignore"):
-        means = row_sums(values) / engagement_fill
-    disengaged = (engagement_fill > 0) & (means < engagement_threshold)
-    _mean, slopes = series_mean_slope(
-        score_fill,
-        row_sums(score_values),
-        row_sums(ticks),
-        row_sums(ticks * score_values),
-        row_sums(ticks * ticks),
-    )
-    declining = (score_fill >= 2) & (slopes < slope_threshold)
-    return means, disengaged, slopes, declining
+#: Gap kinds by hit-mask column: disengagement before decline.
+_GAP_KINDS = (TriggerKind.DISENGAGEMENT, TriggerKind.PERFORMANCE_DECLINE)
 
 
 class GapDetector:
-    """Applies the gap rules with an at-most-once-per-window cooldown."""
+    """The two learning-gap rules over a tick's snapshot, with a per-(row, kind) cooldown.
+
+    Disengagement: a non-empty engagement window whose mean is below
+    ``engagement_threshold``. Performance decline: a windowed score slope
+    below ``slope_threshold`` (the slope is 0.0 below two score points, so
+    those never fire). A (student, kind) fires at most once per
+    ``window_len`` ticks: the cooldown is an ``(n_students, 2)`` array of
+    the last tick each row fired each kind, starting at ``-window_len`` so
+    any tick >= 0 may fire first.
+    """
 
     engagement_threshold = 0.33
     slope_threshold = -0.01
 
-    def __init__(self, window_len: int = 5):
+    def __init__(self, n_students: int, window_len: int = 5):
         self.window_len = window_len
-        self._last_emitted: dict[tuple[str, TriggerKind], int] = {}
+        self._last_fired = np.full((n_students, len(_GAP_KINDS)), -window_len, dtype=np.int64)
 
     def update_many(
         self,
         tick: int,
+        rows: np.ndarray,
         student_ids: Sequence[str],
-        engagement: EngagementWindows,
-        scores: ScoreWindows,
+        snapshot: FeatureSnapshot,
     ) -> list[GapSignal]:
-        """Both rules and the per-(student, kind) cooldown for every student at once.
+        """Both rules and the cooldown for the snapshot rows ``rows`` at once.
 
-        Row i of the window arrays belongs to ``student_ids[i]``. Signals
-        follow ``student_ids``, disengagement before decline.
+        ``rows`` are distinct cohort rows and ``student_ids`` the cohort's
+        ids, one per row. Signals follow ``rows``, disengagement before
+        decline within a row; the value is the window mean or the slope.
         """
-        means, disengaged, slopes, declining = _gap_rules(
-            engagement, scores, self.engagement_threshold, self.slope_threshold
+        means = snapshot.engagement_mean[rows]
+        slopes = snapshot.window_score_slope[rows]
+        hits = np.column_stack(
+            (
+                (snapshot.engagement_fill[rows] > 0) & (means < self.engagement_threshold),
+                slopes < self.slope_threshold,
+            )
         )
-        rows = np.flatnonzero(disengaged | declining)
-        # The hit rows' flags and values as Python lists, read once each.
-        rules = (
-            (TriggerKind.DISENGAGEMENT, disengaged[rows].tolist(), means[rows].tolist()),
-            (TriggerKind.PERFORMANCE_DECLINE, declining[rows].tolist(), slopes[rows].tolist()),
-        )
-        signals: list[GapSignal] = []
-        for j, i in enumerate(rows.tolist()):
-            student_id = student_ids[i]
-            for kind, hit, values in rules:
-                if not hit[j]:
-                    continue
-                last = self._last_emitted.get((student_id, kind))
-                if last is None or tick - last >= self.window_len:
-                    self._last_emitted[(student_id, kind)] = tick
-                    signals.append(GapSignal(kind, student_id, values[j]))
-        return signals
+        hits &= tick - self._last_fired[rows] >= self.window_len
+        found, kinds = np.nonzero(hits)  # row-major: row order, then kind
+        fired = rows[found]
+        self._last_fired[fired, kinds] = tick
+        values = np.column_stack((means, slopes))[found, kinds]
+        return [
+            GapSignal(_GAP_KINDS[kind], student_ids[row], value)
+            for row, kind, value in zip(fired.tolist(), kinds.tolist(), values.tolist())
+        ]
 
 
 # -- the student agent -------------------------------------------------------------
@@ -524,7 +494,6 @@ class StudentAgent(Agent):
         self.cohort = cohort
         self.detector: GapDetector | None = None
         _id_indexes(cohort.student_ids, cohort.resource_ids)  # rejects duplicate ids
-        self._student_ids = np.array(cohort.student_ids, dtype=object)
         self._interaction_counts = np.zeros(
             (len(cohort.students), len(cohort.resources)), dtype=np.int64
         )
@@ -532,17 +501,15 @@ class StudentAgent(Agent):
 
     def reason(self, percepts: dict) -> dict:
         view: TickView = percepts["view"]
-        tracker = view.tracker
         if self.detector is None:
             # Gap and recommendation cooldowns last one window of the tracker.
-            self.detector = GapDetector(window_len=tracker.window_len)
+            self.detector = GapDetector(len(self.cohort.students), view.tracker.window_len)
         _add_interactions(
             self._interaction_counts,
             view.events.reindexed(self.cohort.student_ids, self.cohort.resource_ids),
         )
-        active = view.active_rows
         gaps = self.detector.update_many(
-            view.tick, self._student_ids[active], *tracker.windows(active)
+            view.tick, view.active_rows, self.cohort.student_ids, view.snapshot
         )
 
         requests: list[str] = []

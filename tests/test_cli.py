@@ -436,6 +436,33 @@ class TestCliErrors:
         assert error["error"] == "CohortFormatError"
         assert error["message"].startswith(f"{events}:2: ")
 
+    @pytest.mark.parametrize("command", ["simulate", "evaluate", "replay"])
+    def test_enrollment_tick_past_64_bits(self, tmp_path, capsys, gen_config, command):
+        cohort_dir = tmp_path / "cohort"
+        run_dir = tmp_path / "run"
+        run_cli(capsys, "generate", "--config", str(gen_config), "--out", str(cohort_dir))
+        run_cli(capsys, "simulate", "--cohort", str(cohort_dir), "--out", str(run_dir))
+        students = cohort_dir / "students.csv"
+        lines = students.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = "99999999999999999999"
+        lines[2] = ",".join(cells)
+        students.write_text("\n".join(lines) + "\n")
+        argv = {
+            "simulate": ["--cohort", str(cohort_dir), "--out", str(tmp_path / "again")],
+            "evaluate": ["--run", str(run_dir)],
+            "replay": ["--transcript", str(run_dir / "transcript.jsonl")],
+        }[command]
+        code, out, err = run_cli(capsys, command, *argv)
+        assert code == 1
+        assert out is None
+        error = json.loads(err)
+        assert error["error"] == "CohortFormatError"
+        assert error["message"] == (
+            f"{students}:3: enrollment_tick 99999999999999999999 is outside the "
+            "64-bit integer range"
+        )
+
     def test_simulate_with_events_past_max_ticks(self, tmp_path, capsys, gen_config):
         cohort_dir = tmp_path / "cohort"
         run_cli(capsys, "generate", "--config", str(gen_config), "--out", str(cohort_dir))

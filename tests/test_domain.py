@@ -10,6 +10,7 @@ from auss.domain import (
     EngagementEvent,
     EventKind,
     FEATURE_WINDOW_LENGTH,
+    StudentRecord,
     series_mean_slope,
     validate_cohort,
     window_feature_rows,
@@ -60,6 +61,13 @@ class TestValidateCohort:
     def test_nonfinite_static_feature(self):
         cohort = make_cohort(students=[make_student("s1", gpa=float("nan"))])
         assert any(v.rule == "finite_static_feature" for v in validate_cohort(cohort))
+
+    def test_negative_enrollment_tick(self):
+        # Far enough below zero that the tracker's elapsed-tick count would wrap.
+        students = [StudentRecord("s1", {}, -9223372036854775803), StudentRecord("s2", {}, 0)]
+        assert [(v.entity_id, v.rule, v.message) for v in validate_cohort(make_cohort(students))] == [
+            ("s1", "enrollment_tick_nonnegative", "enrollment_tick -9223372036854775803 < 0")
+        ]
 
     def test_event_tick_regression_per_student(self):
         events = [

@@ -309,6 +309,12 @@ class TestRiskMatchesObjectOracle:
 PINNED_CANONICAL_SHA256 = "be7e64b9a367ac4257957d7e6fd6487a3f1853ff2fbb70b725dd63027ccca4d3"
 
 
+#: The same digest for the seed-42 reference run (1000x20x50). Unlike the
+#: 30-tick run above, its score windows roll: s0861's tick-35
+#: performance_decline is the slope of 5 of its 7 score points.
+PINNED_REFERENCE_SHA256 = "7bc6d68a04e469b9d5cebcb482527ee197b57923731d42c3915c5faf40802322"
+
+
 def _canonical_sha256(transcript) -> str:
     body = "".join(line + "\n" for line in transcript.canonical_lines()[1:])
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
@@ -379,9 +385,11 @@ def test_roster_order_changes_only_the_class_mean(shuffle_seed):
 
 def test_reference_agent_activity_from_transcript():
     """Per-agent activity of the seed-42 reference run, counted from its
-    ``action``, ``event`` and ``delivery`` records."""
+    ``action``, ``event`` and ``delivery`` records; its canonical digest
+    pins the values the counts do not read."""
     spec = reference_spec()
     transcript = simulate(load_experiment_cohort(spec), spec)
+    assert _canonical_sha256(transcript) == PINNED_REFERENCE_SHA256
     actions = transcript.of_type("action")
     events = {r["event_id"]: r for r in transcript.of_type("event")}
     delivered = {}

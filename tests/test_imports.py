@@ -6,7 +6,8 @@ A name counts as used when the module loads it anywhere; the modules use
 ``from __future__ import annotations``, so annotations need no quotes. A
 private helper is a module-level function or class whose name starts with
 one underscore; nothing outside its module should need it, so one that its
-own module never loads is dead code.
+own module never loads is dead code, and no module in ``src/auss`` imports
+another module's private name.
 
 A public module-level name bound by assignment in ``src/auss`` (a constant
 or type alias) is dead code when no file under ``src``, ``tests`` or
@@ -87,6 +88,20 @@ def test_module_uses_every_private_helper(path):
         and node.name not in loaded
     )
     assert not unused, f"private helpers never loaded: {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_no_private_name(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    private = sorted(
+        f"{path.name}:{node.lineno} {node.module or ''}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "auss")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    )
+    assert not private, f"imports of another module's private name: {private}"
 
 
 @functools.cache

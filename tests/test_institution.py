@@ -130,7 +130,7 @@ class TestAggregateFeatures:
         rows = [tuple(row) for row in tracker.feature_matrix().tolist()]
         assert rows == [tuple(row) for row in aggregate_features(cohort, 9).tolist()]
         assert rows == [oracle.features(sid) for sid in ids]
-        assert filled_windows(tracker) == oracle_windows(oracle, ids)
+        assert window_signals(tracker.policy_signals()) == oracle_window_signals(oracle, ids)
 
     def test_feature_matrix_rows_follow_the_cohort_order(self):
         events = [
@@ -185,7 +185,9 @@ def tracked_cohorts(draw):
 
     Besides random streams there is always a twin of the first stream
     (tied features and risks), an absence-only student, a one-tick
-    student and a student with no events, in a drawn cohort order.
+    student, a student with a submission at every tick (whose score window
+    rolls once there are more ticks than the window holds) and a student
+    with no events, in a drawn cohort order.
     """
     n_ticks = draw(st.integers(1, 6))
     streams: dict[str, dict[int, list]] = {}
@@ -197,6 +199,8 @@ def tracked_cohorts(draw):
     }
     one_tick = draw(st.integers(0, n_ticks - 1))
     streams["once"] = {one_tick: draw(_TICK_EVENTS.filter(bool))}
+    submissions = st.lists(st.tuples(st.just(EventKind.SUBMISSION), _VALUES), min_size=1, max_size=2)
+    streams["scored"] = {t: draw(submissions) for t in range(n_ticks)}
     streams["silent"] = {}
     credits = st.sampled_from([0.0, 6.0, 12.5])
     profiles = {
@@ -219,21 +223,22 @@ def tracked_cohorts(draw):
     return students, ticks
 
 
-def filled_windows(tracker):
-    """Per student in cohort order, (engagement window, score points): the filled columns."""
-    rows = np.arange(len(tracker.id_order))
-    (values, fill), (ticks, scores, score_fill) = tracker.windows(rows)
-    width = tracker.window_len
-    windows = []
-    for i in range(len(rows)):
-        first, first_score = width - fill[i], width - score_fill[i]
-        points = zip(ticks[i, first_score:].tolist(), scores[i, first_score:].tolist())
-        windows.append((values[i, first:].tolist(), list(points)))
-    return windows
+def window_signals(snapshot):
+    """Per student in cohort order, (engagement window fill, windowed score slope)."""
+    return list(zip(snapshot.engagement_fill.tolist(), snapshot.window_score_slope.tolist()))
 
 
-def oracle_windows(oracle, ids):
-    return [(oracle.window_engagement_values(sid), oracle.window_score_points(sid)) for sid in ids]
+def oracle_window_signals(oracle, ids):
+    """``window_signals`` from the oracle's windows: their length, and the
+    slope of the score points' running sums added oldest first."""
+    signals = []
+    for sid in ids:
+        sums = [0, 0.0, 0.0, 0.0, 0.0]
+        for x, y in oracle.window_score_points(sid):
+            DictFeatureTracker._add(sums, x, y)
+        _mean, slope = DictFeatureTracker._mean_slope(sums)
+        signals.append((len(oracle.window_engagement_values(sid)), slope))
+    return signals
 
 
 class TestTrackerMatchesOracle:
@@ -253,7 +258,7 @@ class TestTrackerMatchesOracle:
             rows = [oracle.features(sid) for sid in ids]
             assert [tuple(row) for row in snapshot.features.tolist()] == rows
             assert snapshot.risk.tolist() == [monitor.predict_proba_one(row) for row in rows]
-            assert filled_windows(tracker) == oracle_windows(oracle, ids)
+            assert window_signals(snapshot) == oracle_window_signals(oracle, ids)
             for i, (sid, row) in enumerate(zip(ids, rows)):
                 window = oracle.window_engagement_values(sid)
                 mean = sum(window) / len(window) if window else 0.0

@@ -407,20 +407,19 @@ class TestPrediction:
 
 
 def tracked_gaps(ticks, window_len=5):
-    """GapDetector.update_many signals per tick, on tracker windows fed one tick at a time.
+    """GapDetector.update_many signals per tick, on tracker snapshots fed one tick at a time.
 
     ``ticks`` lists each tick's events; every student with an event is active.
     """
     ids = sorted({e.student_id for events in ticks for e in events})
     students = [StudentRecord(sid, {}) for sid in ids]
     tracker = FeatureTracker(make_cohort(students=students), window_len)
-    detector = GapDetector(window_len=window_len)
+    detector = GapDetector(len(ids), window_len)
     signals = []
     for tick, events in enumerate(ticks):
         tracker.ingest(tick, events)
-        active = sorted({e.student_id for e in events})
-        windows = tracker.windows(np.array([ids.index(sid) for sid in active], dtype=np.intp))
-        signals.append(detector.update_many(tick, active, *windows))
+        active = np.array(sorted({ids.index(e.student_id) for e in events}), dtype=np.intp)
+        signals.append(detector.update_many(tick, active, ids, tracker.policy_signals()))
     return signals
 
 
@@ -511,16 +510,18 @@ class TestGapPassMatchesOracle:
         cohort = make_cohort(students=students)
         tracker = FeatureTracker(cohort, window_len=3)
         oracle_tracker = DictFeatureTracker(students, window_len=3)
-        detector = GapDetector(window_len=3)
+        detector = GapDetector(len(students), window_len=3)
         oracle = ScalarGapDetector(window_len=3)
         for tick, (tick_events, ids) in enumerate(zip(events, active)):
             tracker.ingest(tick, tick_events)
             oracle_tracker.ingest(tick, tick_events)
             rows = np.array([cohort.student_ids.index(sid) for sid in ids], dtype=np.intp)
-            windows = tracker.windows(rows)
-            signals = detector.update_many(tick, ids, *windows)
+            snapshot = tracker.policy_signals()
+            signals = detector.update_many(tick, rows, cohort.student_ids, snapshot)
             # A fresh detector has no cooldown: it applies the bare rules.
-            uncooled = GapDetector(window_len=3).update_many(tick, ids, *windows)
+            uncooled = GapDetector(len(students), window_len=3).update_many(
+                tick, rows, cohort.student_ids, snapshot
+            )
             expected = []
             rules = []
             for sid in ids:
