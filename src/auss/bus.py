@@ -113,10 +113,6 @@ class EventBus:
         """Make a subscriber id known; subscriptions may then be added."""
         self._subscriptions.setdefault(subscriber, set())
 
-    @property
-    def subscribers(self) -> tuple[str, ...]:
-        return tuple(self._subscriptions)
-
     def subscribe(self, subscription: Subscription) -> None:
         """Add kinds for a registered subscriber. Idempotent per kind."""
         if subscription.subscriber not in self._subscriptions:

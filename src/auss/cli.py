@@ -16,6 +16,7 @@ from .errors import AussError, ConfigError, read_config
 from .experiment import (
     ExperimentSpec,
     replay as replay_transcript,
+    require_valid,
     run_sweep,
     simulate,
     write_plot_data,
@@ -109,9 +110,7 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
             "seeds": [seed for seed, _ in results],
         }
     cohort = import_cohort(args.cohort)
-    violations = validate_cohort(cohort)
-    if violations:
-        raise AussError(f"cohort failed validation: {violations[0]}")
+    require_valid(cohort)
     transcript = simulate(cohort, spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

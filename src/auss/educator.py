@@ -293,8 +293,7 @@ class EducatorAgent(Agent):
 
     report_every = 10
 
-    def __init__(self, cohort: Cohort):
-        self.cohort = cohort
+    def __init__(self):
         self.flagged: set[str] = set()
 
     def reason(self, percepts: dict) -> dict:

@@ -248,24 +248,27 @@ class MetricsReport:
 # -- simulation wiring ---------------------------------------------------------
 
 
-def build_agents(cohort: Cohort) -> list:
-    return [StudentAgent(cohort), EducatorAgent(cohort), InstitutionAgent()]
+def require_valid(cohort: Cohort) -> None:
+    """Refuse a cohort that ``validate_cohort`` faults: a MetricInputError naming
+    the number of violations and the first one. ``run_experiment``, ``replay``
+    and a one-run ``auss simulate`` all refuse through this."""
+    violations = validate_cohort(cohort)
+    if violations:
+        first = violations[0]
+        raise MetricInputError(
+            f"cohort failed validation ({len(violations)} violations; "
+            f"first: {first.entity_id} {first.rule})"
+        )
 
 
-def simulate(
-    cohort: Cohort, spec: ExperimentSpec, *, header_extra: Mapping[str, object] | None = None
-) -> SimulationTranscript:
-    agents = build_agents(cohort)
-    extra = {"experiment": spec.to_dict()}
-    if header_extra:
-        extra.update(header_extra)
+def simulate(cohort: Cohort, spec: ExperimentSpec) -> SimulationTranscript:
     return run(
         cohort,
-        agents,
+        [StudentAgent(cohort), EducatorAgent(), InstitutionAgent()],
         spec.scheduler,
         tracker=FeatureTracker(cohort),
         policy_driver=PolicyDriver(spec.policy),
-        header_extra=extra,
+        header_extra={"experiment": spec.to_dict()},
     )
 
 
@@ -664,17 +667,7 @@ def run_experiment(
         return result
 
     cohort = stage("generate", load_cohort or (lambda: load_experiment_cohort(spec)))
-
-    def _validate() -> None:
-        violations = validate_cohort(cohort)
-        if violations:
-            first = violations[0]
-            raise MetricInputError(
-                f"cohort failed validation ({len(violations)} violations; "
-                f"first: {first.entity_id} {first.rule})"
-            )
-
-    stage("validate", _validate)
+    stage("validate", lambda: require_valid(cohort))
     out = None if spec.output_dir is None else Path(spec.output_dir)
     with _cohort_metrics_ahead(cohort, spec) as cohort_metrics:
         transcript = stage("simulate", lambda: simulate(cohort, spec))
@@ -718,8 +711,9 @@ def replay(
     """Recompute the metrics report from a transcript file alone.
 
     Verifies the content checksum and format version, regenerates the
-    cohort from the embedded spec, optionally re-runs the simulation and
-    checks it matches the recorded run (timing excluded), then re-evaluates.
+    cohort from the embedded spec and refuses it as :func:`require_valid`
+    does, optionally re-runs the simulation and checks it matches the
+    recorded run (timing excluded), then re-evaluates.
     While it re-runs the simulation, the cohort metrics are computed as
     ``run_experiment`` computes them: in a forked worker where it may fork.
     """
@@ -729,6 +723,7 @@ def replay(
         raise TranscriptError("transcript does not embed an experiment spec; cannot replay")
     spec = ExperimentSpec.from_dict(spec_data)
     cohort = load_experiment_cohort(spec)
+    require_valid(cohort)
     with _cohort_metrics_ahead(cohort, spec, fork=verify_simulation) as cohort_metrics:
         if verify_simulation:
             rerun = simulate(cohort, spec)

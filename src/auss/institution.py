@@ -5,12 +5,12 @@ precision/recall/F1 evaluation, and per-agent load accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .bus import AgentName, TriggerKind
-from .domain import Cohort, EngagementEvent, EventColumns, EventKind, row_sums, series_mean_slope
+from .domain import Cohort, EventColumns, EventKind, row_sums, series_mean_slope
 from .errors import (
     InsufficientDataError,
     MetricInputError,
@@ -30,6 +30,10 @@ FEATURE_ORDER = (
     "credits_attempted",
 )
 
+#: Ticks in each rolling window of a run: the tracker's engagement and
+#: score windows, and the student agent's gap and recommendation cooldowns.
+WINDOW_LEN = 5
+
 
 @dataclass(frozen=True)
 class LoadReport:
@@ -37,10 +41,6 @@ class LoadReport:
 
     counts: Mapping[str, int]
     shares: Mapping[str, float]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 # -- streaming per-student statistics -----------------------------------------
@@ -154,8 +154,7 @@ class FeatureTracker:
     UnknownStudentError.
     """
 
-    def __init__(self, cohort: Cohort, window_len: int = 5):
-        self.window_len = window_len
+    def __init__(self, cohort: Cohort, window_len: int = WINDOW_LEN):
         self.monitor = monitor_model()
         self._ids = cohort.student_ids
         n = len(cohort.students)
@@ -172,14 +171,11 @@ class FeatureTracker:
         self._window_score_ticks = _Windows(n, window_len)
         self._window_scores = _Windows(n, window_len)
 
-    def ingest(self, tick: int, events: EventColumns | Sequence[EngagementEvent]) -> None:
-        """Fold one tick's events (a tick slice of the cohort's columns, or event objects) in."""
+    def ingest(self, tick: int, events: EventColumns) -> None:
+        """Fold one tick's events, a tick slice of the cohort's event columns, in."""
         if not len(events):
             return
-        if isinstance(events, EventColumns):
-            events = events.reindexed(self._ids)
-        else:
-            events = EventColumns.from_events(events, self._ids)
+        events = events.reindexed(self._ids)
         rows = events.student
         unknown = np.flatnonzero(rows >= len(self._ids))
         if unknown.size:
@@ -254,7 +250,7 @@ class FeatureTracker:
             row_sums(ticks * values),
             row_sums(ticks * ticks),
         )
-        risk = self.monitor.predict_proba_rows(features)
+        risk = self.monitor.predict_proba(features)
         return FeatureSnapshot(features, risk, engagement_mean, fill, score_slope)
 
 
@@ -320,7 +316,7 @@ def assess_risk(
             f"feature rows of shape {x.shape} do not match the model's "
             f"{len(model.weights)} weights"
         )
-    scores = model.predict_proba_rows(x)
+    scores = model.predict_proba(x)
     return scores, scores >= threshold
 
 

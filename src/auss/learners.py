@@ -301,22 +301,18 @@ class LogisticModel:
     feature_stds: np.ndarray
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        z = (x - self.feature_means) / self.feature_stds
-        return np.asarray(sigmoid(z @ self.weights + self.bias))
-
-    def predict_proba_one(self, row: Sequence[float]) -> float:
-        return float(self.predict_proba(np.asarray(row, dtype=float).reshape(1, -1))[0])
-
-    def predict_proba_rows(self, x: np.ndarray) -> np.ndarray:
-        """predict_proba for a (k, d) matrix with each row equal to predict_proba_one's bits.
+        """One probability per row of ``x``, each equal to ``predict_proba_one``'s bits.
 
         A plain ``z @ weights`` runs one matrix-vector kernel over all rows,
         which can round the last bit differently from a 1-row call; the
         stacked (k, 1, d) product takes one 1-row product per row instead.
         """
-        z = (np.asarray(x, dtype=float) - self.feature_means) / self.feature_stds
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        z = (x - self.feature_means) / self.feature_stds
         return np.asarray(sigmoid((z[:, None, :] @ self.weights)[:, 0] + self.bias))
+
+    def predict_proba_one(self, row: Sequence[float]) -> float:
+        return float(self.predict_proba(np.asarray(row, dtype=float).reshape(1, -1))[0])
 
 
 #: ``fit_logistic``'s step size, number of steps and L2 weight.

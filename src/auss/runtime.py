@@ -87,16 +87,15 @@ class TickView:
     this tick's events; ``snapshot`` is its ``policy_signals()`` taken
     right after that ingest, one row per student in cohort order, and
     ``active_rows`` are the rows of the students with an event at this
-    tick, in student-id order. A run without a tracker leaves all three
-    None.
+    tick, in student-id order.
     """
 
     tick: int
     events: EventColumns
     cohort: Cohort
-    tracker: FeatureTracker | None = None
-    snapshot: FeatureSnapshot | None = None
-    active_rows: np.ndarray | None = None
+    tracker: FeatureTracker
+    snapshot: FeatureSnapshot
+    active_rows: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -535,25 +534,21 @@ def run(
     agents: Sequence[Agent],
     config: SchedulerConfig,
     *,
-    tracker: FeatureTracker | None = None,
+    tracker: FeatureTracker,
     policy_driver: PolicyDriver | None = None,
-    bus: EventBus | None = None,
     header_extra: Mapping[str, object] | None = None,
 ) -> SimulationTranscript:
     """Execute max_ticks scheduler iterations and return the full transcript.
 
-    Per tick, in this order: the feature tracker (when present) ingests
-    the tick's slice of the cohort's event columns, and one
-    ``policy_signals`` snapshot and the tick's active rows go on the
+    The run builds its own bus. Per tick, in this order: the feature
+    tracker ingests the tick's slice of the cohort's event columns, and
+    one ``policy_signals`` snapshot and the tick's active rows go on the
     TickView; the bus delivers everything published earlier; each agent
     runs its four phases in the configured order; and the policy driver
     (when present) settles rewards and issues the next intervention from
-    the same snapshot, so it needs a tracker. A cohort event at a tick the
-    run never reaches (at or past max_ticks) is a ConfigError rather than
-    silently left out.
+    the same snapshot. A cohort event at a tick the run never reaches (at
+    or past max_ticks) is a ConfigError rather than silently left out.
     """
-    if policy_driver is not None and tracker is None:
-        raise ConfigError("a policy driver needs a feature tracker")
     columns = cohort.event_columns
     ticks = columns.ticks()
     late = ticks[ticks >= config.max_ticks]
@@ -571,8 +566,7 @@ def run(
             f"agent_order {config.agent_order} does not match registered agents {sorted(by_name)}"
         )
 
-    if bus is None:
-        bus = EventBus()
+    bus = EventBus()
     for agent in agents:
         bus.register_subscriber(agent.name.value)
         if agent.subscriptions:
@@ -594,18 +588,14 @@ def run(
     for tick in range(config.max_ticks):
         transcript.append({"type": "tick_start", "tick": tick})
         tick_events = events_by_tick.get(tick, no_events)
-        snapshot = active_rows = None
-        if tracker is not None:
-            tracker.ingest(tick, tick_events)
-            snapshot = tracker.policy_signals()
-            active_rows = tracker.active_rows(tick_events)
+        tracker.ingest(tick, tick_events)
         view = TickView(
             tick=tick,
             events=tick_events,
             cohort=cohort,
             tracker=tracker,
-            snapshot=snapshot,
-            active_rows=active_rows,
+            snapshot=tracker.policy_signals(),
+            active_rows=tracker.active_rows(tick_events),
         )
 
         inboxes = bus.deliver_tick(tick)

@@ -12,7 +12,7 @@ import numpy as np
 from .bus import AgentName, TriggerKind
 from .domain import Cohort, EventColumns, window_feature_rows
 from .errors import ConfigError, InsufficientDataError, UnknownStudentError
-from .institution import FeatureSnapshot
+from .institution import WINDOW_LEN, FeatureSnapshot
 from .learners import BaggedTreeRegressor, fit_logistic
 from .runtime import Action, Agent, Publisher, TickView
 
@@ -440,7 +440,7 @@ class GapDetector:
     engagement_threshold = 0.33
     slope_threshold = -0.01
 
-    def __init__(self, n_students: int, window_len: int = 5):
+    def __init__(self, n_students: int, window_len: int = WINDOW_LEN):
         self.window_len = window_len
         self._last_fired = np.full((n_students, len(_GAP_KINDS)), -window_len, dtype=np.int64)
 
@@ -492,8 +492,8 @@ class StudentAgent(Agent):
 
     def __init__(self, cohort: Cohort):
         self.cohort = cohort
-        self.detector: GapDetector | None = None
         _id_indexes(cohort.student_ids, cohort.resource_ids)  # rejects duplicate ids
+        self.detector = GapDetector(len(cohort.students))
         self._interaction_counts = np.zeros(
             (len(cohort.students), len(cohort.resources)), dtype=np.int64
         )
@@ -501,9 +501,6 @@ class StudentAgent(Agent):
 
     def reason(self, percepts: dict) -> dict:
         view: TickView = percepts["view"]
-        if self.detector is None:
-            # Gap and recommendation cooldowns last one window of the tracker.
-            self.detector = GapDetector(len(self.cohort.students), view.tracker.window_len)
         _add_interactions(
             self._interaction_counts,
             view.events.reindexed(self.cohort.student_ids, self.cohort.resource_ids),

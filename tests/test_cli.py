@@ -481,3 +481,32 @@ class TestCliErrors:
         assert error["error"] == "ConfigError"
         assert "event at tick 11, at or past max_ticks 11" in error["message"]
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate", "replay"])
+    def test_cohort_that_fails_validation_is_refused(self, tmp_path, capsys, gen_config, command):
+        cohort_dir = tmp_path / "cohort"
+        run_dir = tmp_path / "run"
+        run_cli(capsys, "generate", "--config", str(gen_config), "--out", str(cohort_dir))
+        run_cli(capsys, "simulate", "--cohort", str(cohort_dir), "--out", str(run_dir))
+        events = cohort_dir / "events.jsonl"
+        lines = events.read_text().splitlines()
+        record = json.loads(lines[5])
+        record["value"] = 1.5
+        lines[5] = json.dumps(record)
+        events.write_text("\n".join(lines) + "\n")
+        argv = {
+            "simulate": ["--cohort", str(cohort_dir), "--out", str(tmp_path / "again")],
+            "evaluate": ["--run", str(run_dir)],
+            "replay": ["--transcript", str(run_dir / "transcript.jsonl")],
+        }[command]
+        code, out, err = run_cli(capsys, command, *argv)
+        assert code == 1
+        assert out is None
+        error = json.loads(err)
+        assert error["error"] == "MetricInputError"
+        assert error["message"] == (
+            f"cohort failed validation (1 violations; first: {record['student_id']} "
+            "event_value_range)"
+        )
+        assert not (run_dir / "report.json").exists()
+        assert not (tmp_path / "again").exists()

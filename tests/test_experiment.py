@@ -172,6 +172,28 @@ class TestRunExperiment:
             run_experiment(small_spec())
         assert exc_info.value.stage == "evaluate"
 
+    def test_cohort_that_fails_validation_stops_at_validate(self, tmp_path):
+        cohort_dir, out = tmp_path / "cohort", tmp_path / "run"
+        spec = small_spec()
+        cohort, _truth = generate_cohort(spec.generator)
+        export_cohort(cohort, cohort_dir)
+        events = cohort_dir / "events.jsonl"
+        lines = events.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["value"] = -0.5
+        lines[0] = json.dumps(record)
+        events.write_text("\n".join(lines) + "\n")
+        spec = replace(spec, generator=None, cohort_dir=str(cohort_dir), output_dir=str(out))
+        with pytest.raises(StageError) as exc_info:
+            run_experiment(spec)
+        assert exc_info.value.stage == "validate"
+        assert isinstance(exc_info.value.cause, MetricInputError)
+        assert str(exc_info.value.cause) == (
+            f"cohort failed validation (1 violations; first: {record['student_id']} "
+            "event_value_range)"
+        )
+        assert not out.exists()
+
     def test_spec_requires_cohort_source(self):
         with pytest.raises(ConfigError):
             ExperimentSpec(generator=None, cohort_dir=None)

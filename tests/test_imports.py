@@ -12,9 +12,10 @@ another module's private name.
 A public module-level name bound by assignment in ``src/auss`` (a constant
 or type alias) is dead code when no file under ``src``, ``tests`` or
 ``perfbench`` loads it, as a bare name or as an attribute. So is a public
-module-level function or class, or a public method of a module-level class.
-``perfbench/tracing.py`` names the functions and methods it wraps as strings;
-each of its strings counts as a read.
+module-level function or class. ``perfbench/tracing.py`` names the functions
+and methods it wraps as strings; each of its strings counts as a read. A
+public method of a module-level class is read only as an attribute or as such
+a string: a local variable of the same name does not read it.
 
 Importing the package, or its cohort-file module, loads no orjson: only
 writing a transcript and reading events.jsonl import it. A simulation and
@@ -105,19 +106,20 @@ def test_module_imports_no_private_name(path):
 
 
 @functools.cache
-def _names_read() -> frozenset[str]:
-    """Every name that some reader loads, as a bare name or an attribute, and
+def _reads() -> tuple[frozenset[str], frozenset[str]]:
+    """(names, methods) read: every name that some reader loads as a bare name
+    or an attribute, and every name it loads as an attribute; both also hold
     every string in ``perfbench/tracing.py``, which names what it wraps."""
-    read = set()
+    bare, attributes = set(), set()
     for path in READERS:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                bare.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+                attributes.add(node.attr)
             elif path == TRACING and isinstance(node, ast.Constant) and isinstance(node.value, str):
-                read.add(node.value)
-    return frozenset(read)
+                attributes.add(node.value)
+    return frozenset(bare | attributes), frozenset(attributes)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -130,21 +132,23 @@ def test_every_public_constant_is_read(path):
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
         if isinstance(target, ast.Name)
         and not target.id.startswith("_")
-        and target.id not in _names_read()
+        and target.id not in _reads()[0]
     )
     assert not unread, f"public constants no file reads: {unread}"
 
 
 def _public_defs(tree: ast.Module):
-    """(line, name, label) of each public module-level function and class, and
-    of each public method of a module-level class (labelled ``Class.method``)."""
+    """(line, name, label, names that read it) of each public module-level
+    function and class, and of each public method of a module-level class
+    (labelled ``Class.method``)."""
+    names, methods = _reads()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.lineno, node.name, node.name
+            yield node.lineno, node.name, node.name, names
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield item.lineno, item.name, f"{node.name}.{item.name}"
+                    yield item.lineno, item.name, f"{node.name}.{item.name}", methods
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -152,8 +156,8 @@ def test_every_public_function_class_and_method_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unread = sorted(
         f"{path.name}:{line} {label}"
-        for line, name, label in _public_defs(tree)
-        if name not in _names_read()
+        for line, name, label, read in _public_defs(tree)
+        if name not in read
     )
     assert not unread, f"public functions, classes and methods no file reads: {unread}"
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from auss.domain import EngagementEvent, EventKind, StudentRecord
+from auss.domain import EngagementEvent, EventColumns, EventKind, StudentRecord
 from auss.errors import (
     InsufficientDataError,
     MetricInputError,
@@ -124,7 +124,7 @@ class TestAggregateFeatures:
         for e in events:
             by_tick.setdefault(e.tick, []).append(e)
         for t in sorted(by_tick):
-            tracker.ingest(t, by_tick[t])
+            tracker.ingest(t, EventColumns.from_events(by_tick[t], cohort.student_ids))
             oracle.ingest(t, by_tick[t])
         ids = cohort.student_ids
         rows = [tuple(row) for row in tracker.feature_matrix().tolist()]
@@ -139,7 +139,7 @@ class TestAggregateFeatures:
         ]
         cohort = make_cohort(students=[make_student("s2"), make_student("s1")], events=events)
         tracker = FeatureTracker(cohort)
-        tracker.ingest(0, events)
+        tracker.ingest(0, EventColumns.from_events(events, cohort.student_ids))
         matrix = tracker.feature_matrix()
         assert matrix.shape == (2, len(FEATURE_ORDER))
         assert matrix[:, 0].tolist() == [0.9, 0.2]
@@ -161,9 +161,11 @@ class TestAggregateFeatures:
         assert tracker.active_rows(cohort.event_columns.take(slice(0, 0))).tolist() == []
 
     def test_event_outside_cohort_is_unknown_student(self):
-        tracker = FeatureTracker(make_cohort())
+        cohort = make_cohort()
+        tracker = FeatureTracker(cohort)
+        events = [EngagementEvent("ghost", 0, EventKind.LOGIN, 0.5)]
         with pytest.raises(UnknownStudentError, match="ghost"):
-            tracker.ingest(0, [EngagementEvent("ghost", 0, EventKind.LOGIN, 0.5)])
+            tracker.ingest(0, EventColumns.from_events(events, cohort.student_ids))
 
     def test_credits_taken_from_static_features(self):
         cohort = make_cohort(students=[make_student("s1", credits=21.0)])
@@ -252,7 +254,7 @@ class TestTrackerMatchesOracle:
         oracle = DictFeatureTracker(students, window_len=3)
         monitor = monitor_model()
         for tick, events in enumerate(ticks):
-            tracker.ingest(tick, events)
+            tracker.ingest(tick, EventColumns.from_events(events, ids))
             oracle.ingest(tick, events)
             snapshot = tracker.policy_signals()
             rows = [oracle.features(sid) for sid in ids]

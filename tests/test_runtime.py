@@ -31,7 +31,6 @@ from auss.runtime import (
     SchedulerConfig,
     SimulationTranscript,
     measure_phase_latency,
-    run,
 )
 from auss.domain import EngagementEvent, EventKind
 from auss.experiment import ExperimentSpec, simulate
@@ -85,6 +84,11 @@ class ChattyAgent(NoOpAgent):
     def act(self, decisions, publish):
         publish.publish(TriggerKind.DISENGAGEMENT, {"student_id": "s1"})
         return [Action(kind="chat", student_id="s1")]
+
+
+def run(cohort, agents, config, **options):
+    """``runtime.run`` with a fresh feature tracker of ``cohort``."""
+    return runtime_module.run(cohort, agents, config, tracker=FeatureTracker(cohort), **options)
 
 
 class TestRunBasics:
@@ -237,7 +241,6 @@ class TestPolicedRun:
             cohort,
             noop_agents(),
             SchedulerConfig(max_ticks=10),
-            tracker=FeatureTracker(cohort),
             policy_driver=driver,
         )
         policy_records = transcript.of_type("policy")
@@ -255,7 +258,6 @@ class TestPolicedRun:
             cohort,
             noop_agents(),
             SchedulerConfig(max_ticks=6),
-            tracker=FeatureTracker(cohort),
             policy_driver=driver,
         )
         decisions = {r["tick"]: r for r in transcript.of_type("policy")}
@@ -273,7 +275,7 @@ class TestBatchedScoring:
         events = [EngagementEvent(sid, 0, EventKind.LOGIN, engagement[sid]) for sid in engagement]
         cohort = make_cohort(students=students, events=events)
         tracker = FeatureTracker(cohort)
-        transcript = run(
+        transcript = runtime_module.run(
             cohort,
             noop_agents(),
             SchedulerConfig(max_ticks=1),
@@ -340,18 +342,9 @@ class TestSharedTracker:
                 return super().perceive(view, inbox)
 
         agents = [Reader(name) for name in (AgentName.STUDENT, AgentName.EDUCATOR, AgentName.INSTITUTION)]
-        run(cohort, agents, SchedulerConfig(max_ticks=6), tracker=tracker)
+        runtime_module.run(cohort, agents, SchedulerConfig(max_ticks=6), tracker=tracker)
         assert ingested == list(range(6))
         assert seen == [(tick, True, tick) for tick in range(6) for _ in agents]
-
-    def test_policy_driver_needs_tracker(self):
-        with pytest.raises(ConfigError):
-            run(
-                make_cohort(),
-                noop_agents(),
-                SchedulerConfig(max_ticks=1),
-                policy_driver=PolicyDriver(PolicyConfig()),
-            )
 
 
 class TestTranscriptFile:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import auss.student as student_module
 from auss.bus import AgentName, Event, TriggerKind
-from auss.domain import EngagementEvent, EventKind, StudentRecord
+from auss.domain import EngagementEvent, EventColumns, EventKind, StudentRecord
 from auss.errors import InsufficientDataError, UnknownStudentError
 from auss.experiment import evaluate_recommendations
 from auss.institution import FeatureTracker
@@ -417,7 +417,7 @@ def tracked_gaps(ticks, window_len=5):
     detector = GapDetector(len(ids), window_len)
     signals = []
     for tick, events in enumerate(ticks):
-        tracker.ingest(tick, events)
+        tracker.ingest(tick, EventColumns.from_events(events, ids))
         active = np.array(sorted({ids.index(e.student_id) for e in events}), dtype=np.intp)
         signals.append(detector.update_many(tick, active, ids, tracker.policy_signals()))
     return signals
@@ -513,7 +513,7 @@ class TestGapPassMatchesOracle:
         detector = GapDetector(len(students), window_len=3)
         oracle = ScalarGapDetector(window_len=3)
         for tick, (tick_events, ids) in enumerate(zip(events, active)):
-            tracker.ingest(tick, tick_events)
+            tracker.ingest(tick, EventColumns.from_events(tick_events, cohort.student_ids))
             oracle_tracker.ingest(tick, tick_events)
             rows = np.array([cohort.student_ids.index(sid) for sid in ids], dtype=np.intp)
             snapshot = tracker.policy_signals()
