@@ -42,7 +42,6 @@ from .experiment import (
     simulate,
 )
 from .institution import (
-    LoadReport,
     aggregate_features,
     assess_risk,
     f1_score,

@@ -7,7 +7,6 @@ non-negative tick. Scores and event intensities live in [0, 1].
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -15,6 +14,8 @@ from itertools import starmap
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from .errors import is_finite
 
 
 class EventKind(str, Enum):
@@ -485,10 +486,6 @@ class Violation:
     message: str
 
 
-def _is_finite(x: float) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
-
-
 def _flagged(flags: np.ndarray) -> list[tuple[int, int]]:
     """(row, rule column) of every set flag, row by row; a clean table skips ``nonzero``."""
     if not flags.any():
@@ -574,7 +571,7 @@ def validate_cohort(cohort: Cohort) -> list[Violation]:
                 )
             )
         for name, value in student.static_features.items():
-            if not _is_finite(value):
+            if not is_finite(value):
                 violations.append(
                     Violation(
                         student.student_id,
@@ -586,7 +583,7 @@ def validate_cohort(cohort: Cohort) -> list[Violation]:
     resource_ids = set()
     for resource in cohort.resources:
         resource_ids.add(resource.resource_id)
-        if not (_is_finite(resource.difficulty) and 0.0 <= resource.difficulty <= 1.0):
+        if not (is_finite(resource.difficulty) and 0.0 <= resource.difficulty <= 1.0):
             violations.append(
                 Violation(
                     resource.resource_id,

@@ -7,13 +7,12 @@ Grading is all-or-nothing per item and limited to objective kinds
 
 from __future__ import annotations
 
-import ast
 import math
 import random
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -176,57 +175,16 @@ def generate_class_report(
 
 # -- quiz generation ---------------------------------------------------------------
 
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
-
-
-def _eval_arithmetic(expr: str, variables: Mapping[str, float]) -> float:
-    """Evaluate a small arithmetic expression over named parameters."""
-
-    def walk(node: ast.AST) -> float:
-        if isinstance(node, ast.Expression):
-            return walk(node.body)
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            return float(node.value)
-        if isinstance(node, ast.Name):
-            if node.id in variables:
-                return float(variables[node.id])
-            raise ConfigError(f"unknown parameter {node.id!r} in answer expression")
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            value = walk(node.operand)
-            return -value if isinstance(node.op, ast.USub) else value
-        if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-            left, right = walk(node.left), walk(node.right)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if isinstance(node.op, ast.Div):
-                return left / right
-            if isinstance(node.op, ast.FloorDiv):
-                return left // right
-            if isinstance(node.op, ast.Mod):
-                return left % right
-            return left**right
-        raise ConfigError(f"unsupported syntax in answer expression: {ast.dump(node)}")
-
-    return walk(ast.parse(expr, mode="eval"))
-
 
 @dataclass(frozen=True)
 class QuizTemplate:
-    """Parameterized item family; the canonical answer is computed from the
-    same drawn parameters as the question text."""
+    """Parameterized numeric item family: ``answer`` computes the canonical
+    answer from the same drawn slot values as the question text."""
 
     template_id: str
-    topic_tag: str
     question_pattern: str
-    answer_expr: str
+    answer: Callable[..., float]
     slots: Mapping[str, tuple[int, int]]
-    kind: ItemKind = ItemKind.NUMERIC
-    tolerance: float = 0.0
-    points: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.slots:
@@ -236,15 +194,12 @@ class QuizTemplate:
                 raise ConfigError(
                     f"template {self.template_id!r} slot {name!r} has empty range ({low}, {high})"
                 )
-        if self.kind is ItemKind.MULTIPLE_CHOICE:
-            raise ConfigError("template-generated items must be numeric or short_text")
 
 
 ARITHMETIC_TEMPLATE = QuizTemplate(
     template_id="arith-add",
-    topic_tag="arithmetic",
     question_pattern="What is {a} + {b}?",
-    answer_expr="a + b",
+    answer=lambda a, b: a + b,
     slots={"a": (2, 99), "b": (2, 99)},
 )
 
@@ -252,24 +207,21 @@ ARITHMETIC_TEMPLATE = QuizTemplate(
 def generate_quiz(
     template: QuizTemplate, seed: int, n_items: int
 ) -> list[tuple[str, AnswerKey]]:
-    """Render n question/key pairs deterministically from the seed."""
+    """Render n question/key pairs deterministically from the seed: numeric
+    keys with tolerance 0, worth one point each."""
     if n_items < 1:
         raise ConfigError(f"n_items must be >= 1, got {n_items}")
     rng = random.Random(seed)
     items: list[tuple[str, AnswerKey]] = []
     for i in range(n_items):
         params = {name: rng.randint(low, high) for name, (low, high) in sorted(template.slots.items())}
-        question = template.question_pattern.format(**params)
-        value = _eval_arithmetic(template.answer_expr, params)
-        answer = repr(value) if value != int(value) else str(int(value))
         key = AnswerKey(
             item_id=f"{template.template_id}-{i + 1:03d}",
-            kind=template.kind,
-            answer=answer,
-            tolerance=template.tolerance if template.kind is ItemKind.NUMERIC else None,
-            points=template.points,
+            kind=ItemKind.NUMERIC,
+            answer=str(template.answer(**params)),
+            tolerance=0.0,
         )
-        items.append((question, key))
+        items.append((template.question_pattern.format(**params), key))
     return items
 
 

@@ -23,9 +23,10 @@ def _fits(kind: type, value: object) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
-def _is_finite(value: float) -> bool:
+def is_finite(value: object) -> bool:
+    """Whether ``value`` is an int or float that is finite as a float."""
     try:
-        return math.isfinite(value)
+        return isinstance(value, (int, float)) and math.isfinite(value)
     except OverflowError:  # an int past the float range
         return False
 
@@ -51,7 +52,7 @@ def check_config_types(section: str, config: object) -> None:
             one, many = _NAMES[kind]
             expected = f"a list of {many}" if is_list else one
             raise ConfigError(f"{section} config {key} must be {expected}, got {value!r}")
-        if kind is float and not all(_is_finite(v) for v in entries):
+        if kind is float and not all(is_finite(v) for v in entries):
             raise ConfigError(f"{key} must be finite, got {value!r}")
 
 

@@ -52,6 +52,7 @@ from .runtime import (
     SchedulerConfig,
     SimulationTranscript,
     measure_phase_latency,
+    require_ticks_within,
     run,
 )
 from .student import (
@@ -469,15 +470,9 @@ def evaluate_metrics(
     for name, value in fields.items():
         setattr(report, name, value)
     if "latency" in spec.metrics:
-        stats = measure_phase_latency(transcript)
-        report.latency_ms = {
-            agent: {"mean_ms": s.mean_ms, "p95_ms": s.p95_ms, "n_ticks": s.n_ticks}
-            for agent, s in sorted(stats.items())
-        }
+        report.latency_ms = measure_phase_latency(transcript)
     if "load" in spec.metrics:
-        load = load_report(transcript)
-        report.load_counts = dict(sorted(load.counts.items()))
-        report.load_shares = dict(sorted(load.shares.items()))
+        report.load_counts, report.load_shares = load_report(transcript)
 
     report.metadata = {
         "seed": _base_seed(spec),
@@ -712,8 +707,9 @@ def replay(
 
     Verifies the content checksum and format version, regenerates the
     cohort from the embedded spec and refuses it as :func:`require_valid`
-    does, optionally re-runs the simulation and checks it matches the
-    recorded run (timing excluded), then re-evaluates.
+    and :func:`~auss.runtime.require_ticks_within` do (before any metric
+    is computed or worker forked), optionally re-runs the simulation and
+    checks it matches the recorded run (timing excluded), then re-evaluates.
     While it re-runs the simulation, the cohort metrics are computed as
     ``run_experiment`` computes them: in a forked worker where it may fork.
     """
@@ -724,6 +720,7 @@ def replay(
     spec = ExperimentSpec.from_dict(spec_data)
     cohort = load_experiment_cohort(spec)
     require_valid(cohort)
+    require_ticks_within(cohort, spec.scheduler)
     with _cohort_metrics_ahead(cohort, spec, fork=verify_simulation) as cohort_metrics:
         if verify_simulation:
             rerun = simulate(cohort, spec)

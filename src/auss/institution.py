@@ -35,14 +35,6 @@ FEATURE_ORDER = (
 WINDOW_LEN = 5
 
 
-@dataclass(frozen=True)
-class LoadReport:
-    """Events processed per agent, as counts and fractional shares."""
-
-    counts: Mapping[str, int]
-    shares: Mapping[str, float]
-
-
 # -- streaming per-student statistics -----------------------------------------
 
 
@@ -328,9 +320,6 @@ class F1Result:
     precision: float
     recall: float
     f1: float
-    true_positives: int
-    false_positives: int
-    false_negatives: int
 
 
 def f1_score(predicted: Mapping[str, bool], actual: Mapping[str, bool]) -> F1Result:
@@ -362,28 +351,25 @@ def flags_f1(predicted: np.ndarray, actual: np.ndarray) -> F1Result:
     fp = int(np.count_nonzero(predicted & ~actual))
     fn = int(np.count_nonzero(~predicted & actual))
     if tp + fp == 0 and tp + fn == 0:
-        return F1Result(1.0, 1.0, 1.0, tp, fp, fn)
+        return F1Result(1.0, 1.0, 1.0)
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
     recall = tp / (tp + fn) if tp + fn > 0 else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return F1Result(precision, recall, f1, tp, fp, fn)
+    return F1Result(precision, recall, f1)
 
 
-def load_report(transcript: SimulationTranscript) -> LoadReport:
-    """Per-agent share of delivered (processed) bus events over a run."""
+def load_report(transcript: SimulationTranscript) -> tuple[dict[str, int], dict[str, float]]:
+    """Delivered (processed) bus events per agent over a run: (counts, shares
+    of their total), each sorted by agent."""
     if not transcript.records:
         raise TranscriptError("cannot build a load report from an empty transcript")
-    agents = list(transcript.header.get("agents", []))
-    counts: dict[str, int] = {agent: 0 for agent in agents}
+    counts: dict[str, int] = {agent: 0 for agent in transcript.header.get("agents", [])}
     for record in transcript.of_type("delivery"):
         subscriber = record["subscriber"]
         counts[subscriber] = counts.get(subscriber, 0) + len(record["event_ids"])
+    counts = dict(sorted(counts.items()))
     total = sum(counts.values())
-    if total > 0:
-        shares = {agent: count / total for agent, count in counts.items()}
-    else:
-        shares = {agent: 0.0 for agent in counts}
-    return LoadReport(counts=counts, shares=shares)
+    return counts, {agent: count / total if total else 0.0 for agent, count in counts.items()}
 
 
 # -- the institution agent -------------------------------------------------------

@@ -403,21 +403,15 @@ class SimulationTranscript:
 # -- latency ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LatencyStats:
-    mean_ms: float
-    p95_ms: float
-    n_ticks: int
-
-
 def _nearest_rank_p95(values: Sequence[float]) -> float:
     ordered = sorted(values)
     idx = max(0, -(-len(ordered) * 95 // 100) - 1)  # ceil(0.95 n) - 1
     return ordered[idx]
 
 
-def measure_phase_latency(transcript: SimulationTranscript) -> dict[str, LatencyStats]:
-    """Per-agent response-time stats over ticks.
+def measure_phase_latency(transcript: SimulationTranscript) -> dict[str, dict[str, float]]:
+    """Per-agent response-time stats over ticks, by agent: each agent's
+    ``mean_ms``, nearest-rank ``p95_ms`` and ``n_ticks``.
 
     Response time at a tick is the wall time of perceive + reason + act
     (evaluate is bookkeeping, not part of the response path).
@@ -434,11 +428,11 @@ def measure_phase_latency(transcript: SimulationTranscript) -> dict[str, Latency
     for (agent, _tick), ms in sorted(per_agent_tick.items()):
         by_agent.setdefault(agent, []).append(ms)
     return {
-        agent: LatencyStats(
-            mean_ms=sum(values) / len(values),
-            p95_ms=_nearest_rank_p95(values),
-            n_ticks=len(values),
-        )
+        agent: {
+            "mean_ms": sum(values) / len(values),
+            "p95_ms": _nearest_rank_p95(values),
+            "n_ticks": len(values),
+        }
         for agent, values in by_agent.items()
     }
 
@@ -529,6 +523,18 @@ class PolicyDriver:
 # -- scheduler -----------------------------------------------------------------
 
 
+def require_ticks_within(cohort: Cohort, config: SchedulerConfig) -> None:
+    """Refuse a cohort with an event at a tick the run never reaches (at or
+    past max_ticks): a ConfigError rather than an event silently left out.
+    ``run`` and ``experiment.replay`` both refuse through this."""
+    ticks = cohort.event_columns.ticks()
+    late = ticks[ticks >= config.max_ticks]
+    if late.size:
+        raise ConfigError(
+            f"cohort has an event at tick {late[0]}, at or past max_ticks {config.max_ticks}"
+        )
+
+
 def run(
     cohort: Cohort,
     agents: Sequence[Agent],
@@ -546,16 +552,11 @@ def run(
     TickView; the bus delivers everything published earlier; each agent
     runs its four phases in the configured order; and the policy driver
     (when present) settles rewards and issues the next intervention from
-    the same snapshot. A cohort event at a tick the run never reaches (at
-    or past max_ticks) is a ConfigError rather than silently left out.
+    the same snapshot. A cohort that :func:`require_ticks_within` refuses
+    is not run.
     """
+    require_ticks_within(cohort, config)
     columns = cohort.event_columns
-    ticks = columns.ticks()
-    late = ticks[ticks >= config.max_ticks]
-    if late.size:
-        raise ConfigError(
-            f"cohort has an event at tick {late[0]}, at or past max_ticks {config.max_ticks}"
-        )
     events_by_tick = columns.tick_slices()
     no_events = columns.take(slice(0, 0))
     by_name: dict[str, Agent] = {}

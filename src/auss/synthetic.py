@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -178,7 +179,8 @@ def generate_cohort(config: GeneratorConfig) -> tuple[Cohort, GroundTruth]:
     tick_mean = np.where(~absent, value_sum / n_parts, 0.0)
 
     del noise, u_absent, u_forum, u_view, score_noise  # every draw is used up
-    dropout_tick = _dropout_ticks(config, tick_mean, scores, absent, submits, credits, u_drop)
+    checks = _hazard_checks(config, tick_mean, scores, absent, submits, credits)
+    dropout_tick = _dropout_ticks(config, checks, u_drop)
     del tick_mean, u_drop
 
     events = _event_columns(
@@ -238,24 +240,20 @@ def _view_choices(cum_weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     return count
 
 
-def _dropout_ticks(
+def _hazard_checks(
     config: GeneratorConfig,
     tick_mean: np.ndarray,
     scores: np.ndarray,
     absent: np.ndarray,
     scored: np.ndarray,
     credits: np.ndarray,
-    u_drop: np.ndarray,
-) -> np.ndarray:
-    """Per student, the tick the hazard model drops them at, or -1 for never."""
-    n, t_max = absent.shape
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(t, hazard features) per dropout check tick t: one FEATURE_ORDER row
+    per student, aggregated over the ticks before t."""
+    t_max = absent.shape[1]
     engagement_stats = _cumulative_series_stats(tick_mean, ~absent)
     score_stats = _cumulative_series_stats(scores, scored)
     absent_cum = np.cumsum(absent, axis=1)
-
-    hazard_w = np.array(config.hazard_weights)
-    dropout_tick = np.full(n, -1, dtype=int)  # -1 means never
-    active = np.ones(n, dtype=bool)
     for t in range(1, t_max):
         if t % config.dropout_check_every != 0:
             continue
@@ -266,9 +264,20 @@ def _dropout_ticks(
         mean_eng, slope_eng = series_mean_slope(*(c[:, t - 1] for c in engagement_stats))
         mean_score, slope_score = series_mean_slope(*(c[:, t - 1] for c in score_stats))
         absence_frac = absent_cum[:, t - 1] / t
-        features = np.column_stack(
+        yield t, np.column_stack(
             [mean_eng, slope_eng, mean_score, slope_score, absence_frac, credits.astype(float)]
         )
+
+
+def _dropout_ticks(
+    config: GeneratorConfig, checks: Iterable[tuple[int, np.ndarray]], u_drop: np.ndarray
+) -> np.ndarray:
+    """Per student, the check tick t the hazard model drops them at (u_drop[:, t]
+    below the hazard of their features at t), or -1 for never."""
+    hazard_w = np.array(config.hazard_weights)
+    dropout_tick = np.full(len(u_drop), -1, dtype=int)  # -1 means never
+    active = np.ones(len(u_drop), dtype=bool)
+    for t, features in checks:
         p_drop = sigmoid(config.hazard_bias + features @ hazard_w)
         dropping = active & (u_drop[:, t] < p_drop)
         dropout_tick[dropping] = t

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from auss import experiment
 from auss.cli import main
 from auss.runtime import SimulationTranscript
 
@@ -510,3 +511,46 @@ class TestCliErrors:
         )
         assert not (run_dir / "report.json").exists()
         assert not (tmp_path / "again").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "replay --no-verify", "replay"])
+    def test_events_past_max_ticks_refused_before_any_metric(
+        self, tmp_path, capsys, monkeypatch, gen_config, command
+    ):
+        cohort_dir = tmp_path / "cohort"
+        run_dir = tmp_path / "run"
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"scheduler": {"max_ticks": 12}}))
+        run_cli(capsys, "generate", "--config", str(gen_config), "--out", str(cohort_dir))
+        run_cli(
+            capsys,
+            "simulate",
+            "--cohort", str(cohort_dir),
+            "--config", str(config),
+            "--out", str(run_dir),
+        )
+        events = cohort_dir / "events.jsonl"
+        lines = events.read_text().splitlines()
+        record = json.loads(lines[-1])
+        assert record["tick"] == 11
+        record["tick"] = 12
+        lines[-1] = json.dumps(record)
+        events.write_text("\n".join(lines) + "\n")
+
+        def no_metrics(*_args, **_kwargs):
+            raise AssertionError("cohort metrics started before the refusal")
+
+        monkeypatch.setattr(experiment, "_cohort_metrics_ahead", no_metrics)
+        transcript = str(run_dir / "transcript.jsonl")
+        argv = {
+            "evaluate": ["evaluate", "--run", str(run_dir)],
+            "replay --no-verify": ["replay", "--no-verify", "--transcript", transcript],
+            "replay": ["replay", "--transcript", transcript],
+        }[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out is None
+        assert json.loads(err) == {
+            "error": "ConfigError",
+            "message": "cohort has an event at tick 12, at or past max_ticks 12",
+        }
+        assert not (run_dir / "report.json").exists()

@@ -10,6 +10,7 @@ from auss.domain import (
     EngagementEvent,
     EventKind,
     FEATURE_WINDOW_LENGTH,
+    LearningResource,
     StudentRecord,
     series_mean_slope,
     validate_cohort,
@@ -61,6 +62,18 @@ class TestValidateCohort:
     def test_nonfinite_static_feature(self):
         cohort = make_cohort(students=[make_student("s1", gpa=float("nan"))])
         assert any(v.rule == "finite_static_feature" for v in validate_cohort(cohort))
+
+    def test_static_feature_past_the_float_range(self):
+        cohort = make_cohort(students=[StudentRecord("s1", {"prior_gpa": 10**400})])
+        assert [(v.entity_id, v.rule) for v in validate_cohort(cohort)] == [
+            ("s1", "finite_static_feature")
+        ]
+
+    def test_resource_difficulty_past_the_float_range(self):
+        cohort = make_cohort(resources=[LearningResource("r1", "t", 10**400)])
+        assert [(v.entity_id, v.rule) for v in validate_cohort(cohort)] == [
+            ("r1", "resource_difficulty_range")
+        ]
 
     def test_negative_enrollment_tick(self):
         # Far enough below zero that the tracker's elapsed-tick count would wrap.

@@ -181,9 +181,8 @@ class TestQuiz:
     def test_question_and_answer_share_parameters(self):
         template = QuizTemplate(
             template_id="t",
-            topic_tag="arith",
             question_pattern="{a}+{b}",
-            answer_expr="a + b",
+            answer=lambda a, b: a + b,
             slots={"a": (3, 3), "b": (4, 4)},
         )
         [(question, key)] = generate_quiz(template, seed=0, n_items=1)
@@ -200,25 +199,30 @@ class TestQuiz:
         with pytest.raises(ConfigError):
             QuizTemplate(
                 template_id="t",
-                topic_tag="x",
                 question_pattern="{a}",
-                answer_expr="a",
+                answer=lambda a: a,
                 slots={"a": (5, 4)},
             )
 
     def test_canonical_answers_self_grade(self):
         rng = random.Random(77)
+        answers = {
+            "a + b": lambda a, b: a + b,
+            "a - b": lambda a, b: a - b,
+            "a * b": lambda a, b: a * b,
+            "a + 2 * b": lambda a, b: a + 2 * b,
+        }
         for trial in range(10):
+            expression = rng.choice(list(answers))
             template = QuizTemplate(
                 template_id=f"t{trial}",
-                topic_tag="arith",
                 question_pattern="{a} op {b}",
-                answer_expr=rng.choice(["a + b", "a - b", "a * b", "a + 2 * b"]),
+                answer=answers[expression],
                 slots={"a": (1, 30), "b": (1, 30)},
             )
             for _question, key in generate_quiz(template, seed=trial, n_items=20):
                 result = auto_grade(AssessmentRecord("s1", key.item_id, key.answer), key)
-                assert result.matched, (template.answer_expr, key.answer)
+                assert result.matched, (expression, key.answer)
 
     def test_match_fraction(self):
         quiz = generate_quiz(ARITHMETIC_TEMPLATE, seed=2, n_items=4)

@@ -445,7 +445,8 @@ def test_reference_agent_activity_from_transcript():
         "events_processed": 2857,
         "flags_raised": 690,
     }
-    assert activity["events_processed"] == load_report(transcript).counts["institution_agent"]
+    load_counts, _shares = load_report(transcript)
+    assert activity["events_processed"] == load_counts["institution_agent"]
 
 
 def _system_state(names) -> SystemState:

@@ -17,6 +17,11 @@ and methods it wraps as strings; each of its strings counts as a read. A
 public method of a module-level class is read only as an attribute or as such
 a string: a local variable of the same name does not read it.
 
+Every field of a ``src/auss`` dataclass is read: some reader loads it as an
+attribute, some string in a reader names it, or its class passes through
+``asdict`` or ``fields`` (one of its methods passes ``self`` or ``cls``, or a
+reader passes the class by name).
+
 Importing the package, or its cohort-file module, loads no orjson: only
 writing a transcript and reading events.jsonl import it. A simulation and
 its cohort metrics load no ``numpy.ma``.
@@ -160,6 +165,62 @@ def test_every_public_function_class_and_method_is_read(path):
         if name not in read
     )
     assert not unread, f"public functions, classes and methods no file reads: {unread}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+
+
+def _asdict_or_fields_argument(node: ast.AST) -> str | None:
+    """The bare name a call ``asdict(name)`` or ``fields(name)`` passes, else None."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("asdict", "fields")
+        and node.args
+        and isinstance(node.args[0], ast.Name)
+    ):
+        return node.args[0].id
+    return None
+
+
+@functools.cache
+def _field_reads() -> tuple[frozenset[str], frozenset[str]]:
+    """(names read, classes whose fields are all read): every attribute load
+    and every string in a reader; and every class that one of its own methods
+    passes to ``asdict`` or ``fields`` as ``self`` or ``cls``, or that a
+    reader passes to either by name."""
+    names, whole = set(), set()
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+            elif isinstance(node, ast.ClassDef):
+                passed = {_asdict_or_fields_argument(call) for call in ast.walk(node)}
+                if passed & {"self", "cls"}:
+                    whole.add(node.name)
+            elif (name := _asdict_or_fields_argument(node)) is not None:
+                whole.add(name)
+    return frozenset(names), frozenset(whole)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_dataclass_field_is_read(path):
+    names, whole = _field_reads()
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unread = sorted(
+        f"{path.name}:{item.lineno} {node.name}.{item.target.id}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node) and node.name not in whole
+        for item in node.body
+        if isinstance(item, ast.AnnAssign)
+        and isinstance(item.target, ast.Name)
+        and item.target.id not in names
+    )
+    assert not unread, f"dataclass fields no file reads: {unread}"
 
 
 @pytest.mark.parametrize("module", ["auss", "auss.cohort_files"])

@@ -419,15 +419,15 @@ def transcript_with_deliveries(counts: dict[str, int]) -> SimulationTranscript:
 
 class TestLoadReport:
     def test_single_agent_takes_everything(self):
-        report = load_report(transcript_with_deliveries({"a": 5, "b": 0}))
-        assert report.shares == {"a": 1.0, "b": 0.0}
+        _counts, shares = load_report(transcript_with_deliveries({"a": 5, "b": 0}))
+        assert shares == {"a": 1.0, "b": 0.0}
 
     def test_hand_computed_shares(self):
-        report = load_report(
+        _counts, shares = load_report(
             transcript_with_deliveries({"a": 26, "b": 26, "c": 48})
         )
-        assert report.shares["a"] == pytest.approx(0.26)
-        assert report.shares["c"] == pytest.approx(0.48)
+        assert shares["a"] == pytest.approx(0.26)
+        assert shares["c"] == pytest.approx(0.48)
 
     def test_shares_sum_to_one(self):
         rng = random.Random(3)
@@ -435,9 +435,9 @@ class TestLoadReport:
             counts = {f"agent{i}": rng.randint(0, 40) for i in range(3)}
             if sum(counts.values()) == 0:
                 counts["agent0"] = 1
-            report = load_report(transcript_with_deliveries(counts))
-            assert sum(report.shares.values()) == pytest.approx(1.0, abs=1e-9)
-            assert all(share >= 0 for share in report.shares.values())
+            _counts, shares = load_report(transcript_with_deliveries(counts))
+            assert sum(shares.values()) == pytest.approx(1.0, abs=1e-9)
+            assert all(share >= 0 for share in shares.values())
 
     def test_empty_transcript_rejected(self):
         with pytest.raises(TranscriptError):

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from auss import synthetic
 from auss.cohort_files import EVENTS_FILE, GROUND_TRUTH_FILE, STUDENTS_FILE
 from auss.domain import validate_cohort
 from auss.errors import CohortFormatError, ConfigError, read_config
-from auss.institution import FEATURE_ORDER, aggregate_features
+from auss.institution import FEATURE_ORDER, FeatureTracker, aggregate_features
+from auss.learners import sigmoid
 from auss.synthetic import (
     GeneratorConfig,
     _view_choices,
@@ -195,6 +197,63 @@ class TestViewChoices:
         cum_weights = np.array([[0.25, 0.25, 0.5, 1.0, 1.0]])
         u = np.array([[0.0, 0.25, 0.3, 0.5, 0.999, 1.0]])
         assert _view_choices(cum_weights, u).tolist() == [[0, 2, 2, 3, 3, 5]]
+
+
+_EDGE = dict(n_students=200, n_resources=6, n_ticks=30)
+
+
+class TestHazardReadsTheTrackersFeatures:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            GeneratorConfig(),
+            GeneratorConfig(**_EDGE, seed=1, noise_scale=0.0),
+            GeneratorConfig(**_EDGE, seed=2, absence_rate=0.0),
+            GeneratorConfig(**_EDGE, seed=3, absence_rate=1.0),
+            GeneratorConfig(**_EDGE, seed=4, assess_every=1, dropout_check_every=1),
+            GeneratorConfig(**_EDGE, seed=5, hazard_weights=(-4.0, 3.0, -6.0, 2.0, 3.0, -0.05)),
+        ],
+        ids=["default", "noiseless", "never-absent", "absence-rate-1", "every-tick", "weights"],
+    )
+    def test_checks_read_the_tracker_and_replay_the_dropouts(self, monkeypatch, config):
+        # At each check tick t, the active students' hazard features are the
+        # tracker's after ticks 0..t-1, bit for bit; the checks, replayed with
+        # the generator's draws, give the ground-truth dropout ticks.
+        checks, draws = [], []
+        hazard_checks, dropout_ticks = synthetic._hazard_checks, synthetic._dropout_ticks
+
+        def recorded_checks(*args):
+            for t, features in hazard_checks(*args):
+                checks.append((t, features))
+                yield t, features
+
+        def recorded_dropout_ticks(*args):
+            draws.append(args[-1])  # u_drop
+            return dropout_ticks(*args)
+
+        monkeypatch.setattr(synthetic, "_hazard_checks", recorded_checks)
+        monkeypatch.setattr(synthetic, "_dropout_ticks", recorded_dropout_ticks)
+        cohort, truth = generate_cohort(config)
+        [u_drop] = draws
+        assert checks
+
+        tracker = FeatureTracker(cohort)
+        slices = cohort.event_columns.tick_slices()
+        active = np.ones(config.n_students, dtype=bool)
+        replayed = {}
+        ingested = 0
+        for t, features in checks:
+            for tick in range(ingested, t):
+                if tick in slices:
+                    tracker.ingest(tick, slices[tick])
+            ingested = t
+            expected = tracker.feature_matrix()[active]
+            assert features[active].tobytes() == expected.tobytes(), t
+            p_drop = sigmoid(config.hazard_bias + features @ np.array(config.hazard_weights))
+            dropping = active & (u_drop[:, t] < p_drop)
+            replayed.update((cohort.student_ids[i], t) for i in np.flatnonzero(dropping))
+            active &= ~dropping
+        assert {sid: replayed.get(sid) for sid in cohort.student_ids} == truth.dropout_ticks
 
 
 class TestRoundTrip:
