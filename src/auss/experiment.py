@@ -12,20 +12,16 @@ import csv
 import functools
 import hashlib
 import json
-import os
-import pickle
 import random
 import shutil
-import signal
-import threading
 import time
-import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
 
+from . import forking
 from .domain import Cohort, validate_cohort
 from .educator import ARITHMETIC_TEMPLATE, EducatorAgent, generate_quiz, grade_response
 from .errors import (
@@ -488,84 +484,17 @@ def evaluate_metrics(
     return report
 
 
-def _fork_worthwhile() -> bool:
-    """Fork a metrics worker only where that is safe and can pay: ``os.fork``
-    exists, no other Python thread runs (a fork copies only the calling
-    thread, and a lock another thread holds stays held in the child), and
-    this process may use at least two CPUs."""
-    return (
-        hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and threading.active_count() == 1
-        and len(os.sched_getaffinity(0)) >= 2
-    )
-
-
-@contextlib.contextmanager
 def _cohort_metrics_ahead(cohort: Cohort, spec: ExperimentSpec, *, fork: bool = True):
     """Start on the cohort metrics of ``spec`` while the caller goes on.
 
-    Yields a function that returns what ``_cohort_metrics(cohort, spec)``
-    returns, or None when the caller is to compute them itself. With
-    ``fork`` set, any cohort metric selected and :func:`_fork_worthwhile`,
-    a forked child computes them, pickles them to a pipe and leaves by
-    ``os._exit``, so it never returns into the caller's stack. The function
-    reads the pipe and reaps the child; a failed fork, or a child that
-    failed in any way (a nonzero exit, a short or unreadable pipe), gives
-    None. On leaving the block, a child not yet reaped is killed and
-    reaped: no process outlives the block.
+    A context manager that yields a function returning what
+    ``_cohort_metrics(cohort, spec)`` returns, or None when the caller is to
+    compute them itself: :func:`~auss.forking.ahead` of ``_cohort_metrics``
+    when ``fork`` is set and any cohort metric is selected.
     """
-    if not (fork and set(COHORT_METRICS) & set(spec.metrics) and _fork_worthwhile()):
-        yield lambda: None
-        return
-    read_fd, write_fd = os.pipe()
-    try:
-        # Python 3.12+ warns on a fork from a process with more than one OS
-        # thread; the warning is raised again below, where the child is reaped.
-        with warnings.catch_warnings(record=True) as fork_warnings:
-            warnings.simplefilter("always")
-            pid = os.fork()
-    except OSError:  # no process to spare: compute inline
-        os.close(read_fd)
-        os.close(write_fd)
-        yield lambda: None
-        return
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            payload = pickle.dumps(_cohort_metrics(cohort, spec), pickle.HIGHEST_PROTOCOL)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(payload)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    pipe = os.fdopen(read_fd, "rb")
-    reaped = False
-
-    def result() -> tuple[dict[str, float], dict[str, float]] | None:
-        nonlocal reaped
-        with pipe:
-            payload = pipe.read()
-        _pid, status = os.waitpid(pid, 0)
-        reaped = True
-        if os.waitstatus_to_exitcode(status) != 0:
-            return None
-        try:
-            return pickle.loads(payload)
-        except (pickle.UnpicklingError, EOFError):  # a short pipe
-            return None
-
-    try:
-        for caught in fork_warnings:
-            warnings.warn(caught.message)
-        yield result
-    finally:
-        pipe.close()
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    if fork and set(COHORT_METRICS) & set(spec.metrics):
+        return forking.ahead(_cohort_metrics, cohort, spec)
+    return contextlib.nullcontext(lambda: None)
 
 
 # -- pipeline -------------------------------------------------------------------
@@ -626,23 +555,28 @@ def run_experiment(
 
     ``load_cohort``, when given, stands in for reading or generating the
     spec's cohort in the ``generate`` stage, which times and guards it
-    as it would the load.
+    as it would the load. Reading a file cohort may fork one child, which
+    parses the back half of a large events.jsonl and is reaped before the
+    read returns (:func:`~auss.cohort_files.read_cohort`).
 
-    Right after ``validate``, the cohort metrics (recommendation,
-    prediction, grading, risk) start in one forked worker process, when
-    ``os.fork`` exists, no other Python thread is running and the process
-    may use two or more CPUs; otherwise they are computed inline in
-    ``evaluate``. Meanwhile this process simulates and writes
-    ``transcript.jsonl``. So the ``evaluate_*`` durations are measured in
-    the worker, concurrently with ``simulate``, and ``evaluate`` is the wait
-    for the worker plus the metrics read from the transcript (latency,
-    load). ``write`` covers the transcript, reported as
-    ``durations_s["write_transcript"]``, then ``report.json`` and
-    ``plots/``. A failure surfaces in that order: simulate, transcript
-    write, evaluate, report write. A worker that fails in any way is
-    replaced by the inline computation, so an evaluation error is the
-    same ``StageError("evaluate")`` on either path. The worker is reaped
-    (and, on any failure, killed first) before this returns or raises.
+    ``validate`` refuses the cohort as :func:`require_valid` and
+    :func:`~auss.runtime.require_ticks_within` do, before any worker forks.
+    Right after it, the cohort metrics (recommendation, prediction,
+    grading, risk) start in one forked worker process where
+    :func:`auss.forking.fork_worthwhile` (``os.fork`` exists, no other
+    Python thread is running and the process may use two or more CPUs);
+    otherwise they are computed inline in ``evaluate``. Meanwhile this
+    process simulates and writes ``transcript.jsonl``. So the
+    ``evaluate_*`` durations are measured in the worker, concurrently with
+    ``simulate``, and ``evaluate`` is the wait for the worker plus the
+    metrics read from the transcript (latency, load). ``write`` covers the
+    transcript, reported as ``durations_s["write_transcript"]``, then
+    ``report.json`` and ``plots/``. A failure surfaces in that order:
+    simulate, transcript write, evaluate, report write. A worker that fails
+    in any way is replaced by the inline computation, so an evaluation
+    error is the same ``StageError("evaluate")`` on either path. The worker
+    is reaped (and, on any failure, killed first) before this returns or
+    raises.
     """
     created: list[Path] = []
     durations: dict[str, float] = {}
@@ -662,7 +596,12 @@ def run_experiment(
         return result
 
     cohort = stage("generate", load_cohort or (lambda: load_experiment_cohort(spec)))
-    stage("validate", lambda: require_valid(cohort))
+
+    def _validate() -> None:
+        require_valid(cohort)
+        require_ticks_within(cohort, spec.scheduler)
+
+    stage("validate", _validate)
     out = None if spec.output_dir is None else Path(spec.output_dir)
     with _cohort_metrics_ahead(cohort, spec) as cohort_metrics:
         transcript = stage("simulate", lambda: simulate(cohort, spec))

@@ -526,7 +526,8 @@ class PolicyDriver:
 def require_ticks_within(cohort: Cohort, config: SchedulerConfig) -> None:
     """Refuse a cohort with an event at a tick the run never reaches (at or
     past max_ticks): a ConfigError rather than an event silently left out.
-    ``run`` and ``experiment.replay`` both refuse through this."""
+    ``run``, ``experiment.replay`` and the ``validate`` stage of
+    ``experiment.run_experiment`` refuse through this."""
     ticks = cohort.event_columns.ticks()
     late = ticks[ticks >= config.max_ticks]
     if late.size:

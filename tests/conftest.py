@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from auss.domain import (
@@ -11,6 +13,12 @@ from auss.domain import (
     LearningResource,
     StudentRecord,
 )
+
+
+def assert_no_child_process() -> None:
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def make_student(sid: str, gpa: float = 3.0, credits: float = 12.0) -> StudentRecord:

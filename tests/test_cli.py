@@ -512,6 +512,49 @@ class TestCliErrors:
         assert not (run_dir / "report.json").exists()
         assert not (tmp_path / "again").exists()
 
+    def test_events_past_max_ticks_refused_at_validate_before_the_worker(
+        self, tmp_path, capsys, monkeypatch, gen_config
+    ):
+        cohort_dir = tmp_path / "cohort"
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"scheduler": {"max_ticks": 11}}))
+        run_cli(capsys, "generate", "--config", str(gen_config), "--out", str(cohort_dir))
+
+        def no_metrics(*_args, **_kwargs):
+            raise AssertionError("cohort metrics started before the refusal")
+
+        monkeypatch.setattr(experiment, "_cohort_metrics_ahead", no_metrics)
+        code, out, err = run_cli(
+            capsys,
+            "simulate",
+            "--cohort", str(cohort_dir),
+            "--config", str(config),
+            "--out", str(tmp_path / "runs"),
+            "--runs", "2",
+        )
+        assert code == 1
+        assert out is None
+        assert json.loads(err) == {
+            "error": "StageError",
+            "message": "stage 'validate' failed: "
+            "cohort has an event at tick 11, at or past max_ticks 11",
+        }
+
+    @pytest.mark.parametrize("name", ["students.csv", "events.jsonl"])
+    def test_directory_in_place_of_a_cohort_file(self, tmp_path, capsys, gen_config, name):
+        cohort_dir = tmp_path / "cohort"
+        run_cli(capsys, "generate", "--config", str(gen_config), "--out", str(cohort_dir))
+        (cohort_dir / name).unlink()
+        (cohort_dir / name).mkdir()
+        code, out, err = run_cli(
+            capsys, "simulate", "--cohort", str(cohort_dir), "--out", str(tmp_path / "run")
+        )
+        assert code == 1
+        assert out is None
+        error = json.loads(err)
+        assert error["error"] == "CohortFormatError"
+        assert error["message"].startswith(f"{cohort_dir / name}: cannot open: ")
+
     @pytest.mark.parametrize("command", ["evaluate", "replay --no-verify", "replay"])
     def test_events_past_max_ticks_refused_before_any_metric(
         self, tmp_path, capsys, monkeypatch, gen_config, command

@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import orjson
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from auss import cohort_files
+from auss import cohort_files, forking
 from auss.cohort_files import (
     ASSESSMENTS_FILE,
     EVENTS_FILE,
@@ -28,6 +30,7 @@ from auss.domain import AssessmentRecord, Cohort, EventColumns, EventKind
 from auss.errors import CohortFormatError
 from auss.synthetic import GeneratorConfig, generate_cohort
 
+from conftest import assert_no_child_process
 from oracles import json_events_reader
 
 CSV_FILES = (STUDENTS_FILE, RESOURCES_FILE, ASSESSMENTS_FILE)
@@ -71,6 +74,16 @@ def test_invalid_utf8_rejected_with_line(tmp_path, cohort_bytes, name):
         read_cohort(tmp_path)
     assert exc_info.value.path == str(tmp_path / name)
     assert exc_info.value.line == 2
+
+
+@pytest.mark.parametrize("name", ALL_FILES)
+def test_directory_in_place_of_a_file_rejected(tmp_path, cohort_bytes, name):
+    _write(tmp_path, {other: data for other, data in cohort_bytes.items() if other != name})
+    (tmp_path / name).mkdir()
+    with pytest.raises(CohortFormatError, match="cannot open: ") as exc_info:
+        read_cohort(tmp_path)
+    assert exc_info.value.path == str(tmp_path / name)
+    assert exc_info.value.line is None
 
 
 @pytest.mark.parametrize("name", CSV_FILES)
@@ -372,6 +385,21 @@ TIE_ROUNDING_INTEGER = str(2**64 + 2**11)
 DUPLICATE_KEY = _writer_line(tick="1")[:-1] + ',"tick":3}'
 EXTRA_FIELD = _writer_line(extra="1")
 FIVE_ELEMENT_ARRAY = "[1,2,3,4,5]"
+#: An object opened on line 1 and closed on line 2, and two objects on line 3.
+MEMBER_ACROSS_LINES = _lines(
+    '{"kind":"login","resource_id":null',
+    '"student_id":"s0000","tick":1,"value":0.5}',
+    _LINE + "," + _LINE,
+)
+#: An array opened on line 1 and closed on line 2, each line with an object.
+ARRAY_ACROSS_LINES = _lines(_LINE + ",[1", "2]," + _LINE)
+#: A string opened on line 1 and closed on line 2, and two objects with a 0
+#: between them on line 3.
+STRING_ACROSS_LINES = _lines(
+    '{"kind":"login","resource_id":null,"student_id":"s}',
+    '{x","tick":1,"value":0.5}',
+    _LINE + ",0," + _LINE,
+)
 
 
 @settings(max_examples=400, deadline=None)
@@ -381,6 +409,9 @@ FIVE_ELEMENT_ARRAY = "[1,2,3,4,5]"
 @example(text=_writer_line(tick="1\u0663"))
 @example(text=_writer_line(value="0.\u0665"))
 @example(text=SPANNING_LINES)
+@example(text=MEMBER_ACROSS_LINES)
+@example(text=ARRAY_ACROSS_LINES)
+@example(text=STRING_ACROSS_LINES)
 @example(text=LONE_CR_IN_LINE)
 @example(text=LONE_CR_BETWEEN_LINES)
 @example(text=CRLF_LINES)
@@ -441,6 +472,8 @@ def test_orjson_reads_as_the_events_pass_assumes():
         assert orjson.loads(text) == float(text)
     assert orjson.loads(b'{"tick":1,"tick":2}') == {"tick": 2}
     assert orjson.loads(b'\r{"tick":1}\r') == {"tick": 1}
+    with pytest.raises(orjson.JSONDecodeError):  # the block's line ends stay out of strings
+        orjson.loads(b'["a,\n0,b"]')
 
 
 @settings(max_examples=200, deadline=None)
@@ -456,6 +489,147 @@ def test_events_reader_matches_json_oracle_across_block_boundaries(
         _write(directory, dict(cohort_bytes, **{EVENTS_FILE: text.encode("utf-8")}))
         expected = _read_outcome(lambda: json_events_reader(directory / EVENTS_FILE, *cohort_ids))
         assert _read_outcome(lambda: _package_columns(directory)) == expected
+
+
+# -- the back half of events.jsonl in a forked child ------------------------------
+
+NEW_ID_IN_THE_BACK_HALF = _lines(_LINE, _LINE, _writer_line(student_id='"new"'), _LINE)
+#: Split after line 2, the front half adds "new" and the back half adds
+#: "other" before it names "new" again.
+NEW_IDS_ON_BOTH_SIDES = _lines(
+    _writer_line(student_id='"new"'),
+    _LINE,
+    _writer_line(student_id='"other"', resource_id='"r9"'),
+    _writer_line(student_id='"new"', resource_id='"r002"'),
+)
+REFUSED_IN_THE_FRONT_HALF = _lines(_writer_line(value="1"), _LINE, _writer_line(tick="2"))
+REFUSED_IN_THE_BACK_HALF = _lines(_LINE, _LINE, _writer_line(kind='"bogus"'))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=events_text(),
+    block_bytes=st.integers(1, 64),
+    split_line=st.one_of(st.none(), st.integers(1, 10)),
+)
+@example(text=NEW_ID_IN_THE_BACK_HALF, block_bytes=64, split_line=2)
+@example(text=NEW_ID_IN_THE_BACK_HALF, block_bytes=64, split_line=3)
+@example(text=NEW_IDS_ON_BOTH_SIDES, block_bytes=64, split_line=2)
+@example(text=NEW_IDS_ON_BOTH_SIDES, block_bytes=64, split_line=None)
+@example(text=REFUSED_IN_THE_FRONT_HALF, block_bytes=64, split_line=1)
+@example(text=REFUSED_IN_THE_FRONT_HALF, block_bytes=8, split_line=2)
+@example(text=REFUSED_IN_THE_BACK_HALF, block_bytes=64, split_line=1)
+@example(text=REFUSED_IN_THE_BACK_HALF, block_bytes=8, split_line=2)
+@example(text=SPANNING_LINES, block_bytes=64, split_line=2)
+def test_split_read_matches_json_oracle(
+    cohort_bytes, cohort_ids, text, block_bytes, split_line
+):
+    """The back half goes to a forked child at any line start (the line
+    ``split_line`` ends), or at the middle byte with ``split_line`` None;
+    new ids and refused lines fall on either side of it."""
+    data = text.encode("utf-8")
+    line_starts = [i + 1 for i in range(len(data) - 1) if data[i] == ord("\n")]
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        directory = Path(directory)
+        patch.setattr(forking, "fork_worthwhile", lambda: True)
+        patch.setattr(cohort_files, "_BLOCK_BYTES", block_bytes)
+        if split_line is None:
+            patch.setattr(cohort_files, "_SPLIT_FLOOR_BYTES", 0)
+        elif line_starts:
+            split = line_starts[(split_line - 1) % len(line_starts)]
+            patch.setattr(cohort_files, "_back_half_start", lambda fh: split)
+        _write(directory, dict(cohort_bytes, **{EVENTS_FILE: data}))
+        expected = _read_outcome(lambda: json_events_reader(directory / EVENTS_FILE, *cohort_ids))
+        assert _read_outcome(lambda: _package_columns(directory)) == expected
+    assert_no_child_process()
+
+
+def _split_cohort(directory: Path) -> Cohort:
+    """A generated cohort, written to ``directory``; reads of it are split."""
+    cohort, _truth = generate_cohort(
+        GeneratorConfig(n_students=60, n_resources=6, n_ticks=12, seed=5)
+    )
+    write_cohort(cohort, directory)
+    return cohort
+
+
+class TestNoProcessOutlivesARead:
+    """Whatever a split read meets, its child is reaped before ``read_cohort`` returns or raises."""
+
+    @pytest.fixture(autouse=True)
+    def splitting(self, monkeypatch):
+        monkeypatch.setattr(forking, "fork_worthwhile", lambda: True)
+        monkeypatch.setattr(cohort_files, "_SPLIT_FLOOR_BYTES", 0)
+
+    @pytest.mark.parametrize("bad_assessments", [False, True])
+    @pytest.mark.parametrize("half", ["front", "back"])
+    def test_after_a_refused_half(self, tmp_path, half, bad_assessments):
+        # The events.jsonl fault is reported even with a bad assessments.csv,
+        # which is read before a refused front half is read line by line.
+        _split_cohort(tmp_path)
+        path = tmp_path / EVENTS_FILE
+        lines = path.read_bytes().split(b"\n")
+        index = 1 if half == "front" else len(lines) - 2
+        path.write_bytes(_replace_line(path.read_bytes(), index, b"{}"))
+        if bad_assessments:
+            (tmp_path / ASSESSMENTS_FILE).write_text("student_id,item_id\n")
+        with pytest.raises(CohortFormatError, match="missing fields") as exc_info:
+            read_cohort(tmp_path)
+        assert (exc_info.value.path, exc_info.value.line) == (str(path), index + 1)
+        assert_no_child_process()
+
+    def test_after_a_child_exiting_nonzero(self, tmp_path, monkeypatch):
+        cohort = _split_cohort(tmp_path)
+        statuses = []
+        waitpid = os.waitpid
+
+        def recording_waitpid(pid, options):
+            result = waitpid(pid, options)
+            statuses.append(os.waitstatus_to_exitcode(result[1]))
+            return result
+
+        monkeypatch.setattr(os, "waitpid", recording_waitpid)
+        monkeypatch.setattr(cohort_files, "_back_half_columns", lambda *args: os._exit(3))
+        back = read_cohort(tmp_path)
+        assert statuses == [3]
+        assert _columns_bytes(back.event_columns) == _columns_bytes(cohort.event_columns)
+        assert_no_child_process()
+
+    def test_after_an_interrupt_in_the_front_half(self, tmp_path, monkeypatch):
+        _split_cohort(tmp_path)
+        parent = os.getpid()
+        extend_checked = cohort_files._extend_checked
+
+        def interrupted(events, block, loads):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return extend_checked(events, block, loads)
+
+        monkeypatch.setattr(cohort_files, "_extend_checked", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            read_cohort(tmp_path)
+        assert_no_child_process()
+
+    def test_after_a_fork_warning_made_an_error(self, tmp_path, monkeypatch):
+        # As in the metrics worker's test: pyproject.toml makes Python 3.12+'s
+        # warning on a fork from a multi-threaded process an error.
+        _split_cohort(tmp_path)
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn(
+                    f"This process (pid={os.getpid()}) is multi-threaded, "
+                    "use of fork() may lead to deadlocks in the child.",
+                    DeprecationWarning,
+                )
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with pytest.raises(DeprecationWarning, match="multi-threaded"):
+            read_cohort(tmp_path)
+        assert_no_child_process()
 
 
 # -- every line the writer writes takes the fast path ---------------------------
@@ -474,7 +648,7 @@ def _round_trip_without_fallback(cohort: Cohort, directory: Path) -> Cohort:
     """Write ``cohort`` and read it back; a file the whole-file pass refuses,
     or a line read with json.loads, fails."""
 
-    def line_by_line(path, events):
+    def line_by_line(path, student_ids, resource_ids):
         raise AssertionError(f"{path} was read line by line")
 
     def fallback(events, line, path, line_no):
@@ -494,6 +668,33 @@ def test_generated_cohort_round_trips_on_the_fast_path(tmp_path):
     back = _round_trip_without_fallback(cohort, tmp_path)
     assert _columns_bytes(back.event_columns) == _columns_bytes(cohort.event_columns)
     assert back == cohort
+
+
+def test_generated_cohort_round_trips_split_with_the_back_half_from_the_child(
+    tmp_path, monkeypatch
+):
+    cohort, _truth = generate_cohort(
+        GeneratorConfig(n_students=200, n_resources=6, n_ticks=12, seed=3)
+    )
+    monkeypatch.setattr(forking, "fork_worthwhile", lambda: True)
+    monkeypatch.setattr(cohort_files, "_SPLIT_FLOOR_BYTES", 0)
+    parent = os.getpid()
+    parsed = []  # (start, stop) of each byte range this process parses
+    read_blocks = cohort_files._read_blocks
+
+    def recorded(fh, stop, *args):
+        if os.getpid() == parent:
+            parsed.append((fh.tell(), stop))
+        return read_blocks(fh, stop, *args)
+
+    monkeypatch.setattr(cohort_files, "_read_blocks", recorded)
+    back = _round_trip_without_fallback(cohort, tmp_path)
+    data = (tmp_path / EVENTS_FILE).read_bytes()
+    split = data.index(b"\n", len(data) // 2) + 1
+    assert parsed == [(0, split)]
+    assert _columns_bytes(back.event_columns) == _columns_bytes(cohort.event_columns)
+    assert back == cohort
+    assert_no_child_process()
 
 
 finite_values = st.one_of(

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import auss.experiment as experiment_module
+import auss.forking as forking
 import auss.synthetic as synthetic_module
 from auss.bus import Event
 from auss.cli import main as cli_main
@@ -65,6 +66,7 @@ from auss.runtime import SchedulerConfig, SimulationTranscript
 from auss.student import InteractionMatrix
 from auss.synthetic import GeneratorConfig, export_cohort, generate_cohort
 
+from conftest import assert_no_child_process
 from oracles import object_grading_rate, object_risk_evaluation
 
 #: A 40-student, 6-resource, 12-tick run at seed 3, written by an earlier build.
@@ -627,15 +629,10 @@ def _run_on(path: str, spec: ExperimentSpec, body=None):
         return original(cohort, spec)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiment_module, "_fork_worthwhile", lambda: path == "worker")
+        mp.setattr(forking, "fork_worthwhile", lambda: path == "worker")
         mp.setattr(experiment_module, "_cohort_metrics", counted)
         outcome = _outcome(spec)
     return outcome, len(calls)
-
-
-def _assert_no_child_process():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestMetricsWorker:
@@ -646,7 +643,7 @@ class TestMetricsWorker:
         inline, inline_calls = _run_on("inline", reference_spec())
         assert (worker_calls, inline_calls) == (0, 1)
         assert worker == inline == MetricsReport.load(REFERENCE_REPORT).comparable_dict()
-        _assert_no_child_process()
+        assert_no_child_process()
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -676,7 +673,7 @@ class TestMetricsWorker:
         assert "risk metrics need both outcomes" in cause
         # the worker failed, so this process computed the metrics and raised
         assert worker_calls == 1
-        _assert_no_child_process()
+        assert_no_child_process()
 
     def test_worker_exiting_nonzero_falls_back_inline(self, monkeypatch):
         statuses = []
@@ -707,7 +704,7 @@ class TestMetricsWorker:
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            assert not experiment_module._fork_worthwhile()
+            assert not forking.fork_worthwhile()
         finally:
             release.set()
             thread.join()
@@ -717,7 +714,7 @@ class TestMetricsWorker:
         for path in ("worker", "inline"):
             out = tmp_path / path
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(experiment_module, "_fork_worthwhile", lambda: path == "worker")
+                mp.setattr(forking, "fork_worthwhile", lambda: path == "worker")
                 report, _ = run_experiment(small_spec(out_dir=out))
             keys[path] = set(MetricsReport.load(out / "report.json").metadata["durations_s"])
             assert set(report.metadata["durations_s"]) == keys[path]
@@ -738,17 +735,17 @@ class TestNoProcessOutlivesARun:
     """Whatever the run does, its worker is reaped before it returns or raises."""
 
     @pytest.fixture(autouse=True)
-    def forking(self, monkeypatch):
-        monkeypatch.setattr(experiment_module, "_fork_worthwhile", lambda: True)
+    def always_fork(self, monkeypatch):
+        monkeypatch.setattr(forking, "fork_worthwhile", lambda: True)
 
     def test_after_success(self):
         run_experiment(small_spec())
-        _assert_no_child_process()
+        assert_no_child_process()
 
     def test_after_an_evaluation_failure(self):
         with pytest.raises(StageError, match="stage 'evaluate'"):
             run_experiment(small_spec(seed=1, n_students=200, n_ticks=10))
-        _assert_no_child_process()
+        assert_no_child_process()
 
     @pytest.mark.parametrize("error", [RuntimeError("simulation broke"), KeyboardInterrupt()])
     def test_after_a_simulate_failure(self, monkeypatch, error):
@@ -760,7 +757,7 @@ class TestNoProcessOutlivesARun:
         with pytest.raises(expected) as exc_info:
             run_experiment(small_spec())
         assert exc_info.value is error or exc_info.value.stage == "simulate"
-        _assert_no_child_process()
+        assert_no_child_process()
 
     def test_simulate_failure_comes_before_an_evaluation_failure(self, monkeypatch):
         def broken(cohort, spec):
@@ -769,7 +766,7 @@ class TestNoProcessOutlivesARun:
         monkeypatch.setattr(experiment_module, "simulate", broken)
         with pytest.raises(StageError, match="stage 'simulate'"):
             run_experiment(small_spec(seed=1, n_students=200, n_ticks=10))
-        _assert_no_child_process()
+        assert_no_child_process()
 
     def test_transcript_write_failure_comes_before_an_evaluation_failure(
         self, monkeypatch, tmp_path
@@ -783,7 +780,7 @@ class TestNoProcessOutlivesARun:
         with pytest.raises(StageError, match="stage 'write' failed: disk full"):
             run_experiment(small_spec(out_dir=out, seed=1, n_students=200, n_ticks=10))
         assert not (out / "transcript.jsonl").exists()
-        _assert_no_child_process()
+        assert_no_child_process()
 
     def test_evaluation_failure_removes_the_written_transcript(self, tmp_path):
         out = tmp_path / "run"
@@ -810,13 +807,13 @@ class TestNoProcessOutlivesARun:
         monkeypatch.setattr(os, "fork", warning_fork)
         with pytest.raises(DeprecationWarning, match="multi-threaded"):
             run_experiment(small_spec())
-        _assert_no_child_process()
+        assert_no_child_process()
 
     def test_after_a_sweep_and_a_replay(self, tmp_path):
         results = run_sweep(small_spec(out_dir=tmp_path / "sweep"), 2)
-        _assert_no_child_process()
+        assert_no_child_process()
         report = replay(tmp_path / "sweep" / "run-5" / "transcript.jsonl")
-        _assert_no_child_process()
+        assert_no_child_process()
         assert report.comparable_dict() == results[0][1].comparable_dict()
 
 
