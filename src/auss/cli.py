@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .domain import validate_cohort
-from .errors import AussError, ConfigError, read_config
+from .errors import AussError, ConfigError, StageError, read_config
 from .experiment import (
     ExperimentSpec,
     replay as replay_transcript,
@@ -113,17 +113,20 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
     require_valid(cohort)
     transcript = simulate(cohort, spec)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    digest = transcript.to_jsonl(out / "transcript.jsonl")
-    (out / "run.json").write_text(
-        json.dumps(
-            {"cohort_dir": args.cohort, "spec": spec.to_dict(), "transcript_sha256": digest},
-            indent=2,
-            sort_keys=True,
+    try:  # a failed write is StageError("write"), as in run_experiment
+        out.mkdir(parents=True, exist_ok=True)
+        digest = transcript.to_jsonl(out / "transcript.jsonl")
+        (out / "run.json").write_text(
+            json.dumps(
+                {"cohort_dir": args.cohort, "spec": spec.to_dict(), "transcript_sha256": digest},
+                indent=2,
+                sort_keys=True,
+            )
+            + "\n",
+            encoding="utf-8",
         )
-        + "\n",
-        encoding="utf-8",
-    )
+    except OSError as exc:
+        raise StageError("write", exc) from exc
     return {
         "command": "simulate",
         "out": args.out,

@@ -3,7 +3,9 @@ assessments.csv, and ground_truth.json.
 
 Column and field names are frozen (documented in FORMATS.md); unknown
 event fields and malformed values are rejected with the offending line.
-Floats are written with repr so a round-trip reproduces them exactly.
+Floats are written as repr (CSV) and json.dumps (JSON) spell them, so a
+round-trip reproduces them exactly; orjson spells them, guarded by
+:mod:`auss.orjson_guard`, and ground_truth.json too.
 Events and assessments are written from, and read straight into, the
 cohort's columns; no per-event or per-assessment object is built. Events
 are read by an orjson pass over blocks of lines, the back half of a large
@@ -23,7 +25,7 @@ from typing import IO, BinaryIO, Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from . import forking
+from . import forking, orjson_guard
 from .domain import (
     AssessmentColumns,
     Cohort,
@@ -49,39 +51,79 @@ _INT64 = np.iinfo(np.int64)
 
 
 def write_cohort(cohort: Cohort, directory: str | Path) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    """Write the cohort's interchange files into ``directory``, creating it.
 
-    feature_names = sorted({name for s in cohort.students for name in s.static_features})
-    with (directory / STUDENTS_FILE).open("w", encoding="utf-8", newline="") as fh:
+    Without ground truth, a ground_truth.json already there is removed, so
+    that reading the directory gives back this cohort. A directory or file
+    that cannot be created, written or removed is a CohortFormatError.
+    """
+    directory = Path(directory)
+    with _writing(directory):
+        directory.mkdir(parents=True, exist_ok=True)
+
+    students = cohort.students
+    feature_names = sorted({name for s in students for name in s.static_features})
+    features = [_feature_cells(students, name) for name in feature_names]
+    with _created(directory / STUDENTS_FILE, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["student_id", "enrollment_tick", *feature_names])
-        for student in cohort.students:
-            row = [student.student_id, str(student.enrollment_tick)]
-            for name in feature_names:
-                value = student.static_features.get(name)
-                row.append("" if value is None else repr(float(value)))
-            writer.writerow(row)
+        writer.writerows(
+            [student.student_id, str(student.enrollment_tick), *(cells[i] for cells in features)]
+            for i, student in enumerate(students)
+        )
 
-    with (directory / RESOURCES_FILE).open("w", encoding="utf-8", newline="") as fh:
+    resources = cohort.resources
+    difficulties = orjson_guard.spell_floats([float(r.difficulty) for r in resources], repr)
+    with _created(directory / RESOURCES_FILE, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_RESOURCE_COLUMNS)
-        for resource in cohort.resources:
-            writer.writerow([resource.resource_id, resource.topic_tag, repr(resource.difficulty)])
+        writer.writerows(
+            [r.resource_id, r.topic_tag, text] for r, text in zip(resources, difficulties)
+        )
 
-    with (directory / EVENTS_FILE).open("w", encoding="utf-8", newline="\n") as fh:
+    with _created(directory / EVENTS_FILE, "w", encoding="utf-8", newline="\n") as fh:
         _write_events(fh, cohort.event_columns)
 
-    with (directory / ASSESSMENTS_FILE).open("w", encoding="utf-8", newline="") as fh:
+    assessments = cohort.assessment_columns
+    scores = orjson_guard.spell_floats(assessments.score.tolist(), repr)  # 0.0 where ungraded
+    with _created(directory / ASSESSMENTS_FILE, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_ASSESSMENT_COLUMNS)
         writer.writerows(
-            (sid, item, response, "" if score is None else repr(score))
-            for sid, item, response, score in cohort.assessment_columns.rows()
+            (sid, item, response, "" if score is None else text)
+            for (sid, item, response, score), text in zip(assessments.rows(), scores)
         )
 
+    truth_path = directory / GROUND_TRUTH_FILE
     if cohort.ground_truth is not None:
-        write_ground_truth(cohort.ground_truth, directory / GROUND_TRUTH_FILE)
+        write_ground_truth(cohort.ground_truth, truth_path)
+    else:
+        with _writing(truth_path):
+            truth_path.unlink(missing_ok=True)
+
+
+@contextmanager
+def _writing(path: Path) -> Iterator[None]:
+    """An OSError in the block, which creates or writes ``path``, is a CohortFormatError."""
+    try:
+        yield
+    except OSError as exc:
+        raise CohortFormatError(f"cannot write: {exc.strerror or exc}", path=str(path)) from exc
+
+
+@contextmanager
+def _created(path: Path, mode: str, **kwargs) -> Iterator[IO]:
+    """``path`` open for writing; an OSError opening, writing or closing it
+    is a CohortFormatError."""
+    with _writing(path), path.open(mode, **kwargs) as fh:
+        yield fh
+
+
+def _feature_cells(students: Sequence[StudentRecord], name: str) -> list[str]:
+    """Each student's cell of feature column ``name``: its value's ``repr``, or "" if none."""
+    values = [student.static_features.get(name) for student in students]
+    spelled = orjson_guard.spell_floats([0.0 if v is None else float(v) for v in values], repr)
+    return ["" if v is None else text for v, text in zip(values, spelled)]
 
 
 #: Events written per chunk, which bounds the text held in memory at once.
@@ -92,37 +134,55 @@ def _write_events(fh: TextIO, events: EventColumns) -> None:
     """One JSON object per event, in stream order, keys sorted, no spaces.
 
     The same text as ``json.dumps(record, sort_keys=True, separators=(",", ":"))``:
-    ids and kinds are encoded once per table entry, and a value is its
-    ``repr`` (``json.dumps`` spells a non-finite value its own way).
+    ids and kinds are encoded once per table entry, the text up to the
+    student id once per (kind, resource) pair, and each chunk's values by
+    :func:`auss.orjson_guard.spell_floats`.
     """
     kinds = [json.dumps(kind.value) for kind in EventKind]
-    students = [json.dumps(sid) for sid in events.student_ids]
     resources = [json.dumps(rid) for rid in events.resource_ids] + ["null"]  # [-1] is "none"
-    number = repr if np.isfinite(events.value).all() else json.dumps
+    width = len(resources)
+    # The head of a (kind k, resource r) event is heads[k * width + r % width].
+    heads = [f'{{"kind":{k},"resource_id":{r},"student_id":' for k in kinds for r in resources]
+    students = [json.dumps(sid) for sid in events.student_ids]
     for first in range(0, len(events), _EVENT_CHUNK):
         chunk = events.take(slice(first, first + _EVENT_CHUNK))
+        head = chunk.kind.astype(np.intp) * width + chunk.resource % width
         fh.write(
             "".join(
-                f'{{"kind":{kinds[k]},"resource_id":{resources[r]},'
-                f'"student_id":{students[s]},"tick":{t},"value":{number(v)}}}\n'
-                for s, t, k, v, r in zip(
+                f'{heads[h]}{students[s]},"tick":{t},"value":{v}}}\n'
+                for h, s, t, v in zip(
+                    head.tolist(),
                     chunk.student.tolist(),
                     chunk.tick.tolist(),
-                    chunk.kind.tolist(),
-                    chunk.value.tolist(),
-                    chunk.resource.tolist(),
+                    orjson_guard.spell_floats(chunk.value.tolist(), json.dumps),
                 )
             )
         )
 
 
 def write_ground_truth(truth: GroundTruth, path: str | Path) -> None:
+    """ground_truth.json: the bytes of ``json.dumps(data, indent=2, sort_keys=True)``.
+
+    orjson writes them where it can: if it refuses the data, or its text
+    holds a guarded spelling other than the one ``null`` of each student
+    who never drops out, the json module writes them instead.
+    """
+    import orjson  # imported here so that ``import auss`` does not pay for it
+
     data = {
         "abilities": {sid: value for sid, value in truth.abilities.items()},
         "preference_rankings": {sid: list(r) for sid, r in truth.preference_rankings.items()},
         "dropout_ticks": {sid: tick for sid, tick in truth.dropout_ticks.items()},
     }
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True), encoding="utf-8")
+    nulls = sum(tick is None for tick in truth.dropout_ticks.values())
+    try:
+        text = orjson.dumps(data, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS)
+    except TypeError:
+        text = None
+    if text is None or not len(orjson_guard.hits(text)) == text.count(b"null") == nulls:
+        text = json.dumps(data, indent=2, sort_keys=True).encode("ascii")
+    with _created(Path(path), "wb") as fh:
+        fh.write(text)
 
 
 _GROUND_TRUTH_KEYS = {"abilities", "preference_rankings", "dropout_ticks"}

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import re
 import time
 from abc import ABC, abstractmethod
 from bisect import bisect_right
@@ -22,6 +21,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
+from . import orjson_guard
 from .bus import AgentName, Event, EventBus, Subscription, TriggerKind
 from .domain import Cohort, EventColumns
 from .errors import (
@@ -194,14 +194,6 @@ def _canonical_line(record: Mapping[str, object]) -> bytes:
 #: Records encoded, hashed and written at a time by ``to_jsonl``.
 _WRITE_CHUNK = 1024
 
-# Where orjson's bytes may differ from ``_canonical``'s: an exponent (``1e16``
-# for ``1e+16``; ``5e-324`` is guarded although both agree), a float below
-# 1e-4 written out (``0.00001`` for ``1e-05``), ``null`` (also NaN and
-# ±inf), and U+007F or non-ASCII characters written raw.
-_EXPONENT = re.compile(rb"e[-0-9]")
-_RAW = re.compile(rb"[\x7f-\xff]")
-_SPELLED_OUT = (b"null", b"0.0000")
-
 
 def _encode_lines(records: Sequence[Mapping[str, object]]) -> bytes:
     """The bytes of ``"".join(_canonical(r) + "\n" for r in records)``.
@@ -210,8 +202,8 @@ def _encode_lines(records: Sequence[Mapping[str, object]]) -> bytes:
     64 bits, a non-str key, a lone surrogate, deep nesting, a numpy scalar,
     a dataclass, a datetime), or whose bytes hold a guarded spelling, is
     encoded by ``_canonical`` instead, so json's line or its error stands.
-    The guard scans the joined bytes once and maps its hits to lines by
-    offset. The one divergence: orjson encodes plain ``Enum`` members (as
+    The guard (:func:`auss.orjson_guard.hits`) scans the joined bytes once
+    and maps its hits to lines by offset. The one divergence: orjson encodes plain ``Enum`` members (as
     their value) and ``UUID`` (as its string), which json refuses.
     """
     import orjson  # imported here so that ``import auss`` does not pay for it
@@ -233,14 +225,7 @@ def _encode_lines(records: Sequence[Mapping[str, object]]) -> bytes:
             except TypeError:
                 lines.append(_canonical_line(record))
     text = b"".join(lines)
-    hits = [match.start() for match in _EXPONENT.finditer(text)]
-    if not text.isascii() or b"\x7f" in text:
-        hits += [match.start() for match in _RAW.finditer(text)]
-    for pattern in _SPELLED_OUT:
-        at = text.find(pattern)
-        while at >= 0:
-            hits.append(at)
-            at = text.find(pattern, at + 1)
+    hits = orjson_guard.hits(text)
     if not hits:
         return text
     ends = list(accumulate(map(len, lines)))

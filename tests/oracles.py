@@ -16,11 +16,13 @@ level-wise forest must reproduce.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -670,6 +672,66 @@ def json_events_reader(
             resource = row(resources, resource_row, str(resource))
         columns[4].append(-1 if resource is None else resource)
     return (*columns, students, resources)
+
+
+def json_cohort_writer(cohort, directory) -> None:
+    """The five cohort files as the json and csv modules spell them.
+
+    One ``json.dumps(record, sort_keys=True, separators=(",", ":"))`` per
+    event, read from ``cohort.events``; ground_truth.json (if the cohort has
+    ground truth) as ``json.dumps(data, indent=2, sort_keys=True)``; and CSV
+    rows whose float cells are each value's ``repr`` (of the value as a
+    float: a ``np.float64`` reprs as ``np.float64(0.5)``).
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+
+    names = sorted({name for student in cohort.students for name in student.static_features})
+    with open(directory / "students.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["student_id", "enrollment_tick", *names])
+        for student in cohort.students:
+            row = [student.student_id, str(student.enrollment_tick)]
+            for name in names:
+                value = student.static_features.get(name)
+                row.append("" if value is None else repr(float(value)))
+            writer.writerow(row)
+
+    with open(directory / "resources.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["resource_id", "topic_tag", "difficulty"])
+        for resource in cohort.resources:
+            difficulty = repr(float(resource.difficulty))
+            writer.writerow([resource.resource_id, resource.topic_tag, difficulty])
+
+    with open(directory / "events.jsonl", "w", encoding="utf-8", newline="\n") as fh:
+        for event in cohort.events:
+            record = {
+                "student_id": event.student_id,
+                "tick": event.tick,
+                "kind": event.kind.value,
+                "value": event.value,
+                "resource_id": event.resource_id,
+            }
+            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+
+    with open(directory / "assessments.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["student_id", "item_id", "response", "score"])
+        for a in cohort.assessments:
+            writer.writerow(
+                [a.student_id, a.item_id, a.response, "" if a.score is None else repr(a.score)]
+            )
+
+    truth = cohort.ground_truth
+    if truth is not None:
+        data = {
+            "abilities": dict(truth.abilities),
+            "preference_rankings": {sid: list(r) for sid, r in truth.preference_rankings.items()},
+            "dropout_ticks": dict(truth.dropout_ticks),
+        }
+        with open(directory / "ground_truth.json", "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(data, indent=2, sort_keys=True))
 
 
 # -- regression trees, one node at a time -----------------------------------------

@@ -555,6 +555,44 @@ class TestCliErrors:
         assert error["error"] == "CohortFormatError"
         assert error["message"].startswith(f"{cohort_dir / name}: cannot open: ")
 
+    @pytest.mark.parametrize("under", [False, True], ids=["out", "parent"])
+    def test_file_in_place_of_the_generate_out(self, tmp_path, capsys, gen_config, under):
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        out = blocker / "cohort" if under else blocker
+        code, printed, err = run_cli(
+            capsys, "generate", "--config", str(gen_config), "--out", str(out)
+        )
+        assert (code, printed) == (1, None)
+        error = json.loads(err)
+        assert error["error"] == "CohortFormatError"
+        assert error["message"].startswith(f"{out}: cannot write: ")
+        assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("runs", ["1", "2"])
+    @pytest.mark.parametrize("under", [False, True], ids=["out", "parent"])
+    def test_file_in_place_of_the_simulate_out(
+        self, tmp_path, capsys, gen_config, sim_config, runs, under
+    ):
+        cohort_dir = tmp_path / "cohort"
+        run_cli(capsys, "generate", "--config", str(gen_config), "--out", str(cohort_dir))
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        out = blocker / "run" if under else blocker
+        code, printed, err = run_cli(
+            capsys,
+            "simulate",
+            "--cohort", str(cohort_dir),
+            "--config", str(sim_config),
+            "--out", str(out),
+            "--runs", runs,
+        )
+        assert (code, printed) == (1, None)
+        error = json.loads(err)
+        assert error["error"] == "StageError"
+        assert error["message"].startswith("stage 'write' failed: ")
+        assert blocker.read_text() == ""
+
     @pytest.mark.parametrize("command", ["evaluate", "replay --no-verify", "replay"])
     def test_events_past_max_ticks_refused_before_any_metric(
         self, tmp_path, capsys, monkeypatch, gen_config, command

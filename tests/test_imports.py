@@ -23,8 +23,8 @@ attribute, some string in a reader names it, or its class passes through
 reader passes the class by name).
 
 Importing the package, or its cohort-file module, loads no orjson: only
-writing a transcript and reading events.jsonl import it. A simulation and
-its cohort metrics load no ``numpy.ma``.
+writing a transcript, writing a cohort and reading events.jsonl import it.
+A simulation and its cohort metrics load no ``numpy.ma``.
 """
 
 from __future__ import annotations
