@@ -368,7 +368,9 @@ def _events_ahead(
         back_half = (
             nullcontext(lambda: None)
             if split is None
-            else forking.ahead(_back_half_columns, path, split, student_ids, resource_ids)
+            else forking.ahead(  # a stream of one item
+                lambda: [_back_half_columns(path, split, student_ids, resource_ids)]
+            )
         )
         with back_half as back_columns:
             front = _read_blocks(fh, split, student_ids, resource_ids, orjson.loads)

@@ -11,13 +11,14 @@ import contextlib
 import csv
 import functools
 import hashlib
+import itertools
 import json
 import random
 import shutil
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, ContextManager, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -484,16 +485,26 @@ def evaluate_metrics(
     return report
 
 
-def _cohort_metrics_ahead(cohort: Cohort, spec: ExperimentSpec, *, fork: bool = True):
-    """Start on the cohort metrics of ``spec`` while the caller goes on.
+def _cohort_metrics_ahead(
+    cohort: Cohort, runs: Iterable[ExperimentSpec], *, fork: bool = True
+):
+    """Start on the cohort metrics of ``runs``, the runs of ``cohort`` in
+    order, while the caller goes on.
 
-    A context manager that yields a function returning what
-    ``_cohort_metrics(cohort, spec)`` returns, or None when the caller is to
-    compute them itself: :func:`~auss.forking.ahead` of ``_cohort_metrics``
-    when ``fork`` is set and any cohort metric is selected.
+    A context manager that yields a function; its k-th call returns what
+    ``_cohort_metrics(cohort, spec)`` returns for the k-th run ``spec``, or
+    None when the caller is to compute them itself. One worker forked by
+    :func:`~auss.forking.ahead` computes them run after run, when ``fork``
+    is set and any cohort metric is selected (every run selects the same
+    metrics). ``runs`` is iterated lazily: its first spec here, the rest
+    in the worker.
     """
-    if fork and set(COHORT_METRICS) & set(spec.metrics):
-        return forking.ahead(_cohort_metrics, cohort, spec)
+    runs = iter(runs)
+    first = next(runs)
+    if fork and set(COHORT_METRICS) & set(first.metrics):
+        return forking.ahead(
+            lambda: (_cohort_metrics(cohort, spec) for spec in itertools.chain([first], runs))
+        )
     return contextlib.nullcontext(lambda: None)
 
 
@@ -548,7 +559,10 @@ def load_experiment_cohort(spec: ExperimentSpec) -> Cohort:
 
 
 def run_experiment(
-    spec: ExperimentSpec, *, load_cohort: Callable[[], Cohort] | None = None
+    spec: ExperimentSpec,
+    *,
+    load_cohort: Callable[[], Cohort] | None = None,
+    metrics_ahead: Callable[[Cohort], ContextManager[Callable[[], object]]] | None = None,
 ) -> tuple[MetricsReport, SimulationTranscript]:
     """Full pipeline. On failure, removes any partially written outputs and
     raises StageError naming the stage that broke.
@@ -577,6 +591,12 @@ def run_experiment(
     error is the same ``StageError("evaluate")`` on either path. The worker
     is reaped (and, on any failure, killed first) before this returns or
     raises.
+
+    ``metrics_ahead``, when given, stands in for starting that worker: a
+    function of the validated cohort returning a context manager that
+    yields the function giving this run's cohort metrics, or None to
+    compute them inline. :func:`run_sweep` passes one that hands every run
+    of a file cohort the same worker, which the sweep owns and reaps.
     """
     created: list[Path] = []
     durations: dict[str, float] = {}
@@ -603,7 +623,8 @@ def run_experiment(
 
     stage("validate", _validate)
     out = None if spec.output_dir is None else Path(spec.output_dir)
-    with _cohort_metrics_ahead(cohort, spec) as cohort_metrics:
+    ahead = metrics_ahead or (lambda cohort: _cohort_metrics_ahead(cohort, [spec]))
+    with ahead(cohort) as cohort_metrics:
         transcript = stage("simulate", lambda: simulate(cohort, spec))
         # The report times generate, validate, simulate, the transcript
         # write and evaluate; not the report and plot writes after it.
@@ -650,7 +671,8 @@ def replay(
     is computed or worker forked), optionally re-runs the simulation and
     checks it matches the recorded run (timing excluded), then re-evaluates.
     While it re-runs the simulation, the cohort metrics are computed as
-    ``run_experiment`` computes them: in a forked worker where it may fork.
+    ``run_experiment`` computes them: in a forked worker where it may fork,
+    one for this one run, reaped before this returns.
     """
     transcript = SimulationTranscript.from_jsonl(transcript_path)
     spec_data = transcript.header.get("experiment")
@@ -660,7 +682,7 @@ def replay(
     cohort = load_experiment_cohort(spec)
     require_valid(cohort)
     require_ticks_within(cohort, spec.scheduler)
-    with _cohort_metrics_ahead(cohort, spec, fork=verify_simulation) as cohort_metrics:
+    with _cohort_metrics_ahead(cohort, [spec], fork=verify_simulation) as cohort_metrics:
         if verify_simulation:
             rerun = simulate(cohort, spec)
             if rerun.canonical_lines(False) != transcript.canonical_lines(False):
@@ -673,26 +695,11 @@ def replay(
 # -- seed sweeps ------------------------------------------------------------------
 
 
-def run_sweep(spec: ExperimentSpec, n_runs: int) -> list[tuple[int, MetricsReport]]:
-    """Run n independent seeds one after another; reports keep per-seed provenance.
-
-    With a generator config, each run regenerates its own cohort; with a
-    file cohort, the data stays fixed and the scheduler/policy seeds vary.
-    A file cohort is read once per sweep: the first run reads it, and its
-    ``durations_s["generate"]`` is the read; every later run reuses the same
-    ``Cohort``, so its ``generate`` time is only the hand-over. A failed read
-    raises StageError naming stage ``'generate'``.
-    """
-    if n_runs < 1:
-        raise ConfigError(f"n_runs must be >= 1, got {n_runs}")
+def _sweep_runs(spec: ExperimentSpec, n_runs: int) -> Iterator[ExperimentSpec]:
+    """The spec of each run of a sweep, in seed order, built as it is needed."""
     base = _base_seed(spec)
-    load_cohort = None
-    if spec.generator is None:
-        load_cohort = functools.cache(lambda: load_experiment_cohort(spec))
-
-    results = []
     for seed in range(base, base + n_runs):
-        run_spec = replace(
+        yield replace(
             spec,
             generator=(
                 None if spec.generator is None else replace(spec.generator, seed=seed)
@@ -703,8 +710,49 @@ def run_sweep(spec: ExperimentSpec, n_runs: int) -> list[tuple[int, MetricsRepor
                 str(Path(spec.output_dir) / f"run-{seed}") if spec.output_dir else None
             ),
         )
-        report, _transcript = run_experiment(run_spec, load_cohort=load_cohort)
-        results.append((seed, report))
+
+
+def run_sweep(spec: ExperimentSpec, n_runs: int) -> list[tuple[int, MetricsReport]]:
+    """Run n independent seeds one after another; reports keep per-seed provenance.
+
+    Each run is one :func:`run_experiment` call, in seed order, and only
+    its report is kept: its transcript is dropped before the next run
+    starts. With a generator config, each run regenerates its own cohort
+    and forks its own metrics worker. With a file cohort, the data stays
+    fixed and the scheduler/policy seeds vary. A file cohort is read once
+    per sweep: the first run reads it, and its ``durations_s["generate"]``
+    is the read; every later run reuses the same ``Cohort``, so its
+    ``generate`` time is only the hand-over. A failed read raises
+    StageError naming stage ``'generate'``. Once the first run has
+    validated the cohort, one metrics worker computes the cohort metrics
+    of every run in turn (see :func:`_cohort_metrics_ahead`), so a run's
+    are computed while the runs before it simulate; each run's
+    ``evaluate`` waits for its own. On any failure, the worker is killed
+    and reaped before this raises.
+    """
+    if n_runs < 1:
+        raise ConfigError(f"n_runs must be >= 1, got {n_runs}")
+    base = _base_seed(spec)
+    results = []
+    with contextlib.ExitStack() as sweep:
+        load_cohort = metrics_ahead = None
+        if spec.generator is None:
+            load_cohort = functools.cache(lambda: load_experiment_cohort(spec))
+            next_metrics = None
+
+            def metrics_ahead(cohort: Cohort):
+                nonlocal next_metrics
+                if next_metrics is None:  # the first run, its cohort validated
+                    next_metrics = sweep.enter_context(
+                        _cohort_metrics_ahead(cohort, _sweep_runs(spec, n_runs))
+                    )
+                return contextlib.nullcontext(next_metrics)
+
+        for seed, run_spec in enumerate(_sweep_runs(spec, n_runs), start=base):
+            report = run_experiment(
+                run_spec, load_cohort=load_cohort, metrics_ahead=metrics_ahead
+            )[0]
+            results.append((seed, report))
 
     if spec.output_dir is not None:
         merged = {

@@ -1,7 +1,8 @@
-"""Run one function in a forked child while the caller goes on.
+"""Compute a stream of results in a forked child while the caller goes on.
 
-The one fork policy of the package: the cohort metrics of a run and the
-back half of a large events.jsonl both go through :func:`ahead`.
+The one fork policy of the package: the cohort metrics of the runs of one
+cohort and the back half of a large events.jsonl (a stream of one item)
+both go through :func:`ahead`.
 """
 
 from __future__ import annotations
@@ -10,9 +11,13 @@ import contextlib
 import os
 import pickle
 import signal
+import struct
 import threading
 import warnings
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
+
+#: Each item goes down the pipe as its pickle's length, then the pickle.
+_LENGTH = struct.Struct("<Q")
 
 
 def fork_worthwhile() -> bool:
@@ -29,17 +34,19 @@ def fork_worthwhile() -> bool:
 
 
 @contextlib.contextmanager
-def ahead(fn: Callable[..., object], *args) -> Iterator[Callable[[], object]]:
-    """Start on ``fn(*args)`` while the caller goes on.
+def ahead(fn: Callable[..., Iterable[object]], *args) -> Iterator[Callable[[], object]]:
+    """Start on the items of ``fn(*args)`` while the caller goes on.
 
-    Yields a function that returns what ``fn(*args)`` returned, or None
-    when the caller is to compute it itself. Where :func:`fork_worthwhile`,
-    a forked child computes it, pickles it to a pipe and leaves by
-    ``os._exit``, so it never returns into the caller's stack. The function
-    reads the pipe and reaps the child; a failed fork, or a child that
-    failed in any way (a nonzero exit, a short or unreadable pipe), gives
-    None. On leaving the block, a child not yet reaped is killed and
-    reaped: no process outlives the block.
+    Yields a function; each call returns the next item of ``fn(*args)``,
+    or None when the caller is to compute that item itself. Where
+    :func:`fork_worthwhile`, a forked child iterates ``fn(*args)``, pickles
+    each item to a pipe as soon as it is computed and leaves by
+    ``os._exit``, so it never returns into the caller's stack. A failed
+    fork gives None for every item. So does the first item that cannot be
+    had, and every item after it: a short pipe (the child failed, or had
+    no more items) or an unreadable pickle. On leaving the block, the
+    child is killed, if it has not left already, and reaped: no process
+    outlives the block.
     """
     if not fork_worthwhile():
         yield lambda: None
@@ -60,35 +67,36 @@ def ahead(fn: Callable[..., object], *args) -> Iterator[Callable[[], object]]:
         status = 1
         try:
             os.close(read_fd)
-            payload = pickle.dumps(fn(*args), pickle.HIGHEST_PROTOCOL)
             with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(payload)
+                for item in fn(*args):
+                    payload = pickle.dumps(item, pickle.HIGHEST_PROTOCOL)
+                    pipe.write(_LENGTH.pack(len(payload)))
+                    pipe.write(payload)
+                    pipe.flush()
             status = 0
         finally:
             os._exit(status)
     os.close(write_fd)
     pipe = os.fdopen(read_fd, "rb")
-    reaped = False
 
-    def result() -> object:
-        nonlocal reaped
-        with pipe:
-            payload = pipe.read()
-        _pid, status = os.waitpid(pid, 0)
-        reaped = True
-        if os.waitstatus_to_exitcode(status) != 0:
-            return None
-        try:
-            return pickle.loads(payload)
-        except (pickle.UnpicklingError, EOFError):  # a short pipe
-            return None
+    def next_item() -> object:
+        if not pipe.closed:
+            head = pipe.read(_LENGTH.size)
+            size = _LENGTH.unpack(head)[0] if len(head) == _LENGTH.size else -1
+            payload = pipe.read(size) if size > 0 else b""
+            if len(payload) == size:
+                try:
+                    return pickle.loads(payload)
+                except (pickle.UnpicklingError, EOFError):  # a truncated pickle
+                    pass
+            pipe.close()  # no item after the first that cannot be had is read
+        return None
 
     try:
         for caught in fork_warnings:
             warnings.warn(caught.message)
-        yield result
+        yield next_item
     finally:
         pipe.close()
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        os.kill(pid, signal.SIGKILL)  # not yet reaped, so the pid is still the child's
+        os.waitpid(pid, 0)

@@ -9,8 +9,10 @@ import pickle
 import random
 import re
 import struct
+import tempfile
 import threading
 import warnings
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -22,7 +24,7 @@ import auss.forking as forking
 import auss.synthetic as synthetic_module
 from auss.bus import Event
 from auss.cli import main as cli_main
-from auss.cohort_files import read_cohort
+from auss.cohort_files import EVENTS_FILE, _SPLIT_FLOOR_BYTES, read_cohort
 from auss.domain import Cohort, GroundTruth
 from auss.educator import GradeResult
 from auss.errors import (
@@ -564,15 +566,26 @@ class TestSweep:
         return replace(small_spec(), generator=None, cohort_dir=str(cohort_dir))
 
     def test_file_cohort_is_read_once(self, file_spec, monkeypatch):
-        reads = []
+        reads, forks = [], []
+        fork = os.fork
 
         def counted_read(directory):
             reads.append(directory)
             return read_cohort(directory)
 
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
         monkeypatch.setattr(synthetic_module, "read_cohort", counted_read)
+        monkeypatch.setattr(forking, "fork_worthwhile", lambda: True)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        # so the read of the cohort forks no child of its own
+        assert (Path(file_spec.cohort_dir) / EVENTS_FILE).stat().st_size < _SPLIT_FLOOR_BYTES
         results = run_sweep(file_spec, 3)
         assert reads == [file_spec.cohort_dir]
+        assert len(forks) == 1
+        assert_no_child_process()
         assert [seed for seed, _ in results] == [5, 6, 7]
         for seed, report in results:
             separate, _transcript = run_experiment(
@@ -584,6 +597,39 @@ class TestSweep:
             )
             assert report.comparable_dict() == separate.comparable_dict()
         assert len(reads) == 4
+
+    @pytest.mark.parametrize("file_cohort", [False, True])
+    def test_a_run_drops_its_transcript_before_the_next_simulates(
+        self, file_spec, monkeypatch, file_cohort
+    ):
+        alive = []  # per run: how many earlier runs' transcripts are alive as it simulates
+        transcripts = []
+
+        def tracked(cohort, spec):
+            alive.append(sum(ref() is not None for ref in transcripts))
+            transcript = simulate(cohort, spec)
+            transcripts.append(weakref.ref(transcript))
+            return transcript
+
+        monkeypatch.setattr(experiment_module, "simulate", tracked)
+        run_sweep(file_spec if file_cohort else small_spec(), 3)
+        assert alive == [0, 0, 0]
+
+    def test_seeds_are_iterated_lazily(self, file_spec, monkeypatch):
+        calls = []
+
+        def interrupted_second(cohort, spec):
+            calls.append(spec.scheduler.rng_seed)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return simulate(cohort, spec)
+
+        monkeypatch.setattr(forking, "fork_worthwhile", lambda: True)
+        monkeypatch.setattr(experiment_module, "simulate", interrupted_second)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(file_spec, 10**9)
+        assert calls == [5, 6]
+        assert_no_child_process()
 
     def test_corrupt_file_cohort_fails_the_generate_stage(self, file_spec, tmp_path, capsys):
         events = Path(file_spec.cohort_dir) / "events.jsonl"
@@ -603,6 +649,107 @@ class TestSweep:
             "error": "StageError",
             "message": f"stage 'generate' failed: {read_error.value}",
         }
+
+
+MAX_SWEEP_RUNS = 4
+WORKER_FAILURES = ("exit", "raise", "truncated")
+RUN_FAILURES = ("simulate", "interrupt")
+
+
+@pytest.fixture(scope="module")
+def file_sweep_spec(tmp_path_factory) -> ExperimentSpec:
+    """small_spec, with its cohort exported to files and read from there."""
+    cohort_dir = tmp_path_factory.mktemp("cohort")
+    export_cohort(load_experiment_cohort(small_spec()), cohort_dir)
+    return replace(small_spec(), generator=None, cohort_dir=str(cohort_dir))
+
+
+@pytest.fixture(scope="module")
+def inline_sweep_reports(file_sweep_spec) -> list[dict]:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forking, "fork_worthwhile", lambda: False)
+        results = run_sweep(file_sweep_spec, MAX_SWEEP_RUNS)
+    return [report.comparable_dict() for _seed, report in results]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_runs=st.integers(1, MAX_SWEEP_RUNS),
+    data=st.data(),
+    failure=st.sampled_from(WORKER_FAILURES + RUN_FAILURES),
+)
+def test_file_sweep_with_a_failure_at_run_j(
+    file_sweep_spec, inline_sweep_reports, n_runs, data, failure
+):
+    """The worker fails at run j (exits nonzero, raises, or writes a
+    truncated pickle): runs from j on compute their metrics inline, and the
+    reports are the all-inline sweep's. Run j's simulate fails or is
+    interrupted: the worker is killed and reaped, the runs before j keep
+    their outputs, and run j's are removed."""
+    j = data.draw(st.integers(0, n_runs - 1), label="j")
+    parent = os.getpid()
+    seeds = list(range(5, 5 + n_runs))
+    original_metrics, original_simulate, dumps = (
+        experiment_module._cohort_metrics,
+        experiment_module.simulate,
+        pickle.dumps,
+    )
+    inline = []  # the seed of each run whose metrics this process computed
+    dumped = []  # in the worker, each item pickled so far
+
+    def metrics(cohort, spec):
+        seed = spec.scheduler.rng_seed
+        if os.getpid() == parent:
+            inline.append(seed)
+        elif seed == seeds[j] and failure == "exit":
+            os._exit(3)
+        elif seed == seeds[j] and failure == "raise":
+            raise RuntimeError("worker broke")
+        return original_metrics(cohort, spec)
+
+    def truncating(obj, protocol):
+        payload = dumps(obj, protocol)
+        if os.getpid() == parent:
+            return payload
+        dumped.append(obj)
+        return payload[:-1] if len(dumped) == j + 1 else payload
+
+    def simulate_failing(cohort, spec):
+        if spec.scheduler.rng_seed == seeds[j]:
+            raise RuntimeError("simulation broke") if failure == "simulate" else KeyboardInterrupt
+        return original_simulate(cohort, spec)
+
+    with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as patch:
+        out = Path(out)
+        spec = replace(file_sweep_spec, output_dir=str(out))
+        patch.setattr(forking, "fork_worthwhile", lambda: True)
+        patch.setattr(experiment_module, "_cohort_metrics", metrics)
+        if failure == "truncated":
+            patch.setattr(pickle, "dumps", truncating)
+        if failure in WORKER_FAILURES:
+            results = run_sweep(spec, n_runs)
+            assert inline == seeds[j:]
+            assert [report.comparable_dict() for _seed, report in results] == (
+                inline_sweep_reports[:n_runs]
+            )
+            assert json.loads((out / "sweep_report.json").read_text())["runs"] == {
+                str(seed): report for seed, report in zip(seeds, inline_sweep_reports)
+            }
+        else:
+            patch.setattr(experiment_module, "simulate", simulate_failing)
+            expected = StageError if failure == "simulate" else KeyboardInterrupt
+            with pytest.raises(expected):
+                run_sweep(spec, n_runs)
+            assert inline == []
+            for k, seed in enumerate(seeds[:j]):
+                run = out / f"run-{seed}"
+                assert (run / "transcript.jsonl").is_file()
+                assert (run / "plots" / "accuracy_by_component.csv").is_file()
+                report = MetricsReport.load(run / "report.json").comparable_dict()
+                assert report == inline_sweep_reports[k]
+            assert not (out / f"run-{seeds[j]}").exists()
+            assert not (out / "sweep_report.json").exists()
+        assert_no_child_process()
 
 
 def _outcome(spec: ExperimentSpec):
