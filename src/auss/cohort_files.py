@@ -9,7 +9,8 @@ round-trip reproduces them exactly; orjson spells them, guarded by
 Events and assessments are written from, and read straight into, the
 cohort's columns; no per-event or per-assessment object is built. Events
 are read by an orjson pass over blocks of lines, the back half of a large
-file in a forked child; a file it refuses is read line by line.
+file in a forked child; a file it refuses, or whose back half the child
+does not send, is read line by line.
 """
 
 from __future__ import annotations
@@ -354,12 +355,12 @@ def _events_ahead(
     first line end at or after its middle byte (:func:`_back_half_start`):
     a child forked by :func:`auss.forking.ahead` parses the back half while
     this process parses the front half and then goes on with the caller.
-    The child's columns are joined to the front half's unless it failed,
-    refused a block or met an id the tables lack (whose first-seen
-    position depends on the front half); then this process parses the back
-    half itself. If any block is refused, the whole file is read by
-    ``_read_json_events``. Columns, id tables and errors are the same
-    whether or not the file is split.
+    The child's columns are joined to the front half's. If a block of
+    either half is refused, or the child fails or meets an id the tables
+    lack (whose first-seen position depends on the front half), the whole
+    file is read by ``_read_json_events``; a refused front half sends it
+    there without waiting on the child. Columns, id tables and errors are
+    the same whether or not the file is split.
     """
     import orjson  # imported here so that ``import auss`` does not pay for it
 
@@ -376,17 +377,13 @@ def _events_ahead(
             front = _read_blocks(fh, split, student_ids, resource_ids, orjson.loads)
 
             def read() -> EventColumns:
-                if front is None:
-                    return _read_json_events(path, student_ids, resource_ids)
-                if split is None:
+                if front is not None and split is None:
                     return front
-                columns, tables = back_columns(), (front.student_ids, front.resource_ids)
-                if columns is None:
-                    back = _read_blocks(fh, None, *tables, orjson.loads)
-                    if back is None:
-                        return _read_json_events(path, student_ids, resource_ids)
-                    columns, tables = _arrays(back), (back.student_ids, back.resource_ids)
-                return EventColumns(*map(np.concatenate, zip(_arrays(front), columns)), *tables)
+                back = None if front is None else back_columns()
+                if back is None:
+                    return _read_json_events(path, student_ids, resource_ids)
+                columns = map(np.concatenate, zip(_arrays(front), back))
+                return EventColumns(*columns, front.student_ids, front.resource_ids)
 
             yield read
 
@@ -562,7 +559,9 @@ def read_cohort(directory: str | Path) -> Cohort:
     is one; of two faulty files, the first in that order is named. While a
     forked child parses the back half of a large events.jsonl, this process
     parses the front half, then assessments.csv and ground_truth.json (see
-    ``_events_ahead``); the result is the same as a read in file order.
+    ``_events_ahead``); if the child sends no columns, the whole
+    events.jsonl is read line by line. The result is the same as a read in
+    file order.
     """
     directory = Path(directory)
     for required in (STUDENTS_FILE, RESOURCES_FILE, EVENTS_FILE, ASSESSMENTS_FILE):

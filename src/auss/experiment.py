@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import hashlib
 import itertools
 import json
@@ -18,7 +17,8 @@ import shutil
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, ContextManager, Iterable, Iterator, Mapping
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -248,8 +248,8 @@ class MetricsReport:
 
 def require_valid(cohort: Cohort) -> None:
     """Refuse a cohort that ``validate_cohort`` faults: a MetricInputError naming
-    the number of violations and the first one. ``run_experiment``, ``replay``
-    and a one-run ``auss simulate`` all refuse through this."""
+    the number of violations and the first one. ``run_experiment``, ``run_sweep``,
+    ``replay`` and a one-run ``auss simulate`` all refuse through this."""
     violations = validate_cohort(cohort)
     if violations:
         first = violations[0]
@@ -485,23 +485,21 @@ def evaluate_metrics(
     return report
 
 
-def _cohort_metrics_ahead(
-    cohort: Cohort, runs: Iterable[ExperimentSpec], *, fork: bool = True
-):
+def _cohort_metrics_ahead(cohort: Cohort, runs: Iterable[ExperimentSpec]):
     """Start on the cohort metrics of ``runs``, the runs of ``cohort`` in
     order, while the caller goes on.
 
     A context manager that yields a function; its k-th call returns what
     ``_cohort_metrics(cohort, spec)`` returns for the k-th run ``spec``, or
     None when the caller is to compute them itself. One worker forked by
-    :func:`~auss.forking.ahead` computes them run after run, when ``fork``
-    is set and any cohort metric is selected (every run selects the same
-    metrics). ``runs`` is iterated lazily: its first spec here, the rest
-    in the worker.
+    :func:`~auss.forking.ahead` computes them run after run, when any
+    cohort metric is selected (every run selects the same metrics).
+    ``runs`` is iterated lazily: its first spec here, the rest in the
+    worker.
     """
     runs = iter(runs)
     first = next(runs)
-    if fork and set(COHORT_METRICS) & set(first.metrics):
+    if set(COHORT_METRICS) & set(first.metrics):
         return forking.ahead(
             lambda: (_cohort_metrics(cohort, spec) for spec in itertools.chain([first], runs))
         )
@@ -558,21 +556,98 @@ def load_experiment_cohort(spec: ExperimentSpec) -> Cohort:
     return import_cohort(spec.cohort_dir)
 
 
-def run_experiment(
-    spec: ExperimentSpec,
-    *,
-    load_cohort: Callable[[], Cohort] | None = None,
-    metrics_ahead: Callable[[Cohort], ContextManager[Callable[[], object]]] | None = None,
-) -> tuple[MetricsReport, SimulationTranscript]:
+def _stage(name: str, fn: Callable, durations: dict[str, float], created: list[Path]):
+    """``fn()``, its wall time added to ``durations[name]``. If it raises
+    an Exception, the outputs in ``created`` are removed, newest first, and
+    StageError naming ``name`` is raised in its place."""
+    start = time.perf_counter()
+    try:
+        result = fn()
+    except Exception as exc:
+        for path in reversed(created):
+            if path.is_dir():
+                shutil.rmtree(path, ignore_errors=True)
+            elif path.exists():
+                path.unlink()
+        raise StageError(name, exc) from exc
+    durations[name] = durations.get(name, 0.0) + time.perf_counter() - start
+    return result
+
+
+def _run(cohort: Cohort, spec: ExperimentSpec, cohort_metrics, durations: dict[str, float]):
+    """One run of a validated cohort: ``simulate``, the transcript
+    ``write``, ``evaluate`` and the report ``write``, after the stages timed
+    in ``durations``; ``cohort_metrics()`` is as :func:`_cohort_metrics_ahead`
+    yields it. Returns the report and the transcript."""
+    created: list[Path] = []
+    transcript = _stage("simulate", lambda: simulate(cohort, spec), durations, created)
+    # The report times the stages before this run, simulate, the transcript
+    # write and evaluate; not the report and plot writes after it.
+    reported = dict(durations)
+    out = None if spec.output_dir is None else Path(spec.output_dir)
+    if out is not None:
+        def _write_transcript() -> None:
+            out.mkdir(parents=True, exist_ok=True)
+            transcript_path = out / "transcript.jsonl"
+            created.append(transcript_path)
+            transcript.to_jsonl(transcript_path)
+
+        _stage("write", _write_transcript, durations, created)
+        reported["write_transcript"] = durations["write"]
+
+    report = _stage(
+        "evaluate",
+        lambda: evaluate_metrics(
+            cohort, transcript, spec, durations_s=reported, cohort_metrics=cohort_metrics()
+        ),
+        durations,
+        created,
+    )
+    if out is not None:
+        def _write_report() -> None:
+            report_path = out / "report.json"
+            created.append(report_path)
+            report.metadata["durations_s"]["evaluate"] = durations["evaluate"]
+            report.save(report_path)
+            plots_dir = out / "plots"
+            created.append(plots_dir)
+            write_plot_data(report, plots_dir)
+
+        _stage("write", _write_report, durations, created)
+    return report, transcript
+
+
+def _cohort_runs(
+    spec: ExperimentSpec, runs: Callable[[], Iterable[ExperimentSpec]]
+) -> Iterator[tuple[MetricsReport, SimulationTranscript]]:
+    """The report and transcript of each run in ``runs()``, runs of
+    ``spec``'s cohort, in order, by the stages of :func:`run_experiment`.
+    The cohort is generated or read and validated once, timed in the first
+    run's report only; one :func:`_cohort_metrics_ahead` serves every run,
+    and its worker is reaped when the generator finishes or is closed.
+    """
+    durations: dict[str, float] = {}
+    cohort = _stage("generate", lambda: load_experiment_cohort(spec), durations, [])
+
+    def _validate() -> None:
+        require_valid(cohort)
+        require_ticks_within(cohort, spec.scheduler)
+
+    _stage("validate", _validate, durations, [])
+    with _cohort_metrics_ahead(cohort, runs()) as cohort_metrics:
+        for run_spec in runs():
+            # bound to no name here, so that no run's transcript outlives its turn
+            yield _run(cohort, run_spec, cohort_metrics, durations)
+            durations = {}
+
+
+def run_experiment(spec: ExperimentSpec) -> tuple[MetricsReport, SimulationTranscript]:
     """Full pipeline. On failure, removes any partially written outputs and
     raises StageError naming the stage that broke.
 
-    ``load_cohort``, when given, stands in for reading or generating the
-    spec's cohort in the ``generate`` stage, which times and guards it
-    as it would the load. Reading a file cohort may fork one child, which
-    parses the back half of a large events.jsonl and is reaped before the
-    read returns (:func:`~auss.cohort_files.read_cohort`).
-
+    ``generate`` reads or generates the cohort. Reading a file cohort may
+    fork one child, which parses the back half of a large events.jsonl and
+    is reaped before the read returns (:func:`~auss.cohort_files.read_cohort`).
     ``validate`` refuses the cohort as :func:`require_valid` and
     :func:`~auss.runtime.require_ticks_within` do, before any worker forks.
     Right after it, the cohort metrics (recommendation, prediction,
@@ -591,73 +666,9 @@ def run_experiment(
     error is the same ``StageError("evaluate")`` on either path. The worker
     is reaped (and, on any failure, killed first) before this returns or
     raises.
-
-    ``metrics_ahead``, when given, stands in for starting that worker: a
-    function of the validated cohort returning a context manager that
-    yields the function giving this run's cohort metrics, or None to
-    compute them inline. :func:`run_sweep` passes one that hands every run
-    of a file cohort the same worker, which the sweep owns and reaps.
     """
-    created: list[Path] = []
-    durations: dict[str, float] = {}
-
-    def stage(name: str, fn):
-        start = time.perf_counter()
-        try:
-            result = fn()
-        except Exception as exc:
-            for path in reversed(created):
-                if path.is_dir():
-                    shutil.rmtree(path, ignore_errors=True)
-                elif path.exists():
-                    path.unlink()
-            raise StageError(name, exc) from exc
-        durations[name] = durations.get(name, 0.0) + time.perf_counter() - start
-        return result
-
-    cohort = stage("generate", load_cohort or (lambda: load_experiment_cohort(spec)))
-
-    def _validate() -> None:
-        require_valid(cohort)
-        require_ticks_within(cohort, spec.scheduler)
-
-    stage("validate", _validate)
-    out = None if spec.output_dir is None else Path(spec.output_dir)
-    ahead = metrics_ahead or (lambda cohort: _cohort_metrics_ahead(cohort, [spec]))
-    with ahead(cohort) as cohort_metrics:
-        transcript = stage("simulate", lambda: simulate(cohort, spec))
-        # The report times generate, validate, simulate, the transcript
-        # write and evaluate; not the report and plot writes after it.
-        reported = dict(durations)
-        if out is not None:
-            def _write_transcript() -> None:
-                out.mkdir(parents=True, exist_ok=True)
-                transcript_path = out / "transcript.jsonl"
-                created.append(transcript_path)
-                transcript.to_jsonl(transcript_path)
-
-            stage("write", _write_transcript)
-            reported["write_transcript"] = durations["write"]
-
-        report = stage(
-            "evaluate",
-            lambda: evaluate_metrics(
-                cohort, transcript, spec, durations_s=reported, cohort_metrics=cohort_metrics()
-            ),
-        )
-
-    if out is not None:
-        def _write_report() -> None:
-            report_path = out / "report.json"
-            created.append(report_path)
-            report.metadata["durations_s"]["evaluate"] = durations["evaluate"]
-            report.save(report_path)
-            plots_dir = out / "plots"
-            created.append(plots_dir)
-            write_plot_data(report, plots_dir)
-
-        stage("write", _write_report)
-    return report, transcript
+    with contextlib.closing(_cohort_runs(spec, lambda: [spec])) as runs:
+        return next(runs)
 
 
 def replay(
@@ -672,7 +683,8 @@ def replay(
     checks it matches the recorded run (timing excluded), then re-evaluates.
     While it re-runs the simulation, the cohort metrics are computed as
     ``run_experiment`` computes them: in a forked worker where it may fork,
-    one for this one run, reaped before this returns.
+    one for this one run, reaped before this returns. Without the re-run
+    they are computed inline, and nothing forks.
     """
     transcript = SimulationTranscript.from_jsonl(transcript_path)
     spec_data = transcript.header.get("experiment")
@@ -682,13 +694,12 @@ def replay(
     cohort = load_experiment_cohort(spec)
     require_valid(cohort)
     require_ticks_within(cohort, spec.scheduler)
-    with _cohort_metrics_ahead(cohort, [spec], fork=verify_simulation) as cohort_metrics:
-        if verify_simulation:
-            rerun = simulate(cohort, spec)
-            if rerun.canonical_lines(False) != transcript.canonical_lines(False):
-                raise TranscriptError(
-                    "replayed simulation diverges from the recorded transcript"
-                )
+    if not verify_simulation:
+        return evaluate_metrics(cohort, transcript, spec)
+    with _cohort_metrics_ahead(cohort, [spec]) as cohort_metrics:
+        rerun = simulate(cohort, spec)
+        if rerun.canonical_lines(False) != transcript.canonical_lines(False):
+            raise TranscriptError("replayed simulation diverges from the recorded transcript")
         return evaluate_metrics(cohort, transcript, spec, cohort_metrics=cohort_metrics())
 
 
@@ -715,44 +726,28 @@ def _sweep_runs(spec: ExperimentSpec, n_runs: int) -> Iterator[ExperimentSpec]:
 def run_sweep(spec: ExperimentSpec, n_runs: int) -> list[tuple[int, MetricsReport]]:
     """Run n independent seeds one after another; reports keep per-seed provenance.
 
-    Each run is one :func:`run_experiment` call, in seed order, and only
-    its report is kept: its transcript is dropped before the next run
-    starts. With a generator config, each run regenerates its own cohort
-    and forks its own metrics worker. With a file cohort, the data stays
-    fixed and the scheduler/policy seeds vary. A file cohort is read once
-    per sweep: the first run reads it, and its ``durations_s["generate"]``
-    is the read; every later run reuses the same ``Cohort``, so its
-    ``generate`` time is only the hand-over. A failed read raises
-    StageError naming stage ``'generate'``. Once the first run has
-    validated the cohort, one metrics worker computes the cohort metrics
-    of every run in turn (see :func:`_cohort_metrics_ahead`), so a run's
-    are computed while the runs before it simulate; each run's
-    ``evaluate`` waits for its own. On any failure, the worker is killed
-    and reaped before this raises.
+    Runs go in seed order, and only each run's report is kept: its
+    transcript is dropped before the next run simulates. With a generator
+    config, each run is one :func:`run_experiment` call, which regenerates
+    its own cohort and forks its own metrics worker. With a file cohort,
+    the data stays fixed and the scheduler/policy seeds vary: the cohort is
+    read and validated once, timed in the first run's ``durations_s``
+    (``generate``, ``validate``) only, and one metrics worker computes the
+    cohort metrics of every run in turn, so a run's are computed while the
+    runs before it simulate; each run's ``evaluate`` waits for its own (see
+    :func:`_cohort_runs`). A failed read raises StageError naming stage
+    ``'generate'``. On any failure, the worker is killed and reaped before
+    this raises.
     """
     if n_runs < 1:
         raise ConfigError(f"n_runs must be >= 1, got {n_runs}")
     base = _base_seed(spec)
-    results = []
-    with contextlib.ExitStack() as sweep:
-        load_cohort = metrics_ahead = None
-        if spec.generator is None:
-            load_cohort = functools.cache(lambda: load_experiment_cohort(spec))
-            next_metrics = None
-
-            def metrics_ahead(cohort: Cohort):
-                nonlocal next_metrics
-                if next_metrics is None:  # the first run, its cohort validated
-                    next_metrics = sweep.enter_context(
-                        _cohort_metrics_ahead(cohort, _sweep_runs(spec, n_runs))
-                    )
-                return contextlib.nullcontext(next_metrics)
-
-        for seed, run_spec in enumerate(_sweep_runs(spec, n_runs), start=base):
-            report = run_experiment(
-                run_spec, load_cohort=load_cohort, metrics_ahead=metrics_ahead
-            )[0]
-            results.append((seed, report))
+    if spec.generator is None:
+        with contextlib.closing(_cohort_runs(spec, lambda: _sweep_runs(spec, n_runs))) as runs:
+            reports = list(map(itemgetter(0), runs))
+    else:
+        reports = [run_experiment(run_spec)[0] for run_spec in _sweep_runs(spec, n_runs)]
+    results = list(enumerate(reports, start=base))
 
     if spec.output_dir is not None:
         merged = {

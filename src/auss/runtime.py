@@ -512,7 +512,7 @@ def require_ticks_within(cohort: Cohort, config: SchedulerConfig) -> None:
     """Refuse a cohort with an event at a tick the run never reaches (at or
     past max_ticks): a ConfigError rather than an event silently left out.
     ``run``, ``experiment.replay`` and the ``validate`` stage of
-    ``experiment.run_experiment`` refuse through this."""
+    ``experiment.run_experiment`` and ``run_sweep`` refuse through this."""
     ticks = cohort.event_columns.ticks()
     late = ticks[ticks >= config.max_ticks]
     if late.size:

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from auss import experiment
+from auss import experiment, forking
 from auss.cli import main
+from auss.experiment import MetricsReport
 from auss.runtime import SimulationTranscript
+
+from conftest import assert_no_child_process
 
 #: A 40-student, 6-resource, 12-tick run at seed 3, written by an earlier build.
 COMMITTED_TRANSCRIPT = Path(__file__).parent / "data" / "transcript_40x6x12_seed3.jsonl"
@@ -83,6 +87,41 @@ class TestCliPipeline:
         replayed["metadata"].pop("durations_s", None)
         # latency/load come from the recorded transcript: identical
         assert replayed == saved
+
+    def test_evaluate_and_unverified_replay_fork_nothing(
+        self, tmp_path, capsys, monkeypatch, gen_config, sim_config
+    ):
+        cohort_dir = tmp_path / "cohort"
+        run_dir = tmp_path / "run"
+        run_cli(capsys, "generate", "--config", str(gen_config), "--out", str(cohort_dir))
+        run_cli(
+            capsys, "simulate", "--cohort", str(cohort_dir),
+            "--config", str(sim_config), "--out", str(run_dir),
+        )
+        transcript = str(run_dir / "transcript.jsonl")
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(forking, "fork_worthwhile", lambda: True)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        reports, fork_counts = [], []
+        for argv in (
+            ["evaluate", "--run", str(run_dir)],
+            ["replay", "--no-verify", "--transcript", transcript],
+            ["replay", "--transcript", transcript],  # forks its metrics worker
+        ):
+            forks.clear()
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            reports.append(MetricsReport.from_dict(out["report"]).comparable_dict())
+            fork_counts.append(len(forks))
+            assert_no_child_process()
+        assert fork_counts == [0, 0, 1]
+        assert reports[0] == reports[1] == reports[2]
 
     def test_generate_with_default_config(self, tmp_path, capsys):
         code, out, _ = run_cli(

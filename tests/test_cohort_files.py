@@ -697,6 +697,39 @@ def test_generated_cohort_round_trips_split_with_the_back_half_from_the_child(
     assert_no_child_process()
 
 
+def test_a_failed_child_sends_the_whole_file_line_by_line(tmp_path, monkeypatch):
+    cohort, _truth = generate_cohort(
+        GeneratorConfig(n_students=200, n_resources=6, n_ticks=12, seed=3)
+    )
+    write_cohort(cohort, tmp_path)
+    monkeypatch.setattr(forking, "fork_worthwhile", lambda: True)
+    monkeypatch.setattr(cohort_files, "_SPLIT_FLOOR_BYTES", 0)
+    monkeypatch.setattr(cohort_files, "_back_half_columns", lambda *args: os._exit(3))
+    parent = os.getpid()
+    parsed = []  # (start, stop) of each byte range this process parses by blocks
+    line_by_line = []
+    read_blocks, read_json_events = cohort_files._read_blocks, cohort_files._read_json_events
+
+    def recorded_blocks(fh, stop, *args):
+        if os.getpid() == parent:
+            parsed.append((fh.tell(), stop))
+        return read_blocks(fh, stop, *args)
+
+    def recorded_json_events(path, *args):
+        line_by_line.append(path)
+        return read_json_events(path, *args)
+
+    monkeypatch.setattr(cohort_files, "_read_blocks", recorded_blocks)
+    monkeypatch.setattr(cohort_files, "_read_json_events", recorded_json_events)
+    back = read_cohort(tmp_path)
+    data = (tmp_path / EVENTS_FILE).read_bytes()
+    split = data.index(b"\n", len(data) // 2) + 1
+    assert parsed == [(0, split)]
+    assert line_by_line == [tmp_path / EVENTS_FILE]
+    assert _columns_bytes(back.event_columns) == _columns_bytes(cohort.event_columns)
+    assert_no_child_process()
+
+
 finite_values = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([5e-324, 2.2250738585072014e-308, -0.0, 1e-05, 1e16, 1.7976931348623157e308]),

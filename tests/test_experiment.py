@@ -566,8 +566,9 @@ class TestSweep:
         return replace(small_spec(), generator=None, cohort_dir=str(cohort_dir))
 
     def test_file_cohort_is_read_once(self, file_spec, monkeypatch):
-        reads, forks = [], []
+        reads, forks, validations = [], [], []
         fork = os.fork
+        validate_cohort = experiment_module.validate_cohort
 
         def counted_read(directory):
             reads.append(directory)
@@ -577,16 +578,25 @@ class TestSweep:
             forks.append(os.getpid())
             return fork()
 
+        def counted_validate(cohort):
+            validations.append(cohort)
+            return validate_cohort(cohort)
+
         monkeypatch.setattr(synthetic_module, "read_cohort", counted_read)
+        monkeypatch.setattr(experiment_module, "validate_cohort", counted_validate)
         monkeypatch.setattr(forking, "fork_worthwhile", lambda: True)
         monkeypatch.setattr(os, "fork", counted_fork)
         # so the read of the cohort forks no child of its own
         assert (Path(file_spec.cohort_dir) / EVENTS_FILE).stat().st_size < _SPLIT_FLOOR_BYTES
         results = run_sweep(file_spec, 3)
         assert reads == [file_spec.cohort_dir]
+        assert len(validations) == 1
         assert len(forks) == 1
         assert_no_child_process()
         assert [seed for seed, _ in results] == [5, 6, 7]
+        assert {"generate", "validate"} <= set(results[0][1].metadata["durations_s"])
+        for _seed, report in results[1:]:
+            assert not {"generate", "validate"} & set(report.metadata["durations_s"])
         for seed, report in results:
             separate, _transcript = run_experiment(
                 replace(
