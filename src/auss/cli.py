@@ -12,14 +12,15 @@ import sys
 from pathlib import Path
 
 from .domain import validate_cohort
-from .errors import AussError, ConfigError, StageError, read_config
+from .errors import AussError, ConfigError, read_config
 from .experiment import (
     ExperimentSpec,
     replay as replay_transcript,
-    require_valid,
+    require_runnable,
     run_sweep,
     simulate,
-    write_plot_data,
+    write_report,
+    write_simulation,
 )
 from .synthetic import GeneratorConfig, export_cohort, generate_cohort, import_cohort
 
@@ -110,23 +111,10 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
             "seeds": [seed for seed, _ in results],
         }
     cohort = import_cohort(args.cohort)
-    require_valid(cohort)
-    transcript = simulate(cohort, spec)
-    out = Path(args.out)
-    try:  # a failed write is StageError("write"), as in run_experiment
-        out.mkdir(parents=True, exist_ok=True)
-        digest = transcript.to_jsonl(out / "transcript.jsonl")
-        (out / "run.json").write_text(
-            json.dumps(
-                {"cohort_dir": args.cohort, "spec": spec.to_dict(), "transcript_sha256": digest},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-    except OSError as exc:
-        raise StageError("write", exc) from exc
+    require_runnable(cohort, spec.scheduler)
+    digest = write_simulation(
+        simulate(cohort, spec), Path(args.out), {"cohort_dir": args.cohort, "spec": spec.to_dict()}
+    )
     return {
         "command": "simulate",
         "out": args.out,
@@ -138,8 +126,7 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
 def cmd_evaluate(args: argparse.Namespace) -> dict:
     run_dir = Path(args.run)
     report = replay_transcript(run_dir / "transcript.jsonl", verify_simulation=False)
-    report.save(run_dir / "report.json")
-    write_plot_data(report, run_dir / "plots")
+    write_report(report, run_dir, [])
     return {"command": "evaluate", "run": args.run, "report": report.to_dict()}
 
 

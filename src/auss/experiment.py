@@ -233,11 +233,6 @@ class MetricsReport:
         data["metadata"] = metadata
         return data
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-
     @classmethod
     def load(cls, path: str | Path) -> "MetricsReport":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
@@ -246,10 +241,11 @@ class MetricsReport:
 # -- simulation wiring ---------------------------------------------------------
 
 
-def require_valid(cohort: Cohort) -> None:
-    """Refuse a cohort that ``validate_cohort`` faults: a MetricInputError naming
-    the number of violations and the first one. ``run_experiment``, ``run_sweep``,
-    ``replay`` and a one-run ``auss simulate`` all refuse through this."""
+def require_runnable(cohort: Cohort, scheduler: SchedulerConfig) -> None:
+    """Refuse a cohort a run under ``scheduler`` cannot take: a MetricInputError
+    naming the number of ``validate_cohort`` violations and the first one, else
+    :func:`~auss.runtime.require_ticks_within`'s ConfigError. The ``validate``
+    stage, ``replay`` and a one-run ``auss simulate`` all refuse through this."""
     violations = validate_cohort(cohort)
     if violations:
         first = violations[0]
@@ -257,6 +253,7 @@ def require_valid(cohort: Cohort) -> None:
             f"cohort failed validation ({len(violations)} violations; "
             f"first: {first.entity_id} {first.rule})"
         )
+    require_ticks_within(cohort, scheduler)
 
 
 def simulate(cohort: Cohort, spec: ExperimentSpec) -> SimulationTranscript:
@@ -452,13 +449,14 @@ def evaluate_metrics(
     transcript: SimulationTranscript,
     spec: ExperimentSpec,
     *,
-    durations_s: Mapping[str, float] | None = None,
     cohort_metrics: tuple[dict[str, float], dict[str, float]] | None = None,
 ) -> MetricsReport:
     """Compute every selected metric from a finished run.
 
     ``cohort_metrics``, when given, is what ``_cohort_metrics(cohort, spec)``
     returned, computed elsewhere; otherwise it is computed here.
+    ``metadata.durations_s`` holds the ``evaluate_*`` duration of each
+    cohort metric; ``run_experiment`` adds the durations of its stages.
     """
     fields, cohort_timings = (
         _cohort_metrics(cohort, spec) if cohort_metrics is None else cohort_metrics
@@ -480,7 +478,7 @@ def evaluate_metrics(
         "max_ticks": spec.scheduler.max_ticks,
         "metrics": list(spec.metrics),
         "package_version": PACKAGE_VERSION,
-        "durations_s": {**(durations_s or {}), **cohort_timings},
+        "durations_s": cohort_timings,
     }
     return report
 
@@ -509,44 +507,33 @@ def _cohort_metrics_ahead(cohort: Cohort, runs: Iterable[ExperimentSpec]):
 # -- pipeline -------------------------------------------------------------------
 
 
-def write_plot_data(report: MetricsReport, plots_dir: Path) -> list[Path]:
-    """Write the report's plot-ready CSVs under ``plots_dir``; returns their paths."""
-    plots_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    accuracy_rows = [
+def write_plot_data(report: MetricsReport, plots_dir: Path) -> None:
+    """Write the report's plot-ready CSVs under ``plots_dir``."""
+    accuracy = [
         ("student_agent", "recommendation", "top1_accuracy", report.recommendation_top1_accuracy),
         ("student_agent", "prediction", "accuracy", report.prediction_accuracy),
         ("educator_agent", "grading", "match_rate", report.grading_match_rate),
         ("institution_agent", "risk_detection", "f1", report.risk_f1),
     ]
-    path = plots_dir / "accuracy_by_component.csv"
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["component", "task", "metric", "value"])
-        for component, task, metric, value in accuracy_rows:
-            if value is not None:
-                writer.writerow([component, task, metric, repr(value)])
-    written.append(path)
-
+    tables = {
+        "accuracy_by_component": [("component", "task", "metric", "value")]
+        + [(*row[:3], repr(row[3])) for row in accuracy if row[3] is not None]
+    }
     if report.latency_ms is not None:
-        path = plots_dir / "latency_by_agent.csv"
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["agent", "mean_ms", "p95_ms"])
-            for agent, stats in report.latency_ms.items():
-                writer.writerow([agent, repr(stats["mean_ms"]), repr(stats["p95_ms"])])
-        written.append(path)
-
+        tables["latency_by_agent"] = [("agent", "mean_ms", "p95_ms")] + [
+            (agent, repr(stats["mean_ms"]), repr(stats["p95_ms"]))
+            for agent, stats in report.latency_ms.items()
+        ]
     if report.load_shares is not None:
-        path = plots_dir / "load_by_agent.csv"
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["agent", "events_processed", "share"])
-            for agent, share in report.load_shares.items():
-                writer.writerow([agent, (report.load_counts or {}).get(agent, 0), repr(share)])
-        written.append(path)
-    return written
+        counts = report.load_counts or {}
+        tables["load_by_agent"] = [("agent", "events_processed", "share")] + [
+            (agent, counts.get(agent, 0), repr(share))
+            for agent, share in report.load_shares.items()
+        ]
+    plots_dir.mkdir(parents=True, exist_ok=True)
+    for name, rows in tables.items():
+        with (plots_dir / f"{name}.csv").open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
 
 
 def load_experiment_cohort(spec: ExperimentSpec) -> Cohort:
@@ -574,6 +561,46 @@ def _stage(name: str, fn: Callable, durations: dict[str, float], created: list[P
     return result
 
 
+def _write_json(path: Path, data: object) -> None:
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _write(path: Path, write: Callable, created: list[Path], durations: dict | None = None):
+    """``write(path)`` as stage ``write`` of :func:`_stage`; every file of a
+    run directory is written through this. The directory is made first, and
+    ``path`` joins ``created`` unless something was there already, so a
+    failure removes what this write and the ones before it in ``created``
+    made, and nothing that stood in their way."""
+
+    def write_path():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if not path.exists():
+            created.append(path)
+        return write(path)
+
+    return _stage("write", write_path, {} if durations is None else durations, created)
+
+
+def write_report(report: MetricsReport, run_dir: Path, created: list[Path]) -> None:
+    """Write ``report.json`` and ``plots/`` in ``run_dir`` by :func:`_write`;
+    ``created`` holds what the caller wrote before, removed too on a failure."""
+    _write(run_dir / "report.json", lambda path: _write_json(path, report.to_dict()), created)
+    _write(run_dir / "plots", lambda path: write_plot_data(report, path), created)
+
+
+def write_simulation(
+    transcript: SimulationTranscript, out: Path, run_record: Mapping[str, object]
+) -> str:
+    """Write ``transcript.jsonl`` and ``run.json`` (``run_record`` and the
+    transcript's ``transcript_sha256``) in ``out`` by :func:`_write`, as a
+    one-run ``auss simulate`` does; returns the digest."""
+    created: list[Path] = []
+    digest = _write(out / "transcript.jsonl", transcript.to_jsonl, created)
+    record = {**run_record, "transcript_sha256": digest}
+    _write(out / "run.json", lambda path: _write_json(path, record), created)
+    return digest
+
+
 def _run(cohort: Cohort, spec: ExperimentSpec, cohort_metrics, durations: dict[str, float]):
     """One run of a validated cohort: ``simulate``, the transcript
     ``write``, ``evaluate`` and the report ``write``, after the stages timed
@@ -581,39 +608,20 @@ def _run(cohort: Cohort, spec: ExperimentSpec, cohort_metrics, durations: dict[s
     yields it. Returns the report and the transcript."""
     created: list[Path] = []
     transcript = _stage("simulate", lambda: simulate(cohort, spec), durations, created)
-    # The report times the stages before this run, simulate, the transcript
-    # write and evaluate; not the report and plot writes after it.
-    reported = dict(durations)
     out = None if spec.output_dir is None else Path(spec.output_dir)
     if out is not None:
-        def _write_transcript() -> None:
-            out.mkdir(parents=True, exist_ok=True)
-            transcript_path = out / "transcript.jsonl"
-            created.append(transcript_path)
-            transcript.to_jsonl(transcript_path)
-
-        _stage("write", _write_transcript, durations, created)
-        reported["write_transcript"] = durations["write"]
-
+        _write(out / "transcript.jsonl", transcript.to_jsonl, created, durations)
+        durations["write_transcript"] = durations.pop("write")
     report = _stage(
         "evaluate",
-        lambda: evaluate_metrics(
-            cohort, transcript, spec, durations_s=reported, cohort_metrics=cohort_metrics()
-        ),
+        lambda: evaluate_metrics(cohort, transcript, spec, cohort_metrics=cohort_metrics()),
         durations,
         created,
     )
+    # every stage so far; not the report and plot writes after it
+    report.metadata["durations_s"] = {**durations, **report.metadata["durations_s"]}
     if out is not None:
-        def _write_report() -> None:
-            report_path = out / "report.json"
-            created.append(report_path)
-            report.metadata["durations_s"]["evaluate"] = durations["evaluate"]
-            report.save(report_path)
-            plots_dir = out / "plots"
-            created.append(plots_dir)
-            write_plot_data(report, plots_dir)
-
-        _stage("write", _write_report, durations, created)
+        write_report(report, out, created)
     return report, transcript
 
 
@@ -628,12 +636,7 @@ def _cohort_runs(
     """
     durations: dict[str, float] = {}
     cohort = _stage("generate", lambda: load_experiment_cohort(spec), durations, [])
-
-    def _validate() -> None:
-        require_valid(cohort)
-        require_ticks_within(cohort, spec.scheduler)
-
-    _stage("validate", _validate, durations, [])
+    _stage("validate", lambda: require_runnable(cohort, spec.scheduler), durations, [])
     with _cohort_metrics_ahead(cohort, runs()) as cohort_metrics:
         for run_spec in runs():
             # bound to no name here, so that no run's transcript outlives its turn
@@ -648,8 +651,8 @@ def run_experiment(spec: ExperimentSpec) -> tuple[MetricsReport, SimulationTrans
     ``generate`` reads or generates the cohort. Reading a file cohort may
     fork one child, which parses the back half of a large events.jsonl and
     is reaped before the read returns (:func:`~auss.cohort_files.read_cohort`).
-    ``validate`` refuses the cohort as :func:`require_valid` and
-    :func:`~auss.runtime.require_ticks_within` do, before any worker forks.
+    ``validate`` refuses the cohort by :func:`require_runnable`, before any
+    worker forks.
     Right after it, the cohort metrics (recommendation, prediction,
     grading, risk) start in one forked worker process where
     :func:`auss.forking.fork_worthwhile` (``os.fork`` exists, no other
@@ -660,7 +663,9 @@ def run_experiment(spec: ExperimentSpec) -> tuple[MetricsReport, SimulationTrans
     ``simulate``, and ``evaluate`` is the wait for the worker plus the
     metrics read from the transcript (latency, load). ``write`` covers the
     transcript, reported as ``durations_s["write_transcript"]``, then
-    ``report.json`` and ``plots/``. A failure surfaces in that order:
+    ``report.json`` and ``plots/``, each file by :func:`_write`. The report's
+    ``durations_s`` holds every stage before the report write, with or
+    without an output directory. A failure surfaces in that order:
     simulate, transcript write, evaluate, report write. A worker that fails
     in any way is replaced by the inline computation, so an evaluation
     error is the same ``StageError("evaluate")`` on either path. The worker
@@ -677,10 +682,11 @@ def replay(
     """Recompute the metrics report from a transcript file alone.
 
     Verifies the content checksum and format version, regenerates the
-    cohort from the embedded spec and refuses it as :func:`require_valid`
-    and :func:`~auss.runtime.require_ticks_within` do (before any metric
-    is computed or worker forked), optionally re-runs the simulation and
-    checks it matches the recorded run (timing excluded), then re-evaluates.
+    cohort from the embedded spec and refuses it by :func:`require_runnable`
+    (before any metric is computed or worker forked), optionally re-runs the
+    simulation and checks it matches the recorded run (timing excluded),
+    then re-evaluates. It writes nothing; the report's ``durations_s`` holds
+    the ``evaluate_*`` durations only.
     While it re-runs the simulation, the cohort metrics are computed as
     ``run_experiment`` computes them: in a forked worker where it may fork,
     one for this one run, reaped before this returns. Without the re-run
@@ -692,8 +698,7 @@ def replay(
         raise TranscriptError("transcript does not embed an experiment spec; cannot replay")
     spec = ExperimentSpec.from_dict(spec_data)
     cohort = load_experiment_cohort(spec)
-    require_valid(cohort)
-    require_ticks_within(cohort, spec.scheduler)
+    require_runnable(cohort, spec.scheduler)
     if not verify_simulation:
         return evaluate_metrics(cohort, transcript, spec)
     with _cohort_metrics_ahead(cohort, [spec]) as cohort_metrics:
@@ -737,7 +742,8 @@ def run_sweep(spec: ExperimentSpec, n_runs: int) -> list[tuple[int, MetricsRepor
     runs before it simulate; each run's ``evaluate`` waits for its own (see
     :func:`_cohort_runs`). A failed read raises StageError naming stage
     ``'generate'``. On any failure, the worker is killed and reaped before
-    this raises.
+    this raises. ``sweep_report.json`` is written last, by :func:`_write`:
+    if it fails, the ``run-<seed>/`` directories already written stay.
     """
     if n_runs < 1:
         raise ConfigError(f"n_runs must be >= 1, got {n_runs}")
@@ -756,8 +762,5 @@ def run_sweep(spec: ExperimentSpec, n_runs: int) -> list[tuple[int, MetricsRepor
             "runs": {str(seed): report.comparable_dict() for seed, report in results},
         }
         out = Path(spec.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "sweep_report.json").write_text(
-            json.dumps(merged, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write(out / "sweep_report.json", lambda path: _write_json(path, merged), [])
     return results

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 _EXPONENT = re.compile(rb"e[-0-9]")
 _RAW = re.compile(rb"[\x7f-\xff]")
@@ -36,6 +36,13 @@ def hits(text: bytes) -> list[int]:
     return found
 
 
+def items_hit(lengths: Iterable[int], found: Iterable[int]) -> set[int]:
+    """Indexes of the items, ``lengths`` bytes each and laid end to end,
+    that hold an offset in ``found``."""
+    ends = list(accumulate(lengths))
+    return {bisect_right(ends, at) for at in found}
+
+
 def spell_floats(values: Sequence[float], spell: Callable[[float], str]) -> list[str]:
     """``[spell(v) for v in values]`` for ``repr`` or ``json.dumps``, which
     agree on a finite float, from one ``orjson.dumps`` of the list: a value
@@ -49,7 +56,6 @@ def spell_floats(values: Sequence[float], spell: Callable[[float], str]) -> list
     spelled = body.decode("ascii").split(",")
     found = hits(body)
     if found:
-        ends = list(accumulate(len(text) + 1 for text in spelled))  # each with its comma
-        for i in {bisect_right(ends, at) for at in found}:
+        for i in items_hit((len(text) + 1 for text in spelled), found):  # each with its comma
             spelled[i] = spell(values[i])
     return spelled

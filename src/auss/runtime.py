@@ -13,9 +13,7 @@ import json
 import random
 import time
 from abc import ABC, abstractmethod
-from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
-from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
@@ -203,8 +201,9 @@ def _encode_lines(records: Sequence[Mapping[str, object]]) -> bytes:
     a dataclass, a datetime), or whose bytes hold a guarded spelling, is
     encoded by ``_canonical`` instead, so json's line or its error stands.
     The guard (:func:`auss.orjson_guard.hits`) scans the joined bytes once
-    and maps its hits to lines by offset. The one divergence: orjson encodes plain ``Enum`` members (as
-    their value) and ``UUID`` (as its string), which json refuses.
+    and maps its hits to lines by offset (:func:`auss.orjson_guard.items_hit`).
+    The one divergence: orjson encodes plain ``Enum`` members (as their
+    value) and ``UUID`` (as its string), which json refuses.
     """
     import orjson  # imported here so that ``import auss`` does not pay for it
 
@@ -215,21 +214,17 @@ def _encode_lines(records: Sequence[Mapping[str, object]]) -> bytes:
         | orjson.OPT_PASSTHROUGH_DATACLASS
         | orjson.OPT_PASSTHROUGH_DATETIME
     )
-    try:
-        lines = [dumps(record, option=option) for record in records]
-    except TypeError:
-        lines = []
-        for record in records:
-            try:
-                lines.append(dumps(record, option=option))
-            except TypeError:
-                lines.append(_canonical_line(record))
+    lines = []
+    for record in records:
+        try:
+            lines.append(dumps(record, option=option))
+        except TypeError:
+            lines.append(_canonical_line(record))
     text = b"".join(lines)
     hits = orjson_guard.hits(text)
     if not hits:
         return text
-    ends = list(accumulate(map(len, lines)))
-    for i in {bisect_right(ends, at) for at in hits}:
+    for i in orjson_guard.items_hit(map(len, lines), hits):
         lines[i] = _canonical_line(records[i])
     return b"".join(lines)
 
@@ -511,8 +506,9 @@ class PolicyDriver:
 def require_ticks_within(cohort: Cohort, config: SchedulerConfig) -> None:
     """Refuse a cohort with an event at a tick the run never reaches (at or
     past max_ticks): a ConfigError rather than an event silently left out.
-    ``run``, ``experiment.replay`` and the ``validate`` stage of
-    ``experiment.run_experiment`` and ``run_sweep`` refuse through this."""
+    ``run`` calls this itself; every other caller refuses through
+    ``experiment.require_runnable``, which calls this after the cohort's
+    validation."""
     ticks = cohort.event_columns.ticks()
     late = ticks[ticks >= config.max_ticks]
     if late.size:

@@ -674,3 +674,56 @@ class TestCliErrors:
             "message": "cohort has an event at tick 12, at or past max_ticks 12",
         }
         assert not (run_dir / "report.json").exists()
+
+
+class TestWriteRule:
+    """A file ``auss`` cannot write in a run directory is a StageError for
+    stage ``write``, and the failed call removes only what it wrote."""
+
+    def assert_write_error(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, None)
+        error = json.loads(err)
+        assert error["error"] == "StageError"
+        assert error["message"].startswith("stage 'write' failed: ")
+
+    @pytest.fixture
+    def run_dir(self, tmp_path):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "transcript.jsonl").write_bytes(COMMITTED_TRANSCRIPT.read_bytes())
+        return run_dir
+
+    def test_evaluate_with_a_directory_in_place_of_report_json(self, capsys, run_dir):
+        (run_dir / "report.json").mkdir()
+        (run_dir / "report.json" / "kept").write_text("x")
+        self.assert_write_error(capsys, "evaluate", "--run", str(run_dir))
+        assert (run_dir / "report.json" / "kept").read_text() == "x"
+        assert not (run_dir / "plots").exists()
+        assert (run_dir / "transcript.jsonl").read_bytes() == COMMITTED_TRANSCRIPT.read_bytes()
+
+    def test_evaluate_with_a_file_in_place_of_plots(self, capsys, run_dir):
+        (run_dir / "plots").write_text("x")
+        self.assert_write_error(capsys, "evaluate", "--run", str(run_dir))
+        assert not (run_dir / "report.json").exists()
+        assert (run_dir / "plots").read_text() == "x"
+        assert (run_dir / "transcript.jsonl").read_bytes() == COMMITTED_TRANSCRIPT.read_bytes()
+
+    def test_sweep_with_a_directory_in_place_of_sweep_report_json(
+        self, tmp_path, capsys, gen_config, sim_config
+    ):
+        cohort_dir, out = tmp_path / "cohort", tmp_path / "sweep"
+        run_cli(capsys, "generate", "--config", str(gen_config), "--out", str(cohort_dir))
+        (out / "sweep_report.json").mkdir(parents=True)
+        self.assert_write_error(
+            capsys,
+            "simulate",
+            "--cohort", str(cohort_dir),
+            "--config", str(sim_config),
+            "--out", str(out),
+            "--runs", "2",
+        )
+        assert (out / "sweep_report.json").is_dir()
+        for seed in (9, 10):
+            for name in ("transcript.jsonl", "report.json", "plots/load_by_agent.csv"):
+                assert (out / f"run-{seed}" / name).is_file()

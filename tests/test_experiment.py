@@ -887,6 +887,14 @@ class TestMetricsWorker:
             "evaluate_risk",
         }
 
+    def test_report_times_the_same_stages_with_or_without_an_output_directory(self, tmp_path):
+        written, _ = run_experiment(small_spec(out_dir=tmp_path / "run"))
+        unwritten, _ = run_experiment(small_spec())
+        keys = set(written.metadata["durations_s"])
+        assert keys - set(unwritten.metadata["durations_s"]) == {"write_transcript"}
+        assert set(unwritten.metadata["durations_s"]) == keys - {"write_transcript"}
+        assert "evaluate" in keys
+
 
 class TestNoProcessOutlivesARun:
     """Whatever the run does, its worker is reaped before it returns or raises."""

@@ -22,6 +22,9 @@ attribute, some string in a reader names it, or its class passes through
 ``asdict`` or ``fields`` (one of its methods passes ``self`` or ``cls``, or a
 reader passes the class by name).
 
+``cli.py`` writes no file itself: every file of a run directory is written
+by ``auss.experiment``, under its one rule for a failed write.
+
 Importing the package, or its cohort-file module, loads no orjson: only
 writing a transcript, writing a cohort and reading events.jsonl import it.
 A simulation and its cohort metrics load no ``numpy.ma``.
@@ -221,6 +224,18 @@ def test_every_dataclass_field_is_read(path):
         and item.target.id not in names
     )
     assert not unread, f"dataclass fields no file reads: {unread}"
+
+
+def test_cli_calls_no_writer():
+    writers = {"write_text", "write_bytes", "mkdir", "open", "to_jsonl", "save", "write_plot_data"}
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    calls = sorted(
+        f"cli.py:{node.lineno} {name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "attr", getattr(node.func, "id", None))) in writers
+    )
+    assert not calls, f"file writes in cli.py: {calls}"
 
 
 @pytest.mark.parametrize("module", ["auss", "auss.cohort_files"])
